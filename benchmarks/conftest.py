@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 
 from repro.baselines import OProfile
-from repro.dprof import DProf, DProfConfig
+from repro.api import DProf, DProfConfig
 from repro.dprof.history import OverheadBreakdown
 from repro.dprof.records import ObjectAccessHistory
 from repro.fixes import apply_admission_control, install_local_queue_selection

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from benchmarks.conftest import write_artifact
 from repro.baselines.ptu import run_ptu
-from repro.dprof import DProf, DProfConfig
+from repro.api import DProf, DProfConfig
 from repro.hw.machine import MachineConfig
 from repro.kernel import Kernel
 from repro.workloads import MemcachedWorkload

@@ -14,7 +14,7 @@ cycles drop by orders of magnitude.
 from __future__ import annotations
 
 from benchmarks.conftest import write_artifact
-from repro.dprof import DProf, DProfConfig
+from repro.api import DProf, DProfConfig
 from repro.dprof.extensions import (
     collect_whole_object_histories,
     pairwise_job_count,

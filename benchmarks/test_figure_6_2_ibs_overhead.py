@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import APACHE_PEAK_PERIOD, write_artifact
-from repro.dprof import DProf, DProfConfig
+from repro.api import DProf, DProfConfig
 from repro.hw.machine import MachineConfig
 from repro.kernel import Kernel
 from repro.workloads import ApacheConfig, ApacheWorkload, MemcachedWorkload

@@ -2,10 +2,8 @@
 
 Everything a caller needs to profile, analyze, serve, and trace lives
 here, re-exported from its defining module.  Deep imports of internal
-modules keep working but are not covered by any stability promise, and
-the old package-level conveniences (``from repro.dprof import DProf``,
-``from repro.serve import ProfilingServer``) now emit a
-:class:`DeprecationWarning` pointing at this module.
+modules keep working but are not covered by any stability promise; the
+``repro.dprof`` and ``repro.serve`` packages themselves export nothing.
 
 Groups:
 
@@ -34,9 +32,8 @@ are breaking changes.
 
 from __future__ import annotations
 
-from repro.bench import collect_history_session
 from repro.config import RunConfig
-from repro.dprof.analysis import ANALYSIS_MODES, analyze_histories
+from repro.dprof.analysis import analyze_histories
 from repro.dprof.diagnosis import Diagnosis, Finding
 from repro.dprof.profiler import DProf, DProfConfig
 from repro.dprof.quality import DataQuality
@@ -60,11 +57,10 @@ from repro.trace import (
     render_tree,
     stage_totals,
 )
-from repro.workloads import SCENARIOS, build_kernel
+from repro.workloads import SCENARIOS, build_kernel, collect_history_session
 from repro.workloads.kernels import KERNEL_FAMILIES, KernelSpec, expected_metrics
 
 __all__ = (
-    "ANALYSIS_MODES",
     "ClusterConfig",
     "ClusterServer",
     "DProf",

@@ -1,23 +1,20 @@
-"""Benchmark harness comparing the reference and fast simulation engines.
+"""Benchmark harness for the DProf pipeline: ``python -m repro.bench``.
 
-``python -m repro.bench --out BENCH_dprof.json`` runs each scenario
-(memcached, apache, synthetic) once under the reference engine with a
-trace sink attached, then replays the recorded trace through both
-engines and times the hot loops:
+Each section of the report is opt-in and measures one part of the
+pipeline end to end:
 
-- *reference replay*: :func:`repro.hw.fastpath.replay_reference` -- the
-  OrderedDict-LRU / set-based directory path, exactly what a live run
-  executes per access;
-- *fast replay*: :func:`repro.hw.fastpath.encode_trace` once, then
-  :meth:`repro.hw.fastpath.BatchReplayEngine.run` per repeat -- the
-  array-backed batched path.
+- ``service_throughput``: N concurrent profiling jobs through the serve
+  worker pool (jobs/minute, archives landed in a throwaway store);
+- ``analysis``: path-trace construction over collected (amplified) and
+  generated history corpora -- the reference
+  :class:`~repro.dprof.pathtrace.PathTraceBuilder` oracle against
+  :func:`~repro.dprof.analysis.analyze_histories` -- plus the store's
+  cold-vs-warm view cache;
+- ``self_profile``: the tracing subsystem's own overhead;
+- ``load_sweep``: open-loop Poisson load against a live server.
 
-Replays (not live runs) are timed so both engines consume the *same*
-access stream and the comparison isolates the memory-system simulation
-from workload/scheduler overhead.  Every repeat also cross-checks the
-engines' end states; the emitted ``accuracy`` block must show zero
-deltas, which is the differential tests' equivalence guarantee restated
-as a benchmark artifact.
+Every write goes through :func:`validate_report` and appends a
+``trajectory`` entry, so ``BENCH_dprof.json`` keeps its own history.
 """
 
 from __future__ import annotations
@@ -26,206 +23,25 @@ import json
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field
 from typing import Any
 
 from repro.dprof.analysis import (
-    StatsView,
     amplify_corpus,
     analyze_histories,
     synthetic_history_corpus,
 )
+from repro.dprof.pathtrace import PathTraceBuilder
 from repro.errors import BenchFormatError
-from repro.hw.fastpath import (
-    BatchReplayEngine,
-    LineInterner,
-    encode_trace,
-    replay_reference,
-)
 from repro.hw.machine import MachineConfig
 from repro.kernel.symbols import SymbolTable
-from repro.workloads import SCENARIOS, build_kernel
+from repro.workloads import collect_history_session
 
-#: Per-scenario measured windows (cycles): full runs and --smoke runs.
+#: Per-job measured windows (cycles): full runs and --smoke runs.
 DEFAULT_DURATION = 150_000
 SMOKE_DURATION = 30_000
 
-#: Scenario order in the report (memcached first: it carries the
-#: headline speedup acceptance threshold).
+#: History corpora of the analysis section, in report order.
 SCENARIO_ORDER = ("memcached", "apache", "synthetic")
-
-
-@dataclass
-class ScenarioReport:
-    """One scenario's timings plus the engine-equivalence cross-check."""
-
-    name: str
-    events: int
-    duration_cycles: int
-    repeats: int
-    reference_s: float
-    encode_s: float
-    fast_s: float
-    accuracy: dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def speedup(self) -> float:
-        """Hot-loop speedup: reference replay time over fast replay time."""
-        return self.reference_s / self.fast_s if self.fast_s else 0.0
-
-    @property
-    def speedup_including_encode(self) -> float:
-        """Speedup charging the one-time encode pass to the fast engine."""
-        total = self.fast_s + self.encode_s
-        return self.reference_s / total if total else 0.0
-
-    def events_per_second(self, seconds: float) -> float:
-        return self.events / seconds if seconds else 0.0
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "events": self.events,
-            "duration_cycles": self.duration_cycles,
-            "repeats": self.repeats,
-            "reference_s": round(self.reference_s, 6),
-            "encode_s": round(self.encode_s, 6),
-            "fast_s": round(self.fast_s, 6),
-            "reference_events_per_s": round(self.events_per_second(self.reference_s), 1),
-            "fast_events_per_s": round(self.events_per_second(self.fast_s), 1),
-            "speedup": round(self.speedup, 3),
-            "speedup_including_encode": round(self.speedup_including_encode, 3),
-            "accuracy": self.accuracy,
-        }
-
-
-def record_trace(name: str, *, ncores: int, seed: int, duration_cycles: int):
-    """Run *name* live under the reference engine with a trace sink.
-
-    Returns ``(events, config, live_state)`` where ``live_state`` is the
-    live hierarchy's (stats snapshot, cache counters) -- replaying the
-    trace must land on exactly this state, which :func:`bench_scenario`
-    asserts before timing anything.
-    """
-    kernel = build_kernel(ncores, seed=seed, engine="reference")
-    hierarchy = kernel.machine.hierarchy
-    with hierarchy.record_trace() as sink:
-        SCENARIOS[name](kernel, duration_cycles)
-    live_state = (hierarchy.stats.snapshot(), hierarchy.cache_counters())
-    return sink, kernel.machine.config.hierarchy_config(), live_state
-
-
-def _accuracy_deltas(
-    ref_state: tuple[dict, dict, dict, int],
-    fast_state: tuple[dict, dict, dict, int],
-) -> dict[str, Any]:
-    """Count mismatching keys between the two engines' end states.
-
-    All four counts must be zero; a non-zero count means the fast engine
-    diverged and the benchmark result is invalid.
-    """
-    ref_stats, ref_counters, ref_lru, ref_inv = ref_state
-    fast_stats, fast_counters, fast_lru, fast_inv = fast_state
-    stat_delta = sum(
-        1
-        for key in set(ref_stats["levels"]) | set(fast_stats["levels"])
-        if ref_stats["levels"].get(key) != fast_stats["levels"].get(key)
-    )
-    stat_delta += sum(
-        1
-        for key in set(ref_stats["miss_kinds"]) | set(fast_stats["miss_kinds"])
-        if ref_stats["miss_kinds"].get(key) != fast_stats["miss_kinds"].get(key)
-    )
-    stat_delta += int(ref_stats["accesses"] != fast_stats["accesses"])
-    counter_delta = sum(
-        1
-        for key in set(ref_counters) | set(fast_counters)
-        if ref_counters.get(key) != fast_counters.get(key)
-    )
-    lru_delta = sum(
-        1
-        for key in set(ref_lru) | set(fast_lru)
-        if ref_lru.get(key) != fast_lru.get(key)
-    )
-    return {
-        "stat_deltas": stat_delta,
-        "counter_deltas": counter_delta,
-        "lru_deltas": lru_delta,
-        "invalidation_delta": abs(ref_inv - fast_inv),
-        "identical": (
-            stat_delta == 0
-            and counter_delta == 0
-            and lru_delta == 0
-            and ref_inv == fast_inv
-        ),
-    }
-
-
-def bench_scenario(
-    name: str,
-    *,
-    ncores: int = 4,
-    seed: int = 11,
-    duration_cycles: int = DEFAULT_DURATION,
-    repeats: int = 3,
-) -> ScenarioReport:
-    """Record one scenario's trace, then time both replay engines.
-
-    Each engine replays the same trace *repeats* times; the minimum is
-    reported (standard practice for wall-clock microbenchmarks: the min
-    is the least noisy estimator of the true cost).
-    """
-    events, config, live_state = record_trace(
-        name, ncores=ncores, seed=seed, duration_cycles=duration_cycles
-    )
-
-    ref_best = float("inf")
-    ref_state = None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        hierarchy, _ = replay_reference(events, config)
-        ref_best = min(ref_best, time.perf_counter() - t0)
-        ref_state = (
-            hierarchy.stats.snapshot(),
-            hierarchy.cache_counters(),
-            hierarchy.replacement_snapshot(),
-            hierarchy.directory.invalidation_count,
-        )
-
-    t0 = time.perf_counter()
-    interner = LineInterner()
-    encoded, _ = encode_trace(events, config, interner)
-    encode_s = time.perf_counter() - t0
-
-    fast_best = float("inf")
-    fast_state = None
-    for _ in range(repeats):
-        engine = BatchReplayEngine(config, interner)
-        t0 = time.perf_counter()
-        engine.run(encoded)
-        fast_best = min(fast_best, time.perf_counter() - t0)
-        fast_state = (
-            engine.stats_snapshot(),
-            engine.cache_counters(),
-            engine.replacement_snapshot(),
-            engine.invalidation_count,
-        )
-
-    assert ref_state is not None and fast_state is not None
-    accuracy = _accuracy_deltas(ref_state, fast_state)
-    # The replayed reference must also land exactly where the live run
-    # did, or the trace itself (not the fast engine) is unfaithful.
-    accuracy["replay_matches_live"] = live_state == (ref_state[0], ref_state[1])
-    return ScenarioReport(
-        name=name,
-        events=len(events),
-        duration_cycles=duration_cycles,
-        repeats=repeats,
-        reference_s=ref_best,
-        encode_s=encode_s,
-        fast_s=fast_best,
-        accuracy=accuracy,
-    )
 
 
 def bench_service_throughput(
@@ -255,7 +71,6 @@ def bench_service_throughput(
             cores=ncores,
             seed=seed + i,
             duration=duration_cycles,
-            engine="fast",
         )
         for i in range(jobs)
     ]
@@ -291,56 +106,19 @@ def bench_service_throughput(
     }
 
 
-def collect_history_session(
-    name: str, *, ncores: int, seed: int
-):
-    """Run one case-study workload under DProf and collect pairwise
-    skbuff histories (the same attach/collect pattern the ``diagnose``
-    command uses); returns the detached profiler."""
-    from repro.dprof.profiler import DProf, DProfConfig
-    from repro.workloads import ApacheWorkload, MemcachedWorkload
-
-    kernel = build_kernel(ncores, seed=seed, engine="fast")
-    workload = (
-        MemcachedWorkload(kernel) if name == "memcached" else ApacheWorkload(kernel)
-    )
-    workload.setup()
-    workload.start()
-    if name == "apache":
-        # Apache traffic is arrival-driven (memcached's clients are
-        # self-sustaining); push a schedule long enough to cover history
-        # collection or no skbuffs ever churn.  Its packet rate is also
-        # lower, so sample denser and warm up longer before arming the
-        # collector -- every seed then fills all three history sets.
-        workload.schedule_arrivals(
-            30_000_000, start_cycle=kernel.elapsed_cycles()
-        )
-    ibs_interval = 200 if name == "apache" else 400
-    warmup = 1_200_000 if name == "apache" else 600_000
-    kernel.run(until_cycle=150_000)
-    dprof = DProf(kernel, DProfConfig(ibs_interval=ibs_interval))
-    dprof.attach()
-    kernel.run(until_cycle=kernel.elapsed_cycles() + warmup)
-    dprof.collect_histories(
-        "skbuff", sets=3, hot_chunks=4, member_offsets=[0], pair=True
-    )
-    kernel.run(
-        until_cycle=kernel.elapsed_cycles() + 20_000_000,
-        stop_when=lambda: dprof.histories_done,
-    )
-    dprof.detach()
-    return dprof
+def _reference_traces(symbols, sampler, corpus):
+    """Every type's traces from the reference builder, in type order."""
+    builder = PathTraceBuilder(symbols, sampler)
+    return {name: builder.build(name, corpus[name]) for name in sorted(corpus)}
 
 
-def _time_analysis(symbols, stats, corpus, *, mode, workers, repeats):
+def _time_analysis(build, symbols, sampler, corpus, *, repeats):
     """Min-of-repeats wall time plus the result (for the equality check)."""
     best = float("inf")
     result = None
     for _ in range(repeats):
         t0 = time.perf_counter()
-        result = analyze_histories(
-            symbols, stats, corpus, mode=mode, workers=workers
-        )
+        result = build(symbols, sampler, corpus)
         best = min(best, time.perf_counter() - t0)
     return best, result
 
@@ -354,7 +132,7 @@ def bench_analysis_scenario(
     shards: int = 4,
     variants: int = 32,
 ) -> tuple[dict[str, Any], Any]:
-    """Time the analysis pipelines on one scenario's history corpus.
+    """Time the reference and indexed builders on one history corpus.
 
     memcached/apache corpora are *real* collected pairwise skbuff
     histories, amplified (type shards x ip-shifted variants) to the
@@ -367,7 +145,7 @@ def bench_analysis_scenario(
     archive_text = None
     if name == "synthetic":
         symbols = SymbolTable()
-        stats = None
+        sampler = None
         corpus = synthetic_history_corpus(
             seed,
             types=shards,
@@ -379,23 +157,18 @@ def bench_analysis_scenario(
 
         dprof = collect_history_session(name, ncores=ncores, seed=seed)
         symbols = dprof.kernel.symbols
-        stats = StatsView.from_sampler(dprof.sampler)
+        sampler = dprof.sampler
         corpus = amplify_corpus(
             dprof.history.histories_by_type(), shards=shards, variants=variants
         )
         if name == "memcached":
             archive_text = json.dumps(export_session(dprof))
     reference_s, ref_result = _time_analysis(
-        symbols, stats, corpus, mode="reference", workers=1, repeats=repeats
+        _reference_traces, symbols, sampler, corpus, repeats=repeats
     )
     indexed_s, idx_result = _time_analysis(
-        symbols, stats, corpus, mode="indexed", workers=1, repeats=repeats
+        analyze_histories, symbols, sampler, corpus, repeats=repeats
     )
-    sharded_s, shard_result = _time_analysis(
-        symbols, stats, corpus, mode="indexed", workers=0, repeats=repeats
-    )
-    identical = ref_result == idx_result == shard_result
-    best_s = min(indexed_s, sharded_s)
     row = {
         "name": name,
         "histories": sum(len(h) for h in corpus.values()),
@@ -403,10 +176,8 @@ def bench_analysis_scenario(
         "repeats": repeats,
         "reference_s": round(reference_s, 6),
         "indexed_s": round(indexed_s, 6),
-        "sharded_s": round(sharded_s, 6),
-        "speedup_indexed": round(reference_s / indexed_s, 3) if indexed_s else 0.0,
-        "speedup": round(reference_s / best_s, 3) if best_s else 0.0,
-        "identical": identical,
+        "speedup": round(reference_s / indexed_s, 3) if indexed_s else 0.0,
+        "identical": ref_result == idx_result,
     }
     return row, archive_text
 
@@ -459,7 +230,7 @@ def bench_analysis(
     shards: int = 4,
     variants: int = 32,
 ) -> dict[str, Any]:
-    """The report's ``analysis`` section: pipeline timings + view cache."""
+    """The report's ``analysis`` section: builder timings + view cache."""
     rows = []
     memcached_archive = None
     for name in scenarios:
@@ -515,7 +286,6 @@ def bench_self_profile(
         cores=ncores,
         seed=seed,
         duration=duration_cycles,
-        engine="fast",
     )
     execute_job(spec)  # warmup: imports, interned symbols, allocator
     untraced_best = float("inf")
@@ -566,30 +336,21 @@ def run_benchmarks(
     load_rates: tuple[float, ...] | None = None,
     load_jobs: int = 24,
 ) -> dict[str, Any]:
-    """Run every scenario and assemble the BENCH_dprof.json document.
+    """Run the requested sections and assemble the BENCH_dprof.json document.
 
     ``service_jobs`` > 0 adds the service-throughput block (N concurrent
     memcached jobs through a worker pool, jobs/minute).  ``analysis``
-    adds the analysis-pipeline section (reference vs indexed vs sharded
-    clustering/merge timings plus the view-cache cold/warm comparison).
+    adds the analysis section (reference vs indexed builder timings on
+    the *scenarios*' history corpora plus the view-cache cold/warm
+    comparison).
     ``self_profile`` adds the tracing-overhead section (traced vs
     untraced smoke run plus the traced run's span stage totals).
     ``load_sweep`` adds the open-loop Poisson load sweep (latency
     percentiles vs offered rate, saturation knee) against a live server.
     """
-    reports = [
-        bench_scenario(
-            name,
-            ncores=ncores,
-            seed=seed,
-            duration_cycles=duration_cycles,
-            repeats=repeats,
-        )
-        for name in scenarios
-    ]
     config = MachineConfig(ncores=ncores, seed=seed)
-    document = {
-        "benchmark": "dprof-engine-comparison",
+    document: dict[str, Any] = {
+        "benchmark": "dprof-pipeline",
         "python": sys.version.split()[0],
         "machine": {
             "ncores": ncores,
@@ -599,8 +360,6 @@ def run_benchmarks(
             "l2_size": config.l2_size,
             "l3_size": config.l3_size,
         },
-        "scenarios": [r.to_dict() for r in reports],
-        "all_identical": all(r.accuracy.get("identical") for r in reports),
     }
     if service_jobs > 0:
         document["service_throughput"] = bench_service_throughput(
@@ -639,30 +398,19 @@ def run_benchmarks(
 
 def format_table(document: dict[str, Any]) -> str:
     """Human-readable summary of a benchmark document."""
-    lines = [
-        f"{'scenario':<12} {'events':>8} {'ref (s)':>9} {'fast (s)':>9} "
-        f"{'speedup':>8} {'w/encode':>9} {'identical':>10}"
-    ]
-    for row in document["scenarios"]:
-        lines.append(
-            f"{row['name']:<12} {row['events']:>8} {row['reference_s']:>9.4f} "
-            f"{row['fast_s']:>9.4f} {row['speedup']:>7.2f}x "
-            f"{row['speedup_including_encode']:>8.2f}x "
-            f"{str(row['accuracy']['identical']):>10}"
-        )
+    lines: list[str] = []
     analysis = document.get("analysis")
     if analysis:
         lines.append("")
         lines.append(
             f"{'analysis':<12} {'histories':>9} {'ref (s)':>9} {'idx (s)':>9} "
-            f"{'shard (s)':>9} {'speedup':>8} {'identical':>10}"
+            f"{'speedup':>8} {'identical':>10}"
         )
         for row in analysis["scenarios"]:
             lines.append(
                 f"{row['name']:<12} {row['histories']:>9} "
                 f"{row['reference_s']:>9.4f} {row['indexed_s']:>9.4f} "
-                f"{row['sharded_s']:>9.4f} {row['speedup']:>7.2f}x "
-                f"{str(row['identical']):>10}"
+                f"{row['speedup']:>7.2f}x {str(row['identical']):>10}"
             )
         cache = analysis.get("view_cache")
         if cache:
@@ -705,19 +453,17 @@ def format_table(document: dict[str, Any]) -> str:
                 f"  {stage:<22} x{totals['count']:<3} "
                 f"wall {totals['wall_s']:.4f}s cpu {totals['cpu_s']:.4f}s"
             )
-    return "\n".join(lines)
+    return "\n".join(lines).strip("\n")
 
 
 # Schema for BENCH_dprof.json: field name -> required type(s).  A
-# benchmark run that crashed midway (missing scenarios, half-built rows)
+# benchmark run that crashed midway (missing sections, half-built rows)
 # must not overwrite the committed baseline; validate_report refuses it.
 _NUMBER = (int, float)
 _TOP_LEVEL_SCHEMA = {
     "benchmark": str,
     "python": str,
     "machine": dict,
-    "scenarios": list,
-    "all_identical": bool,
 }
 _MACHINE_SCHEMA = {
     "ncores": int,
@@ -726,20 +472,6 @@ _MACHINE_SCHEMA = {
     "l1_size": int,
     "l2_size": int,
     "l3_size": int,
-}
-_SCENARIO_SCHEMA = {
-    "name": str,
-    "events": int,
-    "duration_cycles": int,
-    "repeats": int,
-    "reference_s": _NUMBER,
-    "encode_s": _NUMBER,
-    "fast_s": _NUMBER,
-    "reference_events_per_s": _NUMBER,
-    "fast_events_per_s": _NUMBER,
-    "speedup": _NUMBER,
-    "speedup_including_encode": _NUMBER,
-    "accuracy": dict,
 }
 _SERVICE_SCHEMA = {
     "scenario": str,
@@ -761,8 +493,6 @@ _ANALYSIS_SCENARIO_SCHEMA = {
     "repeats": int,
     "reference_s": _NUMBER,
     "indexed_s": _NUMBER,
-    "sharded_s": _NUMBER,
-    "speedup_indexed": _NUMBER,
     "speedup": _NUMBER,
     "identical": bool,
 }
@@ -840,15 +570,8 @@ def validate_report(document: Any) -> None:
         raise BenchFormatError("report root is not an object")
     _check_fields(document, _TOP_LEVEL_SCHEMA, "report")
     _check_fields(document["machine"], _MACHINE_SCHEMA, "machine")
-    if not document["scenarios"]:
-        raise BenchFormatError("report has no scenario rows")
-    for index, row in enumerate(document["scenarios"]):
-        where = f"scenarios[{index}]"
-        if not isinstance(row, dict):
-            raise BenchFormatError(f"{where}: row is not an object")
-        _check_fields(row, _SCENARIO_SCHEMA, where)
-        if "identical" not in row["accuracy"]:
-            raise BenchFormatError(f"{where}: accuracy lacks 'identical'")
+    if not any(key not in _NON_SECTION_KEYS for key in document):
+        raise BenchFormatError("report has no benchmark sections")
     service = document.get("service_throughput")
     if service is not None:
         if not isinstance(service, dict):
@@ -933,7 +656,7 @@ def merge_report(document: dict[str, Any], previous: dict[str, Any]) -> dict[str
 
     Sections the new run produced win; sections only the old file has
     (say, an ``analysis`` block from a fuller past run) are carried
-    forward, so a targeted re-run -- engine only, or load-sweep only --
+    forward, so a targeted re-run -- analysis only, or load-sweep only --
     never erases the rest of the baseline.  The ``trajectory`` list
     gains one entry naming exactly which sections this run refreshed.
     """

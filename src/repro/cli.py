@@ -78,11 +78,6 @@ def _report_quality(dprof: DProf, plan: FaultPlan | None) -> int:
     return quality.exit_code()
 
 
-def _run_config(args: argparse.Namespace, seed: int) -> RunConfig:
-    """The unified RunConfig implied by a command's shared flags."""
-    return RunConfig(seed=seed, engine=args.engine, analysis=args.analysis)
-
-
 def _profiled_memcached(
     cores: int,
     fixed: bool,
@@ -116,7 +111,7 @@ def cmd_memcached(args: argparse.Namespace) -> int:
         args.duration,
         args.interval,
         faults=plan,
-        run=_run_config(args, seed=11),
+        run=RunConfig(seed=11),
     )
     label = "fixed (local TX queues)" if args.fixed else "stock (skb_tx_hash)"
     print(f"memcached on {args.cores} cores, {label}")
@@ -130,7 +125,7 @@ def cmd_memcached(args: argparse.Namespace) -> int:
 
 def cmd_apache(args: argparse.Namespace) -> int:
     plan = _fault_plan(args)
-    run = _run_config(args, seed=11)
+    run = RunConfig(seed=11)
     kernel = Kernel(run.machine_config(ncores=args.cores))
     workload = ApacheWorkload(
         kernel, config=ApacheConfig(arrival_period=args.period)
@@ -160,7 +155,7 @@ def cmd_apache(args: argparse.Namespace) -> int:
 
 def cmd_diagnose(args: argparse.Namespace) -> int:
     plan = _fault_plan(args)
-    run = _run_config(args, seed=52)
+    run = RunConfig(seed=52)
     kernel = Kernel(run.machine_config(ncores=args.cores))
     workload = MemcachedWorkload(kernel)
     workload.setup()
@@ -214,12 +209,7 @@ def _spec_from_args(args: argparse.Namespace):
     """A validated JobSpec from submit/run-once flags (SystemExit on junk)."""
     from repro.serve.jobs import JobSpec
 
-    run = RunConfig(
-        seed=args.seed,
-        engine=args.engine,
-        analysis=args.analysis,
-        trace=bool(getattr(args, "trace", False)),
-    )
+    run = RunConfig(seed=args.seed, trace=bool(getattr(args, "trace", False)))
     try:
         return JobSpec.create(
             scenario=args.scenario,
@@ -515,7 +505,7 @@ def cmd_run_once(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
     outcome = execute_job_to_store(spec, args.store)
     print(
-        f"{spec.scenario} seed={spec.seed} engine={spec.engine}: "
+        f"{spec.scenario} seed={spec.seed}: "
         f"{outcome['status']} in {outcome['wall_s']:.2f}s, "
         f"throughput {outcome['throughput']}, archive {outcome['digest']}"
     )
@@ -581,53 +571,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def run_flags_parent(engine_default: str) -> argparse.ArgumentParser:
-        """The one definition of the shared --engine/--analysis/
-        --inject-faults trio, attached to subcommands via ``parents=``
-        so flags and help text cannot drift between commands.  Only the
-        engine *default* differs: workload commands favor the readable
-        reference engine, service commands the fast one.
-        """
-        parent = argparse.ArgumentParser(add_help=False)
-        parent.add_argument(
-            "--engine",
-            choices=("reference", "fast"),
-            default=engine_default,
-            help=(
-                "access-simulation engine; 'fast' uses repro.hw.fastpath, "
-                "which is bit-identical to 'reference' but quicker "
-                "(equivalence is enforced by tests/test_fastpath_equivalence.py)"
-            ),
-        )
-        parent.add_argument(
-            "--analysis",
-            choices=("indexed", "reference"),
-            default="indexed",
-            help=(
-                "analysis pipeline; 'indexed' clusters histories via an "
-                "inverted index and shards by type across processes, "
-                "bit-identical to 'reference' but quicker (equivalence is "
-                "enforced by tests/test_analysis_equivalence.py)"
-            ),
-        )
-        parent.add_argument(
-            "--inject-faults",
-            metavar="SPEC",
-            default=None,
-            help=(
-                "deterministic fault plan, e.g. "
-                "ibs_drop=0.1,history_truncation=0.2,seed=7 "
-                "(models: ibs_drop, ibs_latency, debugreg_steal, "
-                "trap_miss, history_truncation)"
-            ),
-        )
-        return parent
-
-    workload_flags = run_flags_parent("reference")
-    service_flags = run_flags_parent("fast")
+    # The one definition of --inject-faults, attached to every profiling
+    # subcommand via ``parents=`` so its help text cannot drift.
+    fault_flags = argparse.ArgumentParser(add_help=False)
+    fault_flags.add_argument(
+        "--inject-faults",
+        metavar="SPEC",
+        default=None,
+        help=(
+            "deterministic fault plan, e.g. "
+            "ibs_drop=0.1,history_truncation=0.2,seed=7 "
+            "(models: ibs_drop, ibs_latency, debugreg_steal, "
+            "trap_miss, history_truncation)"
+        ),
+    )
 
     mc = sub.add_parser(
-        "memcached", help="run the Section 6.1 workload", parents=[workload_flags]
+        "memcached", help="run the Section 6.1 workload", parents=[fault_flags]
     )
     mc.add_argument("--cores", type=int, default=8)
     mc.add_argument("--fixed", action="store_true", help="apply the +57%% fix")
@@ -637,7 +597,7 @@ def build_parser() -> argparse.ArgumentParser:
     mc.set_defaults(func=cmd_memcached)
 
     ap = sub.add_parser(
-        "apache", help="run the Section 6.2 workload", parents=[workload_flags]
+        "apache", help="run the Section 6.2 workload", parents=[fault_flags]
     )
     ap.add_argument("--cores", type=int, default=8)
     ap.add_argument("--period", type=int, default=22_000)
@@ -648,7 +608,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.set_defaults(func=cmd_apache)
 
     dg = sub.add_parser(
-        "diagnose", help="automated diagnosis on memcached", parents=[workload_flags]
+        "diagnose", help="automated diagnosis on memcached", parents=[fault_flags]
     )
     dg.add_argument("--cores", type=int, default=8)
     dg.add_argument("--interval", type=int, default=300)
@@ -755,7 +715,7 @@ def build_parser() -> argparse.ArgumentParser:
     cl.set_defaults(func=cmd_cluster)
 
     sm = sub.add_parser(
-        "submit", help="submit a job to a running server", parents=[service_flags]
+        "submit", help="submit a job to a running server", parents=[fault_flags]
     )
     add_client_flags(sm)
     add_spec_flags(sm)
@@ -797,7 +757,7 @@ def build_parser() -> argparse.ArgumentParser:
         "metrics",
         help="top-down session metrics (archive, job, or inline run), or "
         "service counters from a server",
-        parents=[service_flags],
+        parents=[fault_flags],
     )
     mt.add_argument(
         "target", nargs="?", default=None,
@@ -826,7 +786,7 @@ def build_parser() -> argparse.ArgumentParser:
     ro = sub.add_parser(
         "run-once",
         help="execute one job spec inline via the service worker path",
-        parents=[service_flags],
+        parents=[fault_flags],
     )
     add_spec_flags(ro)
     ro.add_argument(

@@ -16,59 +16,6 @@ latencies (:mod:`repro.dprof.pathtrace`) -- and derives four views
 (Section 3): the data profile, miss classification, working set, and data
 flow views (:mod:`repro.dprof.views`).
 
-Entry point: :class:`repro.dprof.profiler.DProf`.
-
-.. deprecated::
-    Importing names from ``repro.dprof`` directly is deprecated; use the
-    blessed facade :mod:`repro.api` (or the defining submodule, e.g.
-    :mod:`repro.dprof.profiler`).  The first shimmed access of each name
-    emits one :class:`DeprecationWarning`; behavior is otherwise
-    unchanged.
+Entry point: :class:`repro.dprof.profiler.DProf`, re-exported with the
+rest of the public surface by :mod:`repro.api`.
 """
-
-import importlib
-import warnings
-
-#: name -> defining submodule, resolved lazily by :func:`__getattr__`.
-_EXPORTS = {
-    "AccessSample": "repro.dprof.records",
-    "AddressSet": "repro.dprof.records",
-    "AddressSetEntry": "repro.dprof.records",
-    "HistoryElement": "repro.dprof.records",
-    "ObjectAccessHistory": "repro.dprof.records",
-    "PathTrace": "repro.dprof.records",
-    "PathTraceEntry": "repro.dprof.records",
-    "ANALYSIS_MODES": "repro.dprof.analysis",
-    "IndexedPathTraceBuilder": "repro.dprof.analysis",
-    "StatsView": "repro.dprof.analysis",
-    "analyze_histories": "repro.dprof.analysis",
-    "builder_for": "repro.dprof.analysis",
-    "DProf": "repro.dprof.profiler",
-    "DProfConfig": "repro.dprof.profiler",
-    "DataQuality": "repro.dprof.quality",
-    "Diagnosis": "repro.dprof.diagnosis",
-    "Finding": "repro.dprof.diagnosis",
-}
-
-__all__ = list(_EXPORTS)
-
-
-def __getattr__(name: str):
-    module_name = _EXPORTS.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    warnings.warn(
-        f"importing {name!r} from 'repro.dprof' is deprecated; "
-        f"use 'repro.api' (or {module_name!r}) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    value = getattr(importlib.import_module(module_name), name)
-    # Cache so the warning fires once per name (a from-import probes the
-    # attribute twice: importlib's hasattr check, then the real getattr).
-    globals()[name] = value
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_EXPORTS))

@@ -1,9 +1,9 @@
-"""The rearchitected DProf analysis pipeline (indexed, parallel, memoized).
+"""The DProf analysis pipeline: indexed path-trace construction.
 
-PR 2 made the *simulation* half of DProf fast; this module does the same
-for the *analysis* half -- the Section 5.3/5.4 machinery that clusters
-object access histories into path families, merges per-chunk sequences
-via a precedence graph, and feeds the four views.  Three layers:
+This module is the *analysis* half of DProf -- the Section 5.3/5.4
+machinery that clusters object access histories into path families,
+merges per-chunk sequences via a precedence graph, and feeds the four
+views:
 
 1. **Algorithmic** (:class:`IndexedPathTraceBuilder`): the reference
    :class:`~repro.dprof.pathtrace.PathTraceBuilder` scans every existing
@@ -16,20 +16,16 @@ via a precedence graph, and feeds the four views.  Three layers:
    merge runs over preallocated parallel arrays (ints and floats indexed
    by event id) instead of per-event dataclass instances.
 
-2. **Parallel** (:func:`analyze_histories`): histories shard by type
-   across ``multiprocessing`` workers.  Each shard is a pure function of
-   its (type, histories) input and shards are merged canonically by
-   (shard index, type name) -- the same deterministic-merge idiom as the
-   PR 2 sharded trace generator -- so the output is bit-identical at any
-   worker count, and a pool failure silently degrades to serial with the
-   same output.
+2. **Driver** (:func:`analyze_histories`): builds every type's traces
+   serially, in sorted type order, with one indexed builder.
 
 3. **Bit-identical contract**: every float in every
    :class:`~repro.dprof.records.PathTraceEntry` is produced by the same
    arithmetic in the same order as the reference builder (Welford mean
    updates included), so ``indexed == reference`` holds under ``==`` on
-   the dataclasses, with no tolerance.  ``tests/test_analysis_equivalence.py``
-   enforces this across seeds, scenarios, and worker counts.
+   the dataclasses, with no tolerance.  The reference builder is kept as
+   the oracle ``tests/test_analysis_equivalence.py`` checks this against,
+   across seeds and scenarios.
 
 The memoization layer (the content-addressed view cache) lives with the
 session store in :mod:`repro.serve.store`; this module only guarantees
@@ -38,59 +34,20 @@ that re-running analysis is never *needed* for correctness.
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-import time
-
-from repro.dprof.pathtrace import (
-    OFFSET_SENTINEL,
-    PathTraceBuilder,
-    canonical_trace_order,
-)
+from repro.dprof.pathtrace import OFFSET_SENTINEL, canonical_trace_order
 from repro.dprof.records import (
-    AccessStats,
     HistoryElement,
     ObjectAccessHistory,
     PathTrace,
     PathTraceEntry,
 )
-from repro.errors import ProfilingError
 from repro.hw.events import CacheLevel
 from repro.kernel.symbols import SymbolTable
 from repro.util.rng import DeterministicRng
 
-#: Analysis pipelines selectable via ``DProfConfig(analysis=...)``.
-ANALYSIS_MODES = ("indexed", "reference")
-
 #: ip displacement between amplified corpus variants; far above the fake
 #: kernel text segment so shifted ips never collide with real symbols.
 _VARIANT_IP_STRIDE = 1 << 44
-
-
-class StatsView:
-    """A picklable (type, offset-chunk, ip) -> :class:`AccessStats` lookup.
-
-    Snapshots the aggregate half of an
-    :class:`~repro.dprof.access_sampler.AccessSampleCollector` (or the
-    offline equivalent) so analysis shards can cross process boundaries
-    without dragging the live machine along.
-    """
-
-    def __init__(self, stats: dict[tuple, AccessStats], chunk_size: int) -> None:
-        self.stats = stats
-        self.chunk_size = chunk_size
-
-    @classmethod
-    def from_sampler(cls, sampler) -> "StatsView | None":
-        """Snapshot any sampler-like object (``.stats`` + ``.chunk_size``)."""
-        if sampler is None:
-            return None
-        return cls(dict(sampler.stats), sampler.chunk_size)
-
-    def stats_for(self, type_name: str, offset: int, ip: int) -> AccessStats | None:
-        """Aggregated stats for the chunk containing *offset*, if any."""
-        chunk = (offset // self.chunk_size) * self.chunk_size
-        return self.stats.get((type_name, chunk, ip))
 
 
 class IndexedPathTraceBuilder:
@@ -391,52 +348,8 @@ class IndexedPathTraceBuilder:
 
 
 # ----------------------------------------------------------------------
-# Pipeline selection and the sharded (parallel) driver
+# The driver
 # ----------------------------------------------------------------------
-
-
-def builder_for(mode: str, symbols: SymbolTable, sampler=None):
-    """The path-trace builder implementing *mode* (indexed | reference)."""
-    if mode == "indexed":
-        return IndexedPathTraceBuilder(symbols, sampler)
-    if mode == "reference":
-        return PathTraceBuilder(symbols, sampler)
-    raise ProfilingError(
-        f"unknown analysis mode {mode!r} (choose {' or '.join(ANALYSIS_MODES)})"
-    )
-
-
-def _analysis_shard(args) -> tuple[int, str, list[PathTrace], dict]:
-    """One shard: build a single type's traces (pure function of args).
-
-    The fourth element is an ``analysis-shard`` span blob timed inside
-    the (possibly separate) shard process; the parent tracer adopts the
-    blobs in canonical order, re-keying their ids, so the trace is
-    bit-identical at any worker count.
-    """
-    shard_index, type_name, histories, symbols, stats, mode = args
-    t0 = time.perf_counter()
-    c0 = time.process_time()
-    builder = builder_for(mode, symbols, stats)
-    traces = builder.build(type_name, histories)
-    blob = {
-        "kind": "span",
-        "id": f"shard-{shard_index}",
-        "parent": None,
-        "name": "analysis-shard",
-        "path": f"analysis-shard#{shard_index}",
-        "start_s": 0.0,
-        "wall_s": time.perf_counter() - t0,
-        "cpu_s": time.process_time() - c0,
-        "counters": {
-            "shard_index": shard_index,
-            "type_name": type_name,
-            "histories": len(histories),
-            "traces": len(traces),
-            "mode": mode,
-        },
-    }
-    return shard_index, type_name, traces, blob
 
 
 def analyze_histories(
@@ -444,62 +357,31 @@ def analyze_histories(
     sampler,
     histories: list[ObjectAccessHistory] | dict[str, list[ObjectAccessHistory]],
     *,
-    mode: str = "indexed",
-    workers: int = 0,
     tracer=None,
 ) -> dict[str, list[PathTrace]]:
-    """Path traces for every type, optionally sharded across processes.
+    """Path traces for every type, keyed (and ordered) by type name.
 
-    Histories shard by type; each shard is a pure function of its input
-    and results merge canonically by (shard index, type name), so the
-    output is bit-identical at any ``workers`` count (a pool failure --
-    e.g. a sandbox without fork -- silently degrades to serial with the
-    same output).  ``workers=0`` means *auto*: one worker per available
-    CPU, capped at the shard count, so a single-core host never pays
-    pool overhead; an explicit ``workers > 1`` always engages the pool.
-    ``sampler`` may be a live collector, an offline sampler, a
-    :class:`StatsView`, or None; it is snapshotted into a picklable
-    :class:`StatsView` before any process boundary.
-
-    When a :class:`repro.trace.Tracer` is passed, the whole call is
-    wrapped in an ``analysis`` span and each shard contributes an
-    ``analysis-shard`` child span timed inside the shard process and
-    adopted canonically (sorted by shard index) on the way out.
+    ``histories`` is a flat list or an already-grouped ``{type: [...]}``
+    dict; ``sampler`` may be a live collector, an offline sampler, or
+    None.  When a :class:`repro.trace.Tracer` is passed, the whole call
+    is wrapped in an ``analysis`` span.
     """
-    if mode not in ANALYSIS_MODES:
-        raise ProfilingError(
-            f"unknown analysis mode {mode!r} (choose {' or '.join(ANALYSIS_MODES)})"
-        )
     if isinstance(histories, dict):
-        by_type = {name: list(hists) for name, hists in histories.items()}
+        by_type = histories
     else:
         by_type = {}
         for history in histories:
             by_type.setdefault(history.type_name, []).append(history)
-    stats = sampler if isinstance(sampler, StatsView) else StatsView.from_sampler(sampler)
-    tasks = [
-        (index, type_name, by_type[type_name], symbols, stats, mode)
-        for index, type_name in enumerate(sorted(by_type))
-    ]
-    if workers == 0:
-        workers = min(os.cpu_count() or 1, len(tasks))
     if tracer is None:
         from repro.trace import NULL_TRACER
 
         tracer = NULL_TRACER
-    with tracer.span("analysis", mode=mode, shards=len(tasks)):
-        results: list[tuple[int, str, list[PathTrace], dict]] | None = None
-        if workers > 1 and len(tasks) > 1:
-            try:
-                with multiprocessing.Pool(min(workers, len(tasks))) as pool:
-                    results = pool.map(_analysis_shard, tasks)
-            except OSError:
-                results = None
-        if results is None:
-            results = [_analysis_shard(task) for task in tasks]
-        results.sort(key=lambda item: (item[0], item[1]))
-        tracer.adopt([blob for _i, _n, _t, blob in results])
-    return {type_name: traces for _index, type_name, traces, _blob in results}
+    builder = IndexedPathTraceBuilder(symbols, sampler)
+    with tracer.span("analysis", types=len(by_type)):
+        return {
+            type_name: builder.build(type_name, by_type[type_name])
+            for type_name in sorted(by_type)
+        }
 
 
 # ----------------------------------------------------------------------
@@ -516,8 +398,8 @@ def amplify_corpus(
     """Scale a collected history corpus for analysis benchmarking.
 
     Each source type becomes *shards* independent type shards (so the
-    sharded pipeline has real cross-type parallelism to exploit), and
-    each shard holds *variants* ip-displaced copies of the source
+    corpus has several types, like a code base with more profiled
+    types), and each shard holds *variants* ip-displaced copies of the source
     histories (so the family count grows the way a code base with more
     distinct execution paths would).  Variant 0 is the unmodified
     original; the displacement is deterministic, far outside the fake
@@ -571,9 +453,8 @@ def synthetic_history_corpus(
 ) -> dict[str, list[ObjectAccessHistory]]:
     """A generated multi-type history corpus (no machine required).
 
-    Mirrors the PR 2 synthetic trace generator: a pure function of the
-    seed, so reference/indexed/sharded pipelines can be compared on a
-    workload with a known shape -- several types, several distinct
+    A pure function of the seed, so the reference and indexed builders
+    can be compared on a workload with a known shape -- several types, several distinct
     execution paths per type, a mix of pairwise and single-chunk
     histories.
     """

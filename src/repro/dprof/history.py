@@ -432,7 +432,8 @@ class HistoryCollector:
         """All histories grouped by type, in collection order.
 
         One pass instead of one :meth:`histories_for` scan per type; the
-        sharded analysis pipeline consumes this grouping directly.
+        analysis driver (:func:`~repro.dprof.analysis.analyze_histories`)
+        consumes this grouping directly.
         """
         grouped: dict[str, list[ObjectAccessHistory]] = {}
         for history in self.histories:

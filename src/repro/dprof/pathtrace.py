@@ -17,6 +17,11 @@ Combines the two raw data sets into per-(type, execution path) traces:
 4. each merged event is augmented with the access-sample statistics of its
    (type, offset, ip) key, producing :class:`~repro.dprof.records.PathTrace`
    rows shaped like the paper's Table 4.1.
+
+:class:`PathTraceBuilder` is the straightforward statement of these
+steps.  The profiler runs the bit-identical
+:class:`~repro.dprof.analysis.IndexedPathTraceBuilder`; this one is kept
+as the oracle ``tests/test_analysis_equivalence.py`` checks it against.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.dprof.access_sampler import AccessSampleCollector
-from repro.dprof.analysis import analyze_histories, builder_for
+from repro.dprof.analysis import IndexedPathTraceBuilder, analyze_histories
 from repro.dprof.cachesim import DProfCacheSim, WorkingSetSimResult
 from repro.dprof.history import DEFAULT_CHUNK_SIZE, HistoryCollector
 from repro.dprof.quality import DataQuality
@@ -67,12 +67,6 @@ class DProfConfig:
     #: prototype), a cap = DCPI-style spilling (aggregates keep counting).
     max_resident_samples: int | None = None
     seed: int = 99
-    #: Analysis pipeline: "indexed" (inverted-index clustering, optionally
-    #: sharded across processes) or "reference" (the straightforward
-    #: implementation).  Bit-identical outputs either way.
-    analysis: str = "indexed"
-    #: Process count for multi-type analysis; 0 = one per available CPU.
-    analysis_workers: int = 0
 
 
 class DProf:
@@ -255,9 +249,7 @@ class DProf:
         """Path traces for one type (built lazily, cached)."""
         cached = self._traces_cache.get(type_name)
         if cached is None:
-            builder = builder_for(
-                self.config.analysis, self.kernel.symbols, self.sampler
-            )
+            builder = IndexedPathTraceBuilder(self.kernel.symbols, self.sampler)
             cached = builder.build(type_name, self.history.histories_for(type_name))
             self._traces_cache[type_name] = cached
         return cached
@@ -279,8 +271,7 @@ class DProf:
     def working_set_sim(self) -> WorkingSetSimResult:
         """DProf's offline cache simulation result (cached)."""
         if self._sim_cache is None:
-            # Build every type's traces in one analysis pass so the
-            # sharded pipeline can parallelize across types; types a
+            # Build every type's traces in one analysis pass; types a
             # caller already built individually keep their cached result.
             by_type = self.history.histories_by_type()
             pending = {
@@ -294,8 +285,6 @@ class DProf:
                         self.kernel.symbols,
                         self.sampler,
                         pending,
-                        mode=self.config.analysis,
-                        workers=self.config.analysis_workers,
                         tracer=self.tracer,
                     )
                 )

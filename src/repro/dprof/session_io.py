@@ -25,7 +25,7 @@ import json
 import os
 from pathlib import Path
 
-from repro.dprof.analysis import analyze_histories, builder_for
+from repro.dprof.analysis import IndexedPathTraceBuilder, analyze_histories
 from repro.dprof.cachesim import DProfCacheSim, WorkingSetSimResult
 from repro.dprof.quality import DataQuality
 from repro.dprof.records import (
@@ -224,17 +224,8 @@ class OfflineSession:
     :class:`~repro.errors.SessionFormatError` instead.
     """
 
-    def __init__(
-        self,
-        blob: dict,
-        path: str | Path | None = None,
-        *,
-        analysis: str = "indexed",
-        analysis_workers: int = 0,
-    ) -> None:
+    def __init__(self, blob: dict, path: str | Path | None = None) -> None:
         self.path = path
-        self.analysis = analysis
-        self.analysis_workers = analysis_workers
         version = blob.get("version")
         if version not in (1, FORMAT_VERSION):
             raise SessionFormatError(
@@ -335,7 +326,7 @@ class OfflineSession:
     def path_traces(self, type_name: str):
         cached = self._traces_cache.get(type_name)
         if cached is None:
-            builder = builder_for(self.analysis, self.symbols, self.sampler)
+            builder = IndexedPathTraceBuilder(self.symbols, self.sampler)
             relevant = [h for h in self.histories if h.type_name == type_name]
             cached = builder.build(type_name, relevant)
             self._traces_cache[type_name] = cached
@@ -347,8 +338,8 @@ class OfflineSession:
             sim = DProfCacheSim(
                 CacheGeometry(size, ways, line), DeterministicRng(3, "offline")
             )
-            # One batch analysis pass (sharded when configured) for every
-            # type not already built individually.
+            # One batch analysis pass for every type not already built
+            # individually.
             by_type: dict[str, list[ObjectAccessHistory]] = {}
             for h in self.histories:
                 by_type.setdefault(h.type_name, []).append(h)
@@ -359,13 +350,7 @@ class OfflineSession:
             }
             if pending:
                 self._traces_cache.update(
-                    analyze_histories(
-                        self.symbols,
-                        self.sampler,
-                        pending,
-                        mode=self.analysis,
-                        workers=self.analysis_workers,
-                    )
+                    analyze_histories(self.symbols, self.sampler, pending)
                 )
             traces = {name: self.path_traces(name) for name in by_type}
             self._sim_cache = sim.simulate(self.address_set, traces)
@@ -500,12 +485,7 @@ class _SectionRecovery:
         return True
 
 
-def load_session(
-    path: str | Path,
-    *,
-    analysis: str = "indexed",
-    analysis_workers: int = 0,
-) -> OfflineSession:
+def load_session(path: str | Path) -> OfflineSession:
     """Read a session archive and return an offline analysis handle.
 
     Raises :class:`~repro.errors.SessionFormatError` (never a bare
@@ -529,6 +509,4 @@ def load_session(
         ) from exc
     if not isinstance(blob, dict):
         raise SessionFormatError("archive root is not an object", path=path)
-    return OfflineSession(
-        blob, path=path, analysis=analysis, analysis_workers=analysis_workers
-    )
+    return OfflineSession(blob, path=path)

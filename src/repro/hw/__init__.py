@@ -16,20 +16,9 @@ the simulation also records the *ground-truth cause* of every miss
 DProf's statistical inference.
 """
 
-from repro.hw.events import AccessResult, CacheLevel, Instr, MissKind, Pause, TraceEvent
+from repro.hw.events import AccessResult, CacheLevel, Instr, MissKind, Pause
 from repro.hw.cache import CacheArray, CacheGeometry
-from repro.hw.fastpath import (
-    BatchReplayEngine,
-    FastCacheArray,
-    FastDirectory,
-    FastHierarchy,
-    LineInterner,
-    build_synthetic_trace,
-    encode_trace,
-    merge_streams,
-    replay_fast,
-    replay_reference,
-)
+from repro.hw.fastpath import FastCacheArray, FastDirectory, FastHierarchy
 from repro.hw.hierarchy import HierarchyConfig, Latencies, MemoryHierarchy
 from repro.hw.machine import Machine, MachineConfig, Thread
 
@@ -39,19 +28,11 @@ __all__ = [
     "Instr",
     "MissKind",
     "Pause",
-    "TraceEvent",
     "CacheArray",
     "CacheGeometry",
-    "BatchReplayEngine",
     "FastCacheArray",
     "FastDirectory",
     "FastHierarchy",
-    "LineInterner",
-    "build_synthetic_trace",
-    "encode_trace",
-    "merge_streams",
-    "replay_fast",
-    "replay_reference",
     "HierarchyConfig",
     "Latencies",
     "MemoryHierarchy",

@@ -116,10 +116,10 @@ class CacheArray:
     def lru_snapshot(self) -> tuple[tuple[int, ...], ...]:
         """Per-set lines in replacement order (next victim first).
 
-        The fast engine's :class:`~repro.hw.fastpath.FastCacheArray`
+        The machine's :class:`~repro.hw.fastpath.FastCacheArray`
         produces the same shape from its recency counters, so the
-        differential tests can compare full replacement state across
-        engines.
+        differential tests can compare full replacement state against
+        this oracle.
         """
         return tuple(tuple(bucket.keys()) for bucket in self._sets)
 

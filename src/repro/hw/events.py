@@ -79,26 +79,6 @@ class AccessResult:
         return self.level not in (CacheLevel.L1, CacheLevel.L2)
 
 
-@dataclass(frozen=True, slots=True)
-class TraceEvent:
-    """One recorded hierarchy access, sufficient to replay it exactly.
-
-    ``seq`` is the global record order (the machine's execution order);
-    replaying a recorded trace in ``seq`` order through a fresh hierarchy
-    reproduces the original run's cache state bit-for-bit.  Generated
-    (synthetic) streams instead define their canonical order by
-    ``(cycle, seq)`` -- see :func:`repro.hw.fastpath.merge_streams`.
-    """
-
-    seq: int
-    cycle: int
-    cpu: int
-    addr: int
-    size: int
-    is_write: bool
-    ip: int
-
-
 @dataclass(slots=True)
 class Instr:
     """One simulated instruction.

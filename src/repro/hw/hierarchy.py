@@ -18,13 +18,12 @@ cannot report.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass, field
 
-from repro.errors import ConfigError, SimulationError
+from repro.errors import ConfigError
 from repro.hw.cache import CacheArray, CacheGeometry
 from repro.hw.coherence import Directory
-from repro.hw.events import AccessResult, CacheLevel, MissKind, TraceEvent
+from repro.hw.events import AccessResult, CacheLevel, MissKind
 
 
 @dataclass(frozen=True)
@@ -99,10 +98,11 @@ class HierarchyStats:
     Beyond the level/miss-kind tallies the differential harness diffs,
     the stats also accumulate per-level latency sums and a per-line
     accessor bitmask -- the raw inputs :mod:`repro.metrics` derives MPKI,
-    average miss latency, and the sharing ratio from.  Both live engines
-    share this accounting because :class:`FastHierarchy` inherits
-    :meth:`MemoryHierarchy.access`, so derived metrics are engine-exact
-    by construction.
+    average miss latency, and the sharing ratio from.  The machine's
+    :class:`~repro.hw.fastpath.FastHierarchy` and this reference oracle
+    share the accounting because the former inherits
+    :meth:`MemoryHierarchy.access`, so derived metrics agree by
+    construction.
     """
 
     def __init__(self) -> None:
@@ -147,9 +147,9 @@ class HierarchyStats:
     def snapshot(self) -> dict:
         """Plain-dict view of every counter, for comparison and JSON.
 
-        The differential harness (tests/test_fastpath_equivalence.py and
-        ``repro.bench``) diffs two engines' snapshots; any key-for-key
-        mismatch is an equivalence failure.
+        The differential harness (tests/test_fastpath_equivalence.py)
+        diffs the fast and reference hierarchies' snapshots; any
+        key-for-key mismatch is an equivalence failure.
         """
         return {
             "accesses": self.accesses,
@@ -162,9 +162,8 @@ class HierarchyStats:
     def metrics_counters(self) -> dict:
         """Raw counters for :mod:`repro.metrics`, superset of snapshot().
 
-        Kept separate from :meth:`snapshot` so the replay engine's
-        equivalence contract (``stats_snapshot() == snapshot()``) stays
-        untouched.
+        Kept separate from :meth:`snapshot` so the differential
+        harness's key-for-key comparison stays untouched.
         """
         lines_total = len(self._line_users)
         lines_shared = sum(
@@ -180,7 +179,13 @@ class HierarchyStats:
 
 
 class MemoryHierarchy:
-    """Per-core L1/L2 (exclusive), shared victim L3, MESI directory."""
+    """Per-core L1/L2 (exclusive), shared victim L3, MESI directory.
+
+    Built from the readable reference structures.  The machine runs
+    :class:`~repro.hw.fastpath.FastHierarchy`, which subclasses this and
+    keeps :meth:`access`; this class is the oracle the differential tests
+    compare it against.
+    """
 
     def __init__(self, config: HierarchyConfig) -> None:
         self.config = config
@@ -195,30 +200,6 @@ class MemoryHierarchy:
         self.directory = Directory(config.ncores)
         self.latencies = config.latencies
         self.stats = HierarchyStats()
-        #: When set to a list, every ``access()`` call appends a
-        #: :class:`~repro.hw.events.TraceEvent` before simulating it, so
-        #: the run can later be replayed through another engine.  Prefer
-        #: :meth:`record_trace`, which guarantees detachment.
-        self.trace_sink: list[TraceEvent] | None = None
-
-    @contextlib.contextmanager
-    def record_trace(self, sink: list[TraceEvent] | None = None):
-        """Attach a trace sink for the duration of a ``with`` block.
-
-        Detaches in a ``finally``, so a run that raises mid-session (a
-        crashed workload, an injected fault escalating) cannot leave the
-        sink attached and silently pollute the next recording in the
-        same process.  Nesting is refused: a sink swap mid-recording
-        would split one run's trace across two lists.
-        """
-        if self.trace_sink is not None:
-            raise SimulationError("trace recording already active")
-        sink = [] if sink is None else sink
-        self.trace_sink = sink
-        try:
-            yield sink
-        finally:
-            self.trace_sink = None
 
     # ------------------------------------------------------------------
     # Main access path
@@ -240,19 +221,6 @@ class MemoryHierarchy:
         one encountered and latencies add up, mirroring how a split access
         stalls on its slowest half.
         """
-        sink = self.trace_sink
-        if sink is not None:
-            sink.append(
-                TraceEvent(
-                    seq=len(sink),
-                    cycle=cycle,
-                    cpu=cpu,
-                    addr=addr,
-                    size=size,
-                    is_write=is_write,
-                    ip=ip,
-                )
-            )
         first = addr // self.line_size
         last = (addr + max(size, 1) - 1) // self.line_size
         result = self._access_line(cpu, first, is_write, ip, addr, size, cycle)
@@ -380,7 +348,7 @@ class MemoryHierarchy:
     def replacement_snapshot(self) -> dict[str, tuple]:
         """Full LRU state of every cache array, keyed by cache name.
 
-        Two engines that agree on this after a run agree on every future
+        Two hierarchies that agree on this after a run agree on every future
         eviction decision -- the strongest equivalence short of diffing
         each access.
         """

@@ -19,6 +19,7 @@ from repro.errors import ConfigError, SimulationError
 from repro.hw.core import Core
 from repro.hw.debugreg import MAX_WATCH_BYTES, WatchManager
 from repro.hw.events import AccessResult, Instr, Pause
+from repro.hw.fastpath import FastHierarchy
 from repro.hw.hierarchy import HierarchyConfig, Latencies, MemoryHierarchy
 from repro.hw.interconnect import InterconnectCosts
 from repro.hw.memory import AddressSpace
@@ -42,10 +43,6 @@ class MachineConfig:
     ncores: int = 16
     seed: int = 42
     quantum: int = 16
-    #: Access-simulation engine: ``"reference"`` (readable OrderedDict/set
-    #: implementation) or ``"fast"`` (:mod:`repro.hw.fastpath`, bit-identical
-    #: results from array-backed recency counters and bitmask directory).
-    engine: str = "reference"
     line_size: int = 64
     l1_size: int = 16 * 1024
     l1_ways: int = 8
@@ -64,10 +61,6 @@ class MachineConfig:
             raise ConfigError("ncores must be positive")
         if self.quantum <= 0:
             raise ConfigError("quantum must be positive")
-        if self.engine not in ("reference", "fast"):
-            raise ConfigError(
-                f"unknown engine {self.engine!r} (choose 'reference' or 'fast')"
-            )
 
     def hierarchy_config(self) -> HierarchyConfig:
         """Derive the memory-hierarchy configuration."""
@@ -116,15 +109,9 @@ class Machine:
         self.cores = [
             Core(cpu, self.rng.child(f"core{cpu}")) for cpu in range(self.config.ncores)
         ]
-        if self.config.engine == "fast":
-            # Imported here: fastpath depends on this module's siblings.
-            from repro.hw.fastpath import FastHierarchy
-
-            self.hierarchy: MemoryHierarchy = FastHierarchy(
-                self.config.hierarchy_config()
-            )
-        else:
-            self.hierarchy = MemoryHierarchy(self.config.hierarchy_config())
+        self.hierarchy: MemoryHierarchy = FastHierarchy(
+            self.config.hierarchy_config()
+        )
         self.address_space = AddressSpace()
         self.watches = WatchManager(
             self.config.ncores,

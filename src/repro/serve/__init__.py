@@ -5,7 +5,7 @@ workloads; DCPI-lineage profilers become genuinely useful once
 collection is decoupled from analysis behind an always-on service.  This
 package is that front door for the reproduction: a long-running server
 that accepts profiling-job submissions, executes them concurrently on a
-multiprocessing worker pool (using the fast engine by default), lands
+multiprocessing worker pool, lands
 the resulting session archives in a content-addressed store, and serves
 any of the four DProf views back without recomputation.
 
@@ -19,64 +19,6 @@ Modules:
 - :mod:`repro.serve.server` -- the asyncio server (TCP and stdio), drain.
 
 Entry points: ``python -m repro.cli serve`` to run one, and the
-``submit`` / ``status`` / ``fetch`` CLI trio to talk to it.
-
-.. deprecated::
-    Importing names from ``repro.serve`` directly is deprecated; use the
-    blessed facade :mod:`repro.api` (or the defining submodule, e.g.
-    :mod:`repro.serve.server`).  The first shimmed access of each name
-    emits one :class:`DeprecationWarning`; behavior is otherwise
-    unchanged.
+``submit`` / ``status`` / ``fetch`` CLI trio to talk to it.  Library
+callers import from :mod:`repro.api` or the defining submodule.
 """
-
-import importlib
-import warnings
-
-#: name -> defining submodule, resolved lazily by :func:`__getattr__`.
-_EXPORTS = {
-    "ClusterConfig": "repro.serve.cluster",
-    "ClusterServer": "repro.serve.cluster",
-    "FailureDetector": "repro.serve.cluster",
-    "FakeClock": "repro.serve.jobs",
-    "HashRing": "repro.serve.cluster",
-    "Job": "repro.serve.jobs",
-    "JobQueue": "repro.serve.jobs",
-    "JobSpec": "repro.serve.jobs",
-    "Lease": "repro.serve.jobs",
-    "LeaseManager": "repro.serve.cluster",
-    "MonotonicClock": "repro.serve.jobs",
-    "ProfilingServer": "repro.serve.server",
-    "RetryExhaustedError": "repro.serve.retry",
-    "RetryPolicy": "repro.serve.retry",
-    "ServeClient": "repro.serve.protocol",
-    "ServeMetrics": "repro.serve.metrics",
-    "SessionStore": "repro.serve.store",
-    "ViewCache": "repro.serve.store",
-    "WorkerPool": "repro.serve.workers",
-    "execute_job": "repro.serve.workers",
-    "execute_job_to_store": "repro.serve.workers",
-    "request_once": "repro.serve.protocol",
-}
-
-__all__ = list(_EXPORTS)
-
-
-def __getattr__(name: str):
-    module_name = _EXPORTS.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    warnings.warn(
-        f"importing {name!r} from 'repro.serve' is deprecated; "
-        f"use 'repro.api' (or {module_name!r}) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    value = getattr(importlib.import_module(module_name), name)
-    # Cache so the warning fires once per name (a from-import probes the
-    # attribute twice: importlib's hasattr check, then the real getattr).
-    globals()[name] = value
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_EXPORTS))

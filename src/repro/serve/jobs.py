@@ -1,10 +1,10 @@
 """Job model for the profiling service: specs, states, and the queue.
 
 A :class:`JobSpec` is the canonical description of one profiling session
--- scenario, cores, engine, seed, duration, IBS interval, optional fault
-spec.  It is deliberately *complete*: two equal specs produce
-bit-identical session archives (the workloads, fault plans, and both
-engines are deterministic), which is what makes the store
+-- scenario, cores, seed, duration, IBS interval, optional fault spec.
+It is deliberately *complete*: two equal specs produce bit-identical
+session archives (the workloads, fault plans, and the simulator are
+deterministic), which is what makes the store
 content-addressable and lets ``fetch`` results be compared against
 one-shot CLI runs byte for byte.
 
@@ -27,14 +27,10 @@ import json
 import time
 from dataclasses import asdict, dataclass, field
 
-from repro.dprof.analysis import ANALYSIS_MODES
 from repro.dprof.quality import EXIT_DEGRADED, EXIT_OK
 from repro.errors import FaultInjectionError, QueueFullError, ServeError
 from repro.faults import FaultPlan
 from repro.workloads import SCENARIO_DEFAULTS, SCENARIOS
-
-#: Engines a job may request (mirrors MachineConfig validation).
-VALID_ENGINES = ("reference", "fast")
 
 
 # ----------------------------------------------------------------------
@@ -141,14 +137,10 @@ class JobSpec:
 
     scenario: str
     cores: int = 4
-    engine: str = "fast"
     seed: int = 11
     duration: int = 0  # 0 = scenario default, resolved by create()
     interval: int = 400
     fault_spec: str | None = None
-    #: Analysis pipeline for the session's offline half ("indexed" or
-    #: "reference"); both produce bit-identical archives and views.
-    analysis: str = "indexed"
     #: Higher runs sooner; does not affect the session result, so it is
     #: excluded from the content digest.
     priority: int = 0
@@ -165,8 +157,8 @@ class JobSpec:
         server, the CLI's one-shot ``run-once``, and the benchmark.
 
         ``run=RunConfig(...)`` (see :mod:`repro.config`) expands to the
-        shared ``seed``/``engine``/``analysis``/``trace`` knobs; explicit
-        kwargs win over the RunConfig's values.
+        shared ``seed``/``trace`` knobs; explicit kwargs win over the
+        RunConfig's values.
         """
         run = kwargs.pop("run", None)
         if run is not None:
@@ -183,15 +175,6 @@ class JobSpec:
         if not kwargs.get("duration"):
             kwargs["duration"] = defaults.duration
         spec = cls(**kwargs)
-        if spec.engine not in VALID_ENGINES:
-            raise ServeError(
-                f"unknown engine {spec.engine!r} (choose {' or '.join(VALID_ENGINES)})"
-            )
-        if spec.analysis not in ANALYSIS_MODES:
-            raise ServeError(
-                f"unknown analysis {spec.analysis!r} "
-                f"(choose {' or '.join(ANALYSIS_MODES)})"
-            )
         for name in ("cores", "duration", "interval"):
             value = getattr(spec, name)
             if not isinstance(value, int) or value <= 0:
@@ -207,18 +190,21 @@ class JobSpec:
 
     @classmethod
     def from_wire(cls, message: dict) -> "JobSpec":
-        """Build a spec from a submit message, ignoring non-spec keys."""
+        """Build a spec from a submit message, ignoring non-spec keys.
+
+        Messages from older clients may still carry ``engine`` and
+        ``analysis``; like any other non-spec key they are ignored, so
+        such a job gets the same key as one sent without them.
+        """
         fields = {
             name: message[name]
             for name in (
                 "scenario",
                 "cores",
-                "engine",
                 "seed",
                 "duration",
                 "interval",
                 "fault_spec",
-                "analysis",
                 "priority",
                 "trace",
             )

@@ -7,7 +7,7 @@ files, named by the SHA-256 of their bytes::
 
 Content addressing buys three properties the service needs:
 
-- **dedup** -- resubmitting an identical (scenario, seed, engine, ...)
+- **dedup** -- resubmitting an identical (scenario, seed, cores, ...)
   spec produces the identical archive, so the second job costs one
   hash + stat, not a second file;
 - **integrity** -- ``verify()`` re-hashes a file; a mismatch means disk

@@ -1,7 +1,7 @@
 """Job execution and the multiprocessing worker pool.
 
 :func:`execute_job` is the single definition of "run one profiling
-session": build a kernel with the job's engine and seed, attach DProf
+session": build a kernel with the job's cores and seed, attach DProf
 (with the job's fault plan, if any), drive the scenario from the
 ``SCENARIOS`` registry, detach, and serialize the session.  Everything
 that runs jobs -- pool workers, the CLI's one-shot ``run-once``, and the
@@ -58,11 +58,11 @@ def execute_job(spec: JobSpec, tracer=None) -> tuple[str, str, dict]:
     """
     if tracer is None:
         tracer = Tracer(seed=spec.seed) if spec.trace else NULL_TRACER
-    with tracer.span("run", scenario=spec.scenario, engine=spec.engine):
-        kernel = build_kernel(spec.cores, seed=spec.seed, engine=spec.engine)
+    with tracer.span("run", scenario=spec.scenario):
+        kernel = build_kernel(spec.cores, seed=spec.seed)
         dprof = DProf(
             kernel,
-            DProfConfig(ibs_interval=spec.interval, analysis=spec.analysis),
+            DProfConfig(ibs_interval=spec.interval),
             faults=spec.fault_plan(),
             tracer=tracer,
         )
@@ -121,8 +121,6 @@ def execute_job_to_store(spec: JobSpec, store_root) -> dict:
     if tracer.enabled:
         manifest = tracer.manifest(
             fingerprint=config_fingerprint(spec.canonical()),
-            engine=spec.engine,
-            analysis=spec.analysis,
             quality=info.get("quality", ""),
             scenario=spec.scenario,
             digest=digest,

@@ -4,8 +4,8 @@ DProf's thesis is that you cannot fix what you cannot attribute; this
 module applies the same idea to the reproduction's own pipeline
 (simulate -> collect -> analyze -> render -> serve).  A
 :class:`Tracer` records hierarchical **spans** -- run, scenario,
-machine-sim, history-collection, analysis / analysis-shard, view-render,
-store-put, queue-wait, worker-execute, requeue -- each carrying wall and
+machine-sim, history-collection, analysis, view-render, store-put,
+queue-wait, worker-execute, requeue -- each carrying wall and
 CPU time plus a small counter dict.
 
 Design constraints, in order:
@@ -27,16 +27,16 @@ Design constraints, in order:
   (:meth:`Tracer.to_blobs`) and are re-parented canonically on the
   parent side (:meth:`Tracer.adopt`): adopted subtrees are re-keyed
   through the same path allocator as native spans, in the caller's
-  (canonical) order, so a sharded analysis run produces bit-identical
-  span ids at any worker count.
+  (canonical) order, so a server adopting its workers' job traces
+  produces bit-identical span ids at any worker count.
 - **Reconciliation.**  Server-side spans restate the
   :class:`~repro.serve.metrics.ServeMetrics` identity
   ``submitted == done + failed + requeued``; :func:`reconcile_serve`
   checks span counts against a counter snapshot exactly.
 
 Exports land on disk as JSON lines next to the session archive: a
-``manifest`` record (config fingerprint, engine/analysis mode, quality,
-per-stage wall/cpu totals) followed by one record per span.  The
+``manifest`` record (config fingerprint, quality, per-stage wall/cpu
+totals) followed by one record per span.  The
 ``repro trace`` CLI renders the stage tree and the critical path.
 """
 
@@ -66,7 +66,6 @@ STAGES = (
     "machine-sim",
     "history-collection",
     "analysis",
-    "analysis-shard",
     "view-render",
     "store-put",
     "queue-wait",
@@ -179,12 +178,6 @@ class SimProbe:
         if self.steps % self.sample_every == 0 and len(self.samples) < self.max_samples:
             self.samples.append((machine.total_instructions, machine.elapsed_cycles()))
 
-    def tick_events(self, events: int) -> None:
-        """Count a batch of replay events (fastpath chunked loops)."""
-        self.steps += events
-        if len(self.samples) < self.max_samples:
-            self.samples.append((self.steps, 0))
-
     def counters(self) -> dict:
         """The probe's contribution to its enclosing span."""
         return {"probe_steps": self.steps, "probe_samples": len(self.samples)}
@@ -290,7 +283,7 @@ class Tracer:
         Roots of the adopted forest (spans whose parent id is absent
         from the blob set) are re-keyed through this tracer's path
         allocator in the order given -- callers pass blobs in canonical
-        order (e.g. sorted by shard index), so adopted ids are
+        order (e.g. one job's spans in recorded order), so adopted ids are
         bit-identical at any worker count.  Timings and counters are
         preserved verbatim.
         """
@@ -342,8 +335,6 @@ class Tracer:
         self,
         *,
         fingerprint: str = "",
-        engine: str = "",
-        analysis: str = "",
         quality: str = "",
         **extra,
     ) -> dict:
@@ -353,8 +344,6 @@ class Tracer:
             "version": TRACE_FORMAT_VERSION,
             "seed": self.seed,
             "fingerprint": fingerprint,
-            "engine": engine,
-            "analysis": analysis,
             "quality": quality,
             "spans": len(self.spans),
             "stages": self.stage_totals(),
@@ -529,9 +518,7 @@ def render_tree(spans: list[Span], manifest: dict | None = None, top: int = 0) -
     if manifest is not None:
         lines.append(
             f"trace seed={manifest.get('seed')} "
-            f"fingerprint={manifest.get('fingerprint') or '-'} "
-            f"engine={manifest.get('engine') or '-'} "
-            f"analysis={manifest.get('analysis') or '-'}"
+            f"fingerprint={manifest.get('fingerprint') or '-'}"
         )
         if manifest.get("quality"):
             lines.append(f"quality: {manifest['quality']}")

@@ -24,8 +24,8 @@ from repro.workloads import synthetic as _synthetic
 from repro.workloads.kernels import KERNEL_FAMILIES, KernelSpec
 
 #: Uniform scenario entry points: name -> drive(kernel, duration_cycles).
-#: Used by ``repro.bench``, ``repro.serve``, and the engine-equivalence
-#: tests to run each workload identically under both engines.
+#: Used by ``repro.bench``, ``repro.serve``, and the hierarchy-equivalence
+#: tests to run each workload identically everywhere.
 SCENARIOS = {
     "memcached": _memcached.drive,
     "apache": _apache.drive,
@@ -76,9 +76,53 @@ SCENARIO_DEFAULTS.update(
     }
 )
 
+
+
+def collect_history_session(name: str, *, ncores: int, seed: int):
+    """Run one case-study workload under DProf and collect pairwise
+    skbuff histories (the same attach/collect pattern the ``diagnose``
+    command uses); returns the detached profiler.
+
+    *name* is ``"memcached"`` or ``"apache"``.
+    """
+    from repro.dprof.profiler import DProf, DProfConfig
+
+    kernel = build_kernel(ncores, seed=seed)
+    workload = (
+        MemcachedWorkload(kernel) if name == "memcached" else ApacheWorkload(kernel)
+    )
+    workload.setup()
+    workload.start()
+    if name == "apache":
+        # Apache traffic is arrival-driven (memcached's clients are
+        # self-sustaining); push a schedule long enough to cover history
+        # collection or no skbuffs ever churn.  Its packet rate is also
+        # lower, so sample denser and warm up longer before arming the
+        # collector -- every seed then fills all three history sets.
+        workload.schedule_arrivals(
+            30_000_000, start_cycle=kernel.elapsed_cycles()
+        )
+    ibs_interval = 200 if name == "apache" else 400
+    warmup = 1_200_000 if name == "apache" else 600_000
+    kernel.run(until_cycle=150_000)
+    dprof = DProf(kernel, DProfConfig(ibs_interval=ibs_interval))
+    dprof.attach()
+    kernel.run(until_cycle=kernel.elapsed_cycles() + warmup)
+    dprof.collect_histories(
+        "skbuff", sets=3, hot_chunks=4, member_offsets=[0], pair=True
+    )
+    kernel.run(
+        until_cycle=kernel.elapsed_cycles() + 20_000_000,
+        stop_when=lambda: dprof.histories_done,
+    )
+    dprof.detach()
+    return dprof
+
+
 __all__ = [
     "WorkloadResult",
     "build_kernel",
+    "collect_history_session",
     "SCENARIOS",
     "SCENARIO_DEFAULTS",
     "ScenarioDefaults",

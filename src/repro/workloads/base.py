@@ -8,11 +8,10 @@ from repro.hw.machine import MachineConfig
 from repro.kernel.kernel import Kernel
 
 
-def build_kernel(ncores: int, seed: int, engine: str = "reference") -> Kernel:
-    """A kernel on a fresh machine, parameterised the way the benchmark
-    harness and the differential tests need: core count, root seed, and
-    access-simulation engine."""
-    return Kernel(MachineConfig(ncores=ncores, seed=seed, engine=engine))
+def build_kernel(ncores: int, seed: int) -> Kernel:
+    """A kernel on a fresh machine, parameterised the way the service,
+    the benchmark harness and the tests need: core count and root seed."""
+    return Kernel(MachineConfig(ncores=ncores, seed=seed))
 
 
 @dataclass

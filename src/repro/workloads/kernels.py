@@ -18,7 +18,7 @@ closed-form model of the top-down metrics (:mod:`repro.metrics`) the
 simulator must produce for a spec: exact where the cache geometry makes
 the answer exact, a declared tolerance band where thread interleaving
 makes it statistical.  The differential ground-truth tier
-(tests/test_kernel_truth.py) asserts both engines against these models.
+(tests/test_kernel_truth.py) asserts the simulator against these models.
 
 Kernels allocate their buffers as *typed static objects* through the
 slab layer, so DProf's views attribute their traffic to real type names
@@ -652,9 +652,7 @@ def scenario_defaults() -> dict:
     }
 
 
-def kernel_access_stream(
-    spec: KernelSpec, seed: int = 11, engine: str = "reference"
-) -> bytes:
+def kernel_access_stream(spec: KernelSpec, seed: int = 11) -> bytes:
     """The full recorded access stream for *spec* under *seed*, as bytes.
 
     Byte-identical for equal (spec, seed) pairs; for seed-sensitive
@@ -662,14 +660,17 @@ def kernel_access_stream(
     without changing any model input -- the determinism property the
     hypothesis tier pins.
     """
-    kernel = build_kernel(max(spec.cores, 1), seed, engine=engine)
+    kernel = build_kernel(max(spec.cores, 1), seed)
     family = KERNEL_FAMILIES[spec.family]
-    events: list = []
-    with kernel.machine.hierarchy.record_trace(events):
-        family.build(kernel, spec)
-        kernel.run()
-    lines = [
-        f"{e.seq} {e.cycle} {e.cpu} {e.addr:#x} {e.size} {int(e.is_write)} {e.ip:#x}"
-        for e in events
-    ]
+    lines: list[str] = []
+
+    def record(cpu, instr, result, cycle) -> None:
+        lines.append(
+            f"{len(lines)} {cycle} {cpu} {instr.addr:#x} {instr.size} "
+            f"{int(instr.is_write)} {instr.ip:#x} {result.level.name}"
+        )
+
+    kernel.machine.add_access_observer(record)
+    family.build(kernel, spec)
+    kernel.run()
     return ("\n".join(lines) + "\n").encode()

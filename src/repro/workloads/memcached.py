@@ -70,8 +70,8 @@ def drive(kernel: Kernel, duration_cycles: int) -> WorkloadResult:
     """Set up and run the memcached workload for a fixed window.
 
     The uniform scenario entry point (see
-    :data:`repro.workloads.SCENARIOS`) used by ``repro.bench`` and the
-    engine-equivalence tests: same kernel in, same measured window out,
+    :data:`repro.workloads.SCENARIOS`) used by ``repro.serve`` and the
+    hierarchy-equivalence tests: same kernel in, same measured window out,
     regardless of which workload is being driven.
     """
     workload = MemcachedWorkload(kernel)

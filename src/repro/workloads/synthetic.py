@@ -26,8 +26,8 @@ def drive(kernel: Kernel, duration_cycles: int) -> WorkloadResult:
     The uniform scenario entry point (see
     :data:`repro.workloads.SCENARIOS`): true sharing, false sharing,
     conflict, and capacity all active together gives traces that touch
-    every coherence path, which is what the engine-equivalence tests and
-    the benchmark's "synthetic" row want.
+    every coherence path, which is what the hierarchy-equivalence tests
+    want.
     """
     true_sharing_workload(kernel, iterations=duration_cycles // 400)
     false_sharing_workload(kernel, iterations=duration_cycles // 400)

@@ -1,14 +1,13 @@
 """Differential tests: the indexed analysis pipeline vs the reference.
 
-The rearchitected pipeline in :mod:`repro.dprof.analysis` (inverted
-chunk/projection index, interned projection tuples, preallocated merge
-arrays, optional multiprocessing shards) must be *bit-identical* to
+The pipeline in :mod:`repro.dprof.analysis` (inverted chunk/projection
+index, interned projection tuples, preallocated merge arrays) must be
+*bit-identical* to the oracle
 :class:`repro.dprof.pathtrace.PathTraceBuilder`: same floats, same
-order, at every worker count.  Mirrors
-``tests/test_fastpath_equivalence.py`` -- 5 seeds x 3 scenarios
-(memcached, apache, synthetic) x worker counts {1, 2, 4}, comparing
-full path-trace fingerprints and the rendered top-10 rows of all four
-views.  Any delta anywhere fails; there is no tolerance.
+order.  Mirrors ``tests/test_fastpath_equivalence.py`` -- 5 seeds x 3
+scenarios (memcached, apache, synthetic), comparing full path-trace
+fingerprints and the rendered top-10 rows of all four views.  Any delta
+anywhere fails; there is no tolerance.
 """
 
 from __future__ import annotations
@@ -18,19 +17,19 @@ import json
 
 import pytest
 
-from repro.bench import collect_history_session
+import repro.dprof.analysis as analysis
+import repro.dprof.session_io as session_io
+from repro.api import collect_history_session
 from repro.dprof.analysis import (
     amplify_corpus,
     analyze_histories,
-    builder_for,
     synthetic_history_corpus,
 )
+from repro.dprof.pathtrace import PathTraceBuilder
 from repro.dprof.session_io import OfflineSession, export_session
-from repro.errors import ProfilingError
 from repro.kernel.symbols import SymbolTable
 
 SEEDS = (3, 7, 11, 23, 42)
-WORKER_COUNTS = (1, 2, 4)
 SESSION_SCENARIOS = ("memcached", "apache")
 TOP = 10
 
@@ -69,14 +68,16 @@ def session_blob(scenario: str, seed: int) -> str:
     return json.dumps(blob)
 
 
-def open_session(scenario, seed, mode, workers):
+def open_session(scenario, seed):
     # A fresh parse per construction: OfflineSession may normalise the
-    # blob in place, and sessions must not share state across modes.
-    return OfflineSession(
-        json.loads(session_blob(scenario, seed)),
-        analysis=mode,
-        analysis_workers=workers,
-    )
+    # blob in place, and sessions must not share state across builders.
+    return OfflineSession(json.loads(session_blob(scenario, seed)))
+
+
+def reference_traces(symbols, sampler, corpus):
+    """Every type's traces from the oracle builder, in type order."""
+    builder = PathTraceBuilder(symbols, sampler)
+    return {name: builder.build(name, corpus[name]) for name in sorted(corpus)}
 
 
 def session_fingerprint(session):
@@ -95,33 +96,35 @@ def session_fingerprint(session):
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("scenario", SESSION_SCENARIOS)
-def test_offline_sessions_identical(scenario: str, seed: int) -> None:
+def test_offline_sessions_identical(scenario: str, seed: int, monkeypatch) -> None:
     """All four views and every path trace agree bit for bit."""
-    ref_views, ref_traces = session_fingerprint(
-        open_session(scenario, seed, "reference", 1)
-    )
-    assert any(ref_traces.values()), "reference pipeline built no traces"
-    for workers in WORKER_COUNTS:
-        views, traces = session_fingerprint(
-            open_session(scenario, seed, "indexed", workers)
-        )
-        assert traces == ref_traces
-        assert views == ref_views
+    with monkeypatch.context() as patch:
+        # The oracle builder in place of the indexed one, everywhere the
+        # offline session builds traces.
+        patch.setattr(analysis, "IndexedPathTraceBuilder", PathTraceBuilder)
+        patch.setattr(session_io, "IndexedPathTraceBuilder", PathTraceBuilder)
+        ref_views, ref_traces = session_fingerprint(open_session(scenario, seed))
+    assert any(ref_traces.values()), "reference builder built no traces"
+    views, traces = session_fingerprint(open_session(scenario, seed))
+    assert traces == ref_traces
+    assert views == ref_views
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_synthetic_corpus_identical(seed: int) -> None:
     """Generated corpora (the synthetic scenario churns no collectable
-    objects, so histories are generated) agree at every worker count."""
+    objects, so histories are generated) agree, grouped or flat."""
     corpus = synthetic_history_corpus(seed)
     symbols = SymbolTable()
-    ref = analyze_histories(symbols, None, corpus, mode="reference", workers=1)
-    ref_fp = {t: fingerprint(tr) for t, tr in ref.items()}
+    ref_fp = {
+        t: fingerprint(tr)
+        for t, tr in reference_traces(symbols, None, corpus).items()
+    }
     assert any(ref_fp.values()), "synthetic corpus produced no traces"
-    for workers in WORKER_COUNTS:
-        got = analyze_histories(
-            symbols, None, corpus, mode="indexed", workers=workers
-        )
+    flat = [h for name in sorted(corpus) for h in corpus[name]]
+    for histories in (corpus, flat):
+        got = analyze_histories(symbols, None, histories)
+        assert list(got) == sorted(corpus)
         assert {t: fingerprint(tr) for t, tr in got.items()} == ref_fp
 
 
@@ -131,19 +134,8 @@ def test_amplified_corpus_identical() -> None:
     amplified = amplify_corpus(corpus, shards=3, variants=2)
     assert len(amplified) == 6
     symbols = SymbolTable()
-    ref = analyze_histories(symbols, None, amplified, mode="reference", workers=1)
-    for workers in WORKER_COUNTS:
-        got = analyze_histories(
-            symbols, None, amplified, mode="indexed", workers=workers
-        )
-        assert {t: fingerprint(tr) for t, tr in got.items()} == {
-            t: fingerprint(tr) for t, tr in ref.items()
-        }
-
-
-def test_unknown_mode_rejected() -> None:
-    symbols = SymbolTable()
-    with pytest.raises(ProfilingError):
-        builder_for("bogus", symbols)
-    with pytest.raises(ProfilingError):
-        analyze_histories(symbols, None, {}, mode="bogus")
+    ref = reference_traces(symbols, None, amplified)
+    got = analyze_histories(symbols, None, amplified)
+    assert {t: fingerprint(tr) for t, tr in got.items()} == {
+        t: fingerprint(tr) for t, tr in ref.items()
+    }

@@ -1,4 +1,4 @@
-"""repro.api facade: pinned surface, deprecation shims, RunConfig adapters."""
+"""repro.api facade: pinned surface, clean import, RunConfig adapters."""
 
 import importlib
 import json
@@ -18,7 +18,6 @@ from repro.workloads import SCENARIOS, build_kernel
 #: The public API contract.  Additions belong at the right spot in
 #: repro.api.__all__ AND here; removals/renames are breaking changes.
 EXPECTED_ALL = (
-    "ANALYSIS_MODES",
     "ClusterConfig",
     "ClusterServer",
     "DProf",
@@ -92,38 +91,9 @@ def test_api_imports_clean_under_deprecation_errors():
         sys.modules.update(saved)
 
 
-@pytest.mark.parametrize(
-    ("package", "name"),
-    [("repro.dprof", "DProf"), ("repro.serve", "JobSpec")],
-)
-def test_deep_import_emits_exactly_one_deprecation_warning(package, name):
-    saved = sys.modules.pop(package, None)
-    try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            module = importlib.import_module(package)
-            getattr(module, name)
-        relevant = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(relevant) == 1, [str(w.message) for w in caught]
-        assert "repro.api" in str(relevant[0].message)
-        # Second access is cached: no further warning.
-        with warnings.catch_warnings(record=True) as again:
-            warnings.simplefilter("always")
-            getattr(module, name)
-        assert not again
-    finally:
-        if saved is not None:
-            # Re-importing rebound the parent package's attribute to the
-            # throwaway module; restore both views or later tests resolve
-            # a stale `repro.serve`/`repro.dprof` with no submodule attrs.
-            sys.modules[package] = saved
-            parent, _, child = package.rpartition(".")
-            setattr(sys.modules[parent], child, saved)
-
-
 def test_shim_unknown_name_raises_attribute_error():
+    # The packages export nothing: every name comes from repro.api or
+    # the defining submodule.
     import repro.dprof
     import repro.serve
 
@@ -140,20 +110,13 @@ def test_shim_unknown_name_raises_attribute_error():
 
 def test_run_config_validates_eagerly():
     with pytest.raises(ConfigError):
-        RunConfig(engine="warp")
-    with pytest.raises(ConfigError):
-        RunConfig(analysis="psychic")
-    with pytest.raises(ConfigError):
-        RunConfig(analysis_workers=-1)
+        RunConfig(seed="seven")
 
 
 def test_run_config_adapters_match_legacy_configs():
-    run = RunConfig(seed=7, engine="fast", analysis="reference", analysis_workers=2)
-    assert run.machine_config(ncores=2) == MachineConfig(
-        ncores=2, seed=7, engine="fast"
-    )
-    legacy = DProfConfig(analysis="reference", analysis_workers=2)
-    assert run.dprof_config() == legacy
+    run = RunConfig(seed=7)
+    assert run.machine_config(ncores=2) == MachineConfig(ncores=2, seed=7)
+    assert run.dprof_config(ibs_interval=97) == DProfConfig(ibs_interval=97)
     # The profiler seed stays DProfConfig's own default (it is an
     # independent knob), unless overridden explicitly.
     assert run.dprof_config().seed == DProfConfig().seed
@@ -161,14 +124,10 @@ def test_run_config_adapters_match_legacy_configs():
 
 
 def test_job_spec_from_run_config_matches_legacy_kwargs():
-    run = RunConfig(seed=21, engine="fast", analysis="indexed")
+    run = RunConfig(seed=21, trace=True)
     via_run = JobSpec.create(scenario="synthetic", duration=30_000, run=run)
     legacy = JobSpec.create(
-        scenario="synthetic",
-        duration=30_000,
-        seed=21,
-        engine="fast",
-        analysis="indexed",
+        scenario="synthetic", duration=30_000, seed=21, trace=True
     )
     assert via_run == legacy
     assert via_run.digest() == legacy.digest()
@@ -180,7 +139,7 @@ def test_job_spec_from_run_config_matches_legacy_kwargs():
 
 
 def _session_via(config_builder):
-    kernel = build_kernel(2, seed=17, engine="fast")
+    kernel = build_kernel(2, seed=17)
     machine_config, dprof_config = config_builder()
     assert kernel.machine.config.line_size == machine_config.line_size
     dprof = DProf(kernel, dprof_config)
@@ -193,21 +152,18 @@ def _session_via(config_builder):
 
 
 def test_run_config_sessions_bit_identical_to_legacy():
-    run = RunConfig(seed=17, engine="fast", analysis="indexed")
+    run = RunConfig(seed=17)
     via_run = _session_via(
         lambda: (run.machine_config(ncores=2), run.dprof_config())
     )
     via_legacy = _session_via(
-        lambda: (
-            MachineConfig(ncores=2, seed=17, engine="fast"),
-            DProfConfig(analysis="indexed"),
-        )
+        lambda: (MachineConfig(ncores=2, seed=17), DProfConfig())
     )
     assert via_run == via_legacy
 
 
 def test_dprof_accepts_run_config_directly():
-    kernel = build_kernel(2, seed=17, engine="fast")
-    dprof = DProf(kernel, RunConfig(seed=17, engine="fast"))
+    kernel = build_kernel(2, seed=17)
+    dprof = DProf(kernel, RunConfig(seed=17))
     assert isinstance(dprof.config, DProfConfig)
-    assert dprof.config.analysis == "indexed"
+    assert dprof.config == DProfConfig()

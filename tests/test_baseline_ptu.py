@@ -87,7 +87,7 @@ def test_on_kernel_workload_most_misses_unattributed():
     """The paper's argument, measured: on a kernel workload the hot data
     is dynamic, so PTU cannot name most of the missing lines -- while
     DProf (same machine, same run) attributes them to types."""
-    from repro.dprof import DProf, DProfConfig
+    from repro.api import DProf, DProfConfig
     from repro.workloads import MemcachedWorkload
 
     kernel = Kernel(MachineConfig(ncores=4, seed=33))

@@ -117,14 +117,6 @@ def test_live_load_sweep_produces_valid_section():
             "ncores": 4, "seed": 11, "line_size": 64,
             "l1_size": 32768, "l2_size": 262144, "l3_size": 8388608,
         },
-        "scenarios": [{
-            "name": "synthetic", "events": 10, "duration_cycles": 1000,
-            "repeats": 1, "reference_s": 1.0, "encode_s": 0.1, "fast_s": 0.5,
-            "reference_events_per_s": 10.0, "fast_events_per_s": 20.0,
-            "speedup": 2.0, "speedup_including_encode": 1.8,
-            "accuracy": {"identical": True},
-        }],
-        "all_identical": True,
         "load_sweep": section,
     }
     validate_report(document)

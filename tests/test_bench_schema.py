@@ -21,23 +21,6 @@ def _valid_document():
             "l2_size": 262144,
             "l3_size": 8388608,
         },
-        "scenarios": [
-            {
-                "name": "memcached",
-                "events": 1000,
-                "duration_cycles": 150000,
-                "repeats": 1,
-                "reference_s": 0.5,
-                "encode_s": 0.01,
-                "fast_s": 0.1,
-                "reference_events_per_s": 2000.0,
-                "fast_events_per_s": 10000.0,
-                "speedup": 5.0,
-                "speedup_including_encode": 4.5,
-                "accuracy": {"identical": True},
-            }
-        ],
-        "all_identical": True,
         "service_throughput": {
             "scenario": "memcached",
             "jobs": 8,
@@ -60,8 +43,6 @@ def _valid_analysis_section():
                 "repeats": 3,
                 "reference_s": 0.8,
                 "indexed_s": 0.2,
-                "sharded_s": 0.25,
-                "speedup_indexed": 4.0,
                 "speedup": 4.0,
                 "identical": True,
             }
@@ -132,7 +113,15 @@ def test_rejects_malformed_view_cache_block():
 def test_service_block_is_optional():
     document = _valid_document()
     del document["service_throughput"]
+    document["analysis"] = _valid_analysis_section()
     validate_report(document)
+
+
+def test_rejects_report_without_sections():
+    document = _valid_document()
+    del document["service_throughput"]
+    with pytest.raises(BenchFormatError, match="no benchmark sections"):
+        validate_report(document)
 
 
 def test_rejects_non_dict_root():
@@ -142,8 +131,8 @@ def test_rejects_non_dict_root():
 
 def test_rejects_missing_top_level_field():
     document = _valid_document()
-    del document["all_identical"]
-    with pytest.raises(BenchFormatError, match="all_identical"):
+    del document["machine"]
+    with pytest.raises(BenchFormatError, match="machine"):
         validate_report(document)
 
 
@@ -154,16 +143,11 @@ def test_rejects_wrong_type():
         validate_report(document)
 
 
-def test_rejects_empty_scenarios():
-    document = _valid_document()
-    document["scenarios"] = []
-    with pytest.raises(BenchFormatError, match="no scenario rows"):
-        validate_report(document)
-
-
 def test_rejects_scenario_missing_accuracy_flag():
+    # Each analysis row carries its own reference-vs-indexed verdict.
     document = _valid_document()
-    document["scenarios"][0]["accuracy"] = {}
+    document["analysis"] = _valid_analysis_section()
+    del document["analysis"]["scenarios"][0]["identical"]
     with pytest.raises(BenchFormatError, match="identical"):
         validate_report(document)
 
@@ -239,11 +223,11 @@ def test_trajectory_validates_and_rejects_malformed_entries():
             "recorded_at": "2026-08-08T12:00:00+0000",
             "python": "3.12.1",
             "commit": None,
-            "sections": ["scenarios"],
+            "sections": ["service_throughput"],
         }
     ]
     validate_report(document)
-    document["trajectory"][0]["sections"] = "scenarios"
+    document["trajectory"][0]["sections"] = "service_throughput"
     with pytest.raises(BenchFormatError, match="sections"):
         validate_report(document)
     document["trajectory"] = {"oops": True}
@@ -259,22 +243,20 @@ def test_merge_report_preserves_old_sections_and_appends_trajectory():
             "recorded_at": "2026-01-01T00:00:00+0000",
             "python": "3.12.0",
             "commit": "abc1234",
-            "sections": ["analysis", "scenarios"],
+            "sections": ["analysis", "service_throughput"],
         }
     ]
     new = _valid_document()
-    new["scenarios"][0]["speedup"] = 9.0  # the re-run refreshed this
-    del new["service_throughput"]
+    new["service_throughput"]["jobs_per_minute"] = 999.0  # refreshed
 
     merged = merge_report(new, old)
     # New sections win; old-only sections survive the overlay.
-    assert merged["scenarios"][0]["speedup"] == 9.0
+    assert merged["service_throughput"]["jobs_per_minute"] == 999.0
     assert merged["analysis"] == old["analysis"]
-    assert merged["service_throughput"] == old["service_throughput"]
     # History grows by exactly one entry naming the refreshed sections.
     assert len(merged["trajectory"]) == 2
     entry = merged["trajectory"][-1]
-    assert entry["sections"] == ["all_identical", "scenarios"]
+    assert entry["sections"] == ["service_throughput"]
     assert entry["python"] == new["python"]
     validate_report(merged)
 
@@ -306,13 +288,14 @@ def test_write_report_refuses_to_clobber_corrupt_baseline(tmp_path):
 def test_write_report_refuses_partial_and_writes_valid(tmp_path):
     document = _valid_document()
     partial = copy.deepcopy(document)
-    del partial["scenarios"][0]["speedup"]
+    del partial["service_throughput"]["wall_s"]
     out = tmp_path / "bench.json"
     with pytest.raises(BenchFormatError):
         write_report(partial, str(out))
     assert not out.exists()  # refused before any bytes hit disk
     write_report(document, str(out))
-    assert json.loads(out.read_text())["all_identical"] is True
+    written = json.loads(out.read_text())
+    assert written["service_throughput"] == document["service_throughput"]
 
 
 def test_checked_in_baseline_validates():
@@ -335,7 +318,7 @@ def test_smoke_without_out_writes_no_report(tmp_path, monkeypatch):
     rc = bench_main(
         [
             "--smoke",
-            "--scenario", "kernel-counters",
+            "--self-profile",
             "--duration", "5000",
             "--ncores", "2",
             "--service-jobs", "0",
@@ -355,7 +338,7 @@ def test_smoke_with_out_writes_only_the_named_file(tmp_path, monkeypatch):
     rc = bench_main(
         [
             "--smoke",
-            "--scenario", "kernel-counters",
+            "--self-profile",
             "--duration", "5000",
             "--ncores", "2",
             "--service-jobs", "0",
@@ -365,4 +348,5 @@ def test_smoke_with_out_writes_only_the_named_file(tmp_path, monkeypatch):
     assert rc == 0
     document = json.loads(out.read_text())
     validate_report(document)
-    assert [s["name"] for s in document["scenarios"]] == ["kernel-counters"]
+    assert document["self_profile"]["duration_cycles"] == 5000
+    assert document["trajectory"][-1]["sections"] == ["self_profile"]

@@ -1,11 +1,12 @@
-"""Property-based coherence invariants, checked on both engines in lockstep.
+"""Property-based coherence invariants, checked on both hierarchies in lockstep.
 
 Hypothesis drives random (cpu, line, is_write) interleavings through a
 deliberately tiny hierarchy (2-way 1 KiB L1s, 2-way 2 KiB L2s, 4-way
 4 KiB L3) so that evictions, invalidations, and dirty-serve paths all
-fire within a few dozen accesses.  After every access both engines must
-satisfy the MESI invariants, and the fast engine must produce exactly
-the reference engine's outcome.
+fire within a few dozen accesses.  After every access both the
+machine's :class:`FastHierarchy` and the reference oracle must satisfy
+the MESI invariants, and the fast hierarchy must produce exactly the
+reference's outcome.
 
 Invariants (the ISSUE's contract, spelled out):
 
@@ -23,8 +24,9 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from repro.hw.fastpath import FastHierarchy, outcome_of
+from repro.hw.fastpath import FastHierarchy
 from repro.hw.hierarchy import HierarchyConfig, MemoryHierarchy
+from tests.hierarchy_oracle import outcome_of
 
 NCORES = 4
 LINE_SIZE = 64
@@ -107,7 +109,7 @@ accesses = st.lists(
 @settings(deadline=None, max_examples=60)
 @given(accesses)
 def test_invariants_hold_on_both_engines(ops) -> None:
-    """Every interleaving preserves the invariants; engines agree exactly."""
+    """Every interleaving preserves the invariants; hierarchies agree exactly."""
     reference = MemoryHierarchy(tiny_config())
     fast = FastHierarchy(tiny_config())
     for cycle, (cpu, line, is_write, straddle) in enumerate(ops):
@@ -134,7 +136,7 @@ def test_invariants_hold_on_both_engines(ops) -> None:
 @settings(deadline=None, max_examples=30)
 @given(accesses, st.integers(min_value=0, max_value=NCORES - 1))
 def test_flush_resets_to_cold(ops, cpu) -> None:
-    """After flush_all, both engines classify the next miss as COLD again."""
+    """After flush_all, both hierarchies classify the next miss as COLD again."""
     reference = MemoryHierarchy(tiny_config())
     fast = FastHierarchy(tiny_config())
     for cycle, (c, line, is_write, _) in enumerate(ops):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.dprof import Diagnosis, DProf, DProfConfig
+from repro.api import Diagnosis, DProf, DProfConfig
 from repro.dprof.views import MissClass
 from repro.hw.machine import MachineConfig
 from repro.kernel import Kernel

@@ -1,6 +1,6 @@
 """Tests for the automated diagnosis layer."""
 
-from repro.dprof import DProf, DProfConfig
+from repro.api import DProf, DProfConfig
 from repro.dprof.diagnosis import Diagnosis, Finding, REMEDIES
 from repro.dprof.views import MissClass
 from repro.hw.machine import MachineConfig

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.dprof import DProf, DProfConfig
+from repro.api import DProf, DProfConfig
 from repro.dprof.extensions import (
     CacheContentsInspector,
     collect_whole_object_histories,

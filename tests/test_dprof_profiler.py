@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.dprof import DProf, DProfConfig
+from repro.api import DProf, DProfConfig
 from repro.errors import ProfilingError
 from repro.hw.events import Pause
 from repro.hw.machine import MachineConfig

@@ -3,7 +3,7 @@
 ``tests/data/fault_corpus.json`` holds discovered (argv, exit code)
 pairs spanning the whole degradation ladder -- 0 (full data), 3
 (degraded), 4 (less than half the data survived) -- across all three
-subcommands and both simulation engines.  Fault schedules are pure
+subcommands.  Fault schedules are pure
 functions of (FaultPlan, machine seed), so these codes must never
 drift; a change here means the fault pipeline's determinism broke.
 """

@@ -11,7 +11,7 @@ import warnings
 
 import pytest
 
-from repro.dprof import DProf, DProfConfig
+from repro.api import DProf, DProfConfig
 from repro.dprof.history import HistoryCollector
 from repro.errors import DegradedDataWarning, FaultInjectionError
 from repro.faults import FaultPlan

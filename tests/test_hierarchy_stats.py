@@ -39,37 +39,3 @@ def test_core_holds_and_occupancy_helpers():
     assert not h.core_holds(1, 0x4000)
     assert h.private_occupancy(0) == 1
     assert h.private_occupancy(1) == 0
-
-
-def test_record_trace_detaches_on_success_and_error():
-    import pytest
-
-    from repro.errors import SimulationError
-
-    h = MemoryHierarchy(HierarchyConfig(ncores=2))
-    with h.record_trace() as sink:
-        h.access(0, 0, 8, False, ip=1, cycle=0)
-    assert len(sink) == 1
-    assert h.trace_sink is None
-    # A raise mid-recording must still detach the sink.
-    with pytest.raises(RuntimeError):
-        with h.record_trace():
-            h.access(0, 64, 8, False, ip=1, cycle=1)
-            raise RuntimeError("workload crashed")
-    assert h.trace_sink is None
-    # Accesses after the block are not recorded into the old sink.
-    h.access(0, 128, 8, False, ip=1, cycle=2)
-    assert len(sink) == 1
-
-
-def test_record_trace_refuses_nesting():
-    import pytest
-
-    from repro.errors import SimulationError
-
-    h = MemoryHierarchy(HierarchyConfig(ncores=2))
-    with h.record_trace():
-        with pytest.raises(SimulationError, match="already active"):
-            with h.record_trace():
-                pass
-    assert h.trace_sink is None

@@ -20,6 +20,7 @@ from repro.workloads.kernels import (
     expected_metrics,
     kernel_access_stream,
 )
+from tests.hierarchy_oracle import use_hierarchy
 
 #: Scaled-down specs so each property example simulates in milliseconds.
 _SMALL_OVERRIDES = {
@@ -86,7 +87,7 @@ def test_chase_seeds_permute_stream_but_not_model(seeds):
     # addresses around without changing any counter.
     summaries = []
     for seed in (seed_a, seed_b):
-        kernel = build_kernel(2, seed, engine="fast")
+        kernel = build_kernel(2, seed)
         drive_spec(kernel, spec)
         summaries.append(MetricsSummary.from_machine(kernel.machine).to_blob())
     assert summaries[0] == summaries[1]
@@ -108,8 +109,10 @@ def test_seed_insensitive_families_ignore_the_seed(name, seed_a, seed_b):
 
 
 def test_engines_emit_identical_streams():
+    # The machine's hierarchy and the reference oracle: same accesses,
+    # same cycles, same serving level for every one.
     for name in sorted(KERNEL_FAMILIES):
         spec = small_spec(name)
-        assert kernel_access_stream(
-            spec, seed=11, engine="reference"
-        ) == kernel_access_stream(spec, seed=11, engine="fast"), name
+        with use_hierarchy("reference"):
+            reference = kernel_access_stream(spec, seed=11)
+        assert reference == kernel_access_stream(spec, seed=11), name

@@ -3,10 +3,11 @@
 Every family in ``KERNEL_FAMILIES`` ships a closed-form model
 (``expected_metrics``) of the top-down metrics the simulator must
 produce.  This tier runs each family through the same DProf attachment
-path the service uses, on both engines and at analysis workers {1, 4},
-and asserts the measured :class:`MetricsSummary` against the model --
-exact where the model declares exact, within the declared band where
-thread interleaving makes the number statistical.
+path the service uses, on both hierarchies (the machine's fast one and
+the reference oracle) and at machine seeds {1, 4}, and asserts the
+measured :class:`MetricsSummary` against the model -- exact where the
+model declares exact, within the declared band where thread
+interleaving makes the number statistical.
 
 The per-family tolerance declarations live in ``BANDED_METRICS`` below:
 a family may only band the metrics listed for it; everything else in
@@ -17,7 +18,7 @@ import json
 
 import pytest
 
-from repro.dprof.profiler import DProf, DProfConfig
+from repro.api import DProf, DProfConfig
 from repro.dprof.session_io import OfflineSession, export_session
 from repro.errors import ConfigError
 from repro.hw.machine import MachineConfig
@@ -31,9 +32,10 @@ from repro.workloads.kernels import (
     metric_value,
     spec_for_duration,
 )
+from tests.hierarchy_oracle import HIERARCHIES, use_hierarchy
 
-ENGINES = ("reference", "fast")
-WORKER_COUNTS = (1, 4)
+#: Machine seeds: the models are seed-free, so they must hold at any.
+SEEDS = (1, 4)
 FAMILIES = tuple(sorted(KERNEL_FAMILIES))
 
 #: Which metrics each family is allowed to model as a band rather than
@@ -55,22 +57,18 @@ BANDED_METRICS = {
     ),
 }
 
-# One simulated run per (family, engine, workers) cell, shared by every
+# One simulated run per (family, hierarchy, seed) cell, shared by every
 # assertion over that cell.
 _RUNS: dict = {}
 
 
-def _run_cell(name: str, engine: str, workers: int):
-    key = (name, engine, workers)
+def _run_cell(name: str, hierarchy: str, seed: int):
+    key = (name, hierarchy, seed)
     if key not in _RUNS:
         spec = spec_for_duration(name, KERNEL_DEFAULT_DURATION)
-        kernel = build_kernel(max(spec.cores, 2), seed=11, engine=engine)
-        dprof = DProf(
-            kernel,
-            DProfConfig(
-                ibs_interval=400, analysis="indexed", analysis_workers=workers
-            ),
-        )
+        with use_hierarchy(hierarchy):
+            kernel = build_kernel(max(spec.cores, 2), seed=seed)
+        dprof = DProf(kernel, DProfConfig(ibs_interval=400))
         dprof.attach()
         try:
             SCENARIOS[name](kernel, KERNEL_DEFAULT_DURATION)
@@ -82,11 +80,11 @@ def _run_cell(name: str, engine: str, workers: int):
     return _RUNS[key]
 
 
-@pytest.mark.parametrize("workers", WORKER_COUNTS)
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("hierarchy", HIERARCHIES)
 @pytest.mark.parametrize("name", FAMILIES)
-def test_simulator_matches_ground_truth_model(name, engine, workers):
-    spec, machine_config, live, _blob = _run_cell(name, engine, workers)
+def test_simulator_matches_ground_truth_model(name, hierarchy, seed):
+    spec, machine_config, live, _blob = _run_cell(name, hierarchy, seed)
     model = expected_metrics(spec, machine_config)
     assert model, f"{name}: empty ground-truth model"
     failures = []
@@ -98,17 +96,17 @@ def test_simulator_matches_ground_truth_model(name, engine, workers):
                 f"[{expectation.lo}, {expectation.hi}]"
             )
     assert not failures, (
-        f"{name} on {engine} (workers={workers}) diverged from its "
+        f"{name} on {hierarchy} (seed={seed}) diverged from its "
         f"ground-truth model:\n  " + "\n  ".join(failures)
     )
 
 
-@pytest.mark.parametrize("workers", WORKER_COUNTS)
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("hierarchy", HIERARCHIES)
 @pytest.mark.parametrize("name", FAMILIES)
-def test_archived_metrics_equal_live_metrics(name, engine, workers):
-    _spec, _cfg, live, blob = _run_cell(name, engine, workers)
-    offline = OfflineSession(blob, analysis_workers=workers).metrics()
+def test_archived_metrics_equal_live_metrics(name, hierarchy, seed):
+    _spec, _cfg, live, blob = _run_cell(name, hierarchy, seed)
+    offline = OfflineSession(blob).metrics()
     assert offline is not None
     assert offline.to_blob() == live.to_blob()
     assert offline.render() == live.render()
@@ -144,7 +142,7 @@ def test_strided_miss_rate_follows_stride_over_line_law():
             family="kernel-strided", footprint=32 * 1024, stride=stride,
             cores=1, iterations=4,
         )
-        kernel = build_kernel(2, seed=11, engine="fast")
+        kernel = build_kernel(2, seed=11)
         from repro.workloads.kernels import drive_spec
 
         drive_spec(kernel, spec)
@@ -164,7 +162,7 @@ def test_packed_counters_share_one_line():
     spec = KernelSpec(
         family="kernel-counters", cores=4, padding=8, iterations=50,
     )
-    kernel = build_kernel(4, seed=11, engine="fast")
+    kernel = build_kernel(4, seed=11)
     from repro.workloads.kernels import drive_spec
 
     drive_spec(kernel, spec)

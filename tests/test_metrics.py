@@ -85,7 +85,7 @@ class TestSummaryMath:
 
 class TestMachineCounters:
     def test_counters_from_live_machine(self):
-        kernel = build_kernel(2, seed=11, engine="fast")
+        kernel = build_kernel(2, seed=11)
         SCENARIOS["kernel-counters"](kernel, 10_000)
         counters = machine_counters(kernel.machine)
         summary = MetricsSummary.from_blob(counters)
@@ -96,9 +96,9 @@ class TestMachineCounters:
         assert MetricsSummary.from_machine(kernel.machine) == summary
 
     def test_snapshot_unchanged_by_metrics_counters(self):
-        # The fastpath-equivalence pin compares snapshot() dicts; the new
-        # counters must ride in metrics_counters() only.
-        kernel = build_kernel(2, seed=11, engine="fast")
+        # The hierarchy-equivalence pin compares snapshot() dicts; the
+        # new counters must ride in metrics_counters() only.
+        kernel = build_kernel(2, seed=11)
         SCENARIOS["kernel-counters"](kernel, 10_000)
         stats = kernel.machine.hierarchy.stats
         snapshot = stats.snapshot()
@@ -112,7 +112,7 @@ class TestMachineCounters:
 class TestThreePathIdentity:
     def test_live_archive_and_store_agree(self, tmp_path):
         spec = JobSpec.create(
-            scenario="kernel-counters", duration=50_000, seed=11, engine="fast"
+            scenario="kernel-counters", duration=50_000, seed=11
         )
         status, archive_text, _info = execute_job(spec)
         assert status == "ok"
@@ -140,7 +140,7 @@ class TestThreePathIdentity:
 
     def test_store_metrics_view_is_cached(self, tmp_path):
         spec = JobSpec.create(
-            scenario="kernel-ring", duration=20_000, seed=11, engine="fast"
+            scenario="kernel-ring", duration=20_000, seed=11
         )
         outcome = execute_job_to_store(spec, tmp_path)
         store = SessionStore(tmp_path)
@@ -152,7 +152,7 @@ class TestThreePathIdentity:
 
     def test_pre_metrics_archive_reports_none(self, tmp_path):
         spec = JobSpec.create(
-            scenario="kernel-ring", duration=20_000, seed=11, engine="fast"
+            scenario="kernel-ring", duration=20_000, seed=11
         )
         _status, archive_text, _info = execute_job(spec)
         blob = json.loads(archive_text)

@@ -194,7 +194,7 @@ def test_full_stack_determinism_with_profiling():
     """Two identical profiled runs produce identical observable state."""
 
     def run_once():
-        from repro.dprof import DProf, DProfConfig
+        from repro.api import DProf, DProfConfig
         from repro.workloads import MemcachedWorkload
 
         kernel = Kernel(MachineConfig(ncores=4, seed=123))

@@ -49,7 +49,7 @@ def test_errors_hierarchy():
 
 
 def test_public_entry_points_have_docstrings():
-    from repro.dprof import DProf
+    from repro.api import DProf
     from repro.hw.machine import Machine
     from repro.kernel import Kernel
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.serve import JobSpec, request_once
+from repro.api import JobSpec, request_once
 from repro.serve.store import SessionStore
 from repro.serve.workers import execute_job
 
@@ -121,7 +121,7 @@ def test_serve_submit_fetch_and_metrics(tmp_path):
 def test_serve_results_bit_identical_to_one_shot(tmp_path):
     """A fetched archive equals executing the same spec in-process."""
     spec = JobSpec.create(
-        scenario="memcached", seed=23, duration=DURATION, engine="fast"
+        scenario="memcached", seed=23, duration=DURATION
     )
     _, local_text, _ = execute_job(spec)
 

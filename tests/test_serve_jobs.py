@@ -4,10 +4,11 @@ import json
 
 import pytest
 
+from repro.api import JobSpec, SessionStore
 from repro.dprof.session_io import load_session
 from repro.errors import BenchFormatError, QueueFullError, ServeError
-from repro.serve import JobQueue, JobSpec, ServeMetrics, SessionStore
-from repro.serve.jobs import Job, status_from_exit_code
+from repro.serve.jobs import Job, JobQueue, status_from_exit_code
+from repro.serve.metrics import ServeMetrics
 from repro.serve.workers import execute_job, execute_job_to_store
 from repro.workloads import SCENARIO_DEFAULTS
 
@@ -23,7 +24,6 @@ def test_spec_create_resolves_scenario_defaults():
     assert spec.cores == defaults.cores
     assert spec.duration == defaults.duration
     assert spec.interval == defaults.interval
-    assert spec.engine == "fast"
 
 
 def test_spec_create_none_means_unset():
@@ -35,11 +35,6 @@ def test_spec_create_none_means_unset():
 def test_spec_create_rejects_unknown_scenario():
     with pytest.raises(ServeError, match="unknown scenario"):
         JobSpec.create(scenario="postgres")
-
-
-def test_spec_create_rejects_bad_engine():
-    with pytest.raises(ServeError, match="unknown engine"):
-        JobSpec.create(scenario="memcached", engine="warp")
 
 
 def test_spec_create_rejects_nonpositive_ints():
@@ -67,6 +62,20 @@ def test_spec_wire_round_trip():
         scenario="memcached", seed=2, fault_spec="ibs_drop=0.1,seed=7"
     )
     assert JobSpec.from_wire(spec.to_wire()) == spec
+
+
+def test_spec_from_wire_accepts_old_engine_and_analysis_keys():
+    # A submit message from an older client still names the removed
+    # engine/analysis knobs; the spec ignores them, so the job gets the
+    # same key as the same message without them.
+    message = {"op": "submit", "scenario": "memcached", "seed": 5}
+    old = JobSpec.from_wire(
+        {**message, "engine": "reference", "analysis": "reference"}
+    )
+    new = JobSpec.from_wire(message)
+    assert old == new
+    assert old.digest() == new.digest()
+    assert "engine" not in old.canonical() and "analysis" not in old.canonical()
 
 
 def test_status_from_exit_code():

@@ -11,7 +11,7 @@ import warnings
 
 import pytest
 
-from repro.dprof import DProf, DProfConfig
+from repro.api import DProf, DProfConfig
 from repro.dprof.session_io import (
     CHECKSUMMED_SECTIONS,
     FORMAT_VERSION,

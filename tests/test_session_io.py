@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.dprof import DProf, DProfConfig
+from repro.api import DProf, DProfConfig
 from repro.dprof.session_io import (
     FORMAT_VERSION,
     OfflineSession,

@@ -13,11 +13,10 @@ import multiprocessing
 
 import pytest
 
-from repro.dprof import DProf, DProfConfig
+from repro.api import DProf, DProfConfig, JobSpec, SessionStore
 from repro.dprof.session_io import atomic_write_text, load_session, save_session
 from repro.errors import SessionFormatError
 from repro.faults import tear_file
-from repro.serve import JobSpec, SessionStore
 from repro.serve.workers import execute_job
 
 WRITERS = 4

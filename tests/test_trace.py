@@ -86,45 +86,45 @@ def test_adopt_is_canonical_across_tracers():
     blobs = [
         {
             "kind": "span",
-            "id": "shard-1",
+            "id": "job-1",
             "parent": None,
-            "name": "analysis-shard",
-            "path": "analysis-shard#1",
+            "name": "worker-execute",
+            "path": "worker-execute#1",
             "start_s": 0.0,
             "wall_s": 0.25,
             "cpu_s": 0.2,
-            "counters": {"shard_index": 1},
+            "counters": {"job_index": 1},
         },
         {
             "kind": "span",
-            "id": "shard-0",
+            "id": "job-0",
             "parent": None,
-            "name": "analysis-shard",
-            "path": "analysis-shard#0",
+            "name": "worker-execute",
+            "path": "worker-execute#0",
             "start_s": 0.0,
             "wall_s": 0.5,
             "cpu_s": 0.4,
-            "counters": {"shard_index": 0},
+            "counters": {"job_index": 0},
         },
     ]
 
     def adopt_under(seed):
         tracer = Tracer(seed=seed)
-        with tracer.span("analysis") as parent:
+        with tracer.span("queue-wait") as parent:
             tracer.adopt(blobs, parent=parent)
         return tracer
 
     first, second = adopt_under(9), adopt_under(9)
     assert [s.span_id for s in first.spans] == [s.span_id for s in second.spans]
-    adopted = [s for s in first.spans if s.name == "analysis-shard"]
+    adopted = [s for s in first.spans if s.name == "worker-execute"]
     assert len(adopted) == 2
     # Re-keyed through the parent's allocator in caller order, wall/cpu
     # and counters preserved from the foreign blobs.
-    assert {s.counters["shard_index"]: s.wall_s for s in adopted} == {
+    assert {s.counters["job_index"]: s.wall_s for s in adopted} == {
         1: 0.25,
         0: 0.5,
     }
-    parent_id = next(s.span_id for s in first.spans if s.name == "analysis")
+    parent_id = next(s.span_id for s in first.spans if s.name == "queue-wait")
     assert all(s.parent_id == parent_id for s in adopted)
 
 
@@ -137,14 +137,12 @@ def test_jsonl_round_trip(tmp_path):
     tracer = _build(seed=3)
     manifest = tracer.manifest(
         fingerprint=config_fingerprint({"seed": 3}),
-        engine="fast",
-        analysis="indexed",
         quality="ok",
     )
     path = tracer.write_jsonl(tmp_path / "t" / "run.trace.jsonl", manifest)
     loaded_manifest, spans = load_trace(path)
     assert loaded_manifest["kind"] == "manifest"
-    assert loaded_manifest["engine"] == "fast"
+    assert loaded_manifest["quality"] == "ok"
     assert loaded_manifest["spans"] == len(tracer.spans) == len(spans)
     assert [s.span_id for s in spans] == [s.span_id for s in tracer.spans]
     totals = stage_totals(spans)
@@ -177,7 +175,7 @@ def test_render_tree_and_critical_path():
 
 def _spec(**extra):
     return JobSpec.create(
-        scenario="synthetic", seed=13, duration=30_000, engine="fast", **extra
+        scenario="synthetic", seed=13, duration=30_000, **extra
     )
 
 

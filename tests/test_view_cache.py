@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from repro.dprof import DProf, DProfConfig
+from repro.api import DProf, DProfConfig, SessionStore
 from repro.dprof.session_io import export_session
 from repro.errors import ServeError
 from repro.hw.events import Pause
@@ -19,8 +19,8 @@ from repro.kernel import Kernel
 from repro.kernel.net import NetStack
 from repro.kernel.net.stack import Arrival
 from repro.kernel.net.udp import udp_rcv, udp_recvmsg, udp_sendmsg, udp_sock_create
-from repro.serve import ServeMetrics, SessionStore, ViewCache
-from repro.serve.store import TMP_PREFIX, VIEW_SUFFIX
+from repro.serve.metrics import ServeMetrics
+from repro.serve.store import TMP_PREFIX, VIEW_SUFFIX, ViewCache
 
 
 @pytest.fixture(scope="module")

@@ -178,7 +178,6 @@ class TestScenarioRegistry:
             duration=min(defaults.duration, 100_000),
             interval=defaults.interval,
             seed=11,
-            engine="fast",
         )
         from repro.serve.workers import execute_job
 
