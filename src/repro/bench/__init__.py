@@ -540,6 +540,33 @@ _LOAD_STEP_SCHEMA = {
 #: One entry per write_report call: which sections that run refreshed.
 #: The list is append-only, so BENCH_dprof.json carries its own
 #: per-commit history instead of losing it to each overwrite.
+#: ``end_to_end``: medians of alternating parent/change pairs of
+#: ``perfbench/run.py``, per workload and gated metric.
+_END_TO_END_SCHEMA = {
+    "benchmark": str,
+    "parent_commit": str,
+    "seconds": _NUMBER,
+    "pairs": int,
+    "seeds": list,
+    "host": str,
+    "workloads": dict,
+}
+_END_TO_END_METRIC_SCHEMA = {
+    "unit": str,
+    "parent": dict,
+    "change": dict,
+    "change_wins": int,
+}
+_QUARTILES_SCHEMA = {"median": _NUMBER, "q1": _NUMBER, "q3": _NUMBER}
+#: ``layers``: one traced run's per-layer rows, before and after.
+_LAYERS_SCHEMA = {
+    "workload": str,
+    "seed": int,
+    "seconds": _NUMBER,
+    "parent_commit": str,
+    "rows": dict,
+}
+_LAYER_ROW_SCHEMA = {"unit": str, "parent": _NUMBER, "change": _NUMBER}
 _TRAJECTORY_ENTRY_SCHEMA = {
     "recorded_at": str,
     "python": str,
@@ -619,6 +646,12 @@ def validate_report(document: Any) -> None:
         knee = sweep["knee"]
         if knee is not None and "offered_rate_per_s" not in knee:
             raise BenchFormatError("load_sweep.knee lacks 'offered_rate_per_s'")
+    end_to_end = document.get("end_to_end")
+    if end_to_end is not None:
+        _check_end_to_end(end_to_end)
+    layers = document.get("layers")
+    if layers is not None:
+        _check_layers(layers)
     trajectory = document.get("trajectory")
     if trajectory is not None:
         if not isinstance(trajectory, list):
@@ -628,6 +661,43 @@ def validate_report(document: Any) -> None:
             if not isinstance(entry, dict):
                 raise BenchFormatError(f"{where}: entry is not an object")
             _check_fields(entry, _TRAJECTORY_ENTRY_SCHEMA, where)
+
+
+def _check_end_to_end(section: Any) -> None:
+    if not isinstance(section, dict):
+        raise BenchFormatError("end_to_end is not an object")
+    _check_fields(section, _END_TO_END_SCHEMA, "end_to_end")
+    if not section["workloads"]:
+        raise BenchFormatError("end_to_end has no workloads")
+    for workload, metrics in section["workloads"].items():
+        where = f"end_to_end.workloads[{workload!r}]"
+        if not isinstance(metrics, dict) or not metrics:
+            raise BenchFormatError(f"{where}: no metric rows")
+        for name, row in metrics.items():
+            row_where = f"{where}[{name!r}]"
+            if not isinstance(row, dict):
+                raise BenchFormatError(f"{row_where}: row is not an object")
+            _check_fields(row, _END_TO_END_METRIC_SCHEMA, row_where)
+            for side in ("parent", "change"):
+                _check_fields(row[side], _QUARTILES_SCHEMA, f"{row_where}.{side}")
+            if not 0 <= row["change_wins"] <= section["pairs"]:
+                raise BenchFormatError(
+                    f"{row_where}: change_wins {row['change_wins']} outside "
+                    f"0..{section['pairs']} pairs"
+                )
+
+
+def _check_layers(section: Any) -> None:
+    if not isinstance(section, dict):
+        raise BenchFormatError("layers is not an object")
+    _check_fields(section, _LAYERS_SCHEMA, "layers")
+    if not section["rows"]:
+        raise BenchFormatError("layers has no rows")
+    for name, row in section["rows"].items():
+        where = f"layers.rows[{name!r}]"
+        if not isinstance(row, dict):
+            raise BenchFormatError(f"{where}: row is not an object")
+        _check_fields(row, _LAYER_ROW_SCHEMA, where)
 
 
 #: Bookkeeping keys that never count as benchmark "sections".

@@ -17,9 +17,14 @@ DProf's statistical inference.
 """
 
 from repro.hw.events import AccessResult, CacheLevel, Instr, MissKind, Pause
-from repro.hw.cache import CacheArray, CacheGeometry
-from repro.hw.fastpath import FastCacheArray, FastDirectory, FastHierarchy
-from repro.hw.hierarchy import HierarchyConfig, Latencies, MemoryHierarchy
+from repro.hw.cache import CacheArray, CacheGeometry, FastCacheArray
+from repro.hw.coherence import Directory, FastDirectory
+from repro.hw.hierarchy import (
+    HierarchyConfig,
+    Latencies,
+    MemoryHierarchy,
+    ReferenceHierarchy,
+)
 from repro.hw.machine import Machine, MachineConfig, Thread
 
 __all__ = [
@@ -30,12 +35,13 @@ __all__ = [
     "Pause",
     "CacheArray",
     "CacheGeometry",
+    "Directory",
     "FastCacheArray",
     "FastDirectory",
-    "FastHierarchy",
     "HierarchyConfig",
     "Latencies",
     "MemoryHierarchy",
+    "ReferenceHierarchy",
     "Machine",
     "MachineConfig",
     "Thread",

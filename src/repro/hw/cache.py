@@ -1,11 +1,21 @@
 """Set-associative cache arrays with LRU replacement.
 
-A :class:`CacheArray` tracks only *which lines are present*, not their
-contents -- the simulation never needs data values, only presence, recency,
-and set pressure.  Coherence state lives in the directory
+A cache array tracks only *which lines are present*, not their contents --
+the simulation never needs data values, only presence, recency, and set
+pressure.  Coherence state lives in the directory
 (:mod:`repro.hw.coherence`); this module is purely about capacity and
 associativity, the two properties behind the paper's conflict- and
 capacity-miss classes.
+
+Two arrays make the same replacement decisions:
+
+- :class:`FastCacheArray`, which the machine's
+  :class:`~repro.hw.hierarchy.MemoryHierarchy` builds: each set maps its
+  resident lines to recency stamps, so a hit rewrites one stamp and the
+  victim is the minimum stamp;
+- :class:`CacheArray`, the readable oracle the
+  :class:`~repro.hw.hierarchy.ReferenceHierarchy` builds: each set is an
+  ``OrderedDict`` used as an LRU queue.
 """
 
 from __future__ import annotations
@@ -116,10 +126,9 @@ class CacheArray:
     def lru_snapshot(self) -> tuple[tuple[int, ...], ...]:
         """Per-set lines in replacement order (next victim first).
 
-        The machine's :class:`~repro.hw.fastpath.FastCacheArray`
-        produces the same shape from its recency counters, so the
-        differential tests can compare full replacement state against
-        this oracle.
+        :class:`FastCacheArray` produces the same shape from its recency
+        stamps, so the differential tests can compare full replacement
+        state against this oracle.
         """
         return tuple(tuple(bucket.keys()) for bucket in self._sets)
 
@@ -131,5 +140,92 @@ class CacheArray:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"CacheArray({self.name}, {self.geometry.size}B, "
+            f"{self.geometry.ways}-way, occ={self.occupancy()})"
+        )
+
+
+class FastCacheArray:
+    """The machine's cache array: per-set recency stamps.
+
+    Each set is a dict from resident line to the stamp of its last use.
+    Stamps come from one per-cache monotonic clock, so the victim on a
+    full-set insert (the minimum stamp) is always unique and exactly the
+    line :class:`CacheArray` would evict.  The machine's hierarchy probes
+    ``_sets``, ``_nsets`` and ``_clock`` inline on its L1-hit path; every
+    other caller goes through the methods.
+    """
+
+    def __init__(self, geometry: CacheGeometry, name: str = "cache") -> None:
+        self.geometry = geometry
+        self.name = name
+        self._nsets = geometry.num_sets
+        self._ways = geometry.ways
+        self._sets: list[dict[int, int]] = [{} for _ in range(self._nsets)]
+        self._clock = 0
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
+
+    def lookup(self, line: int) -> bool:
+        """Probe for *line*; refresh its recency stamp on a hit."""
+        stamps = self._sets[line % self._nsets]
+        if line in stamps:
+            self._clock += 1
+            stamps[line] = self._clock
+            self.hits += 1
+            return True
+        self.misses += 1
+        return False
+
+    def contains(self, line: int) -> bool:
+        """Probe without disturbing recency or counters."""
+        return line in self._sets[line % self._nsets]
+
+    def insert(self, line: int) -> int | None:
+        """Insert *line*, returning the evicted victim line if the set was full."""
+        stamps = self._sets[line % self._nsets]
+        self._clock += 1
+        if line in stamps:
+            stamps[line] = self._clock
+            return None
+        victim = None
+        if len(stamps) >= self._ways:
+            victim = min(stamps, key=stamps.__getitem__)
+            del stamps[victim]
+            self.evictions += 1
+        stamps[line] = self._clock
+        return victim
+
+    def remove(self, line: int) -> bool:
+        """Drop *line* if present (invalidation); returns whether it was there."""
+        return self._sets[line % self._nsets].pop(line, None) is not None
+
+    def occupancy(self) -> int:
+        """Number of lines currently resident."""
+        return sum(len(stamps) for stamps in self._sets)
+
+    def set_occupancy(self, set_index: int) -> int:
+        """Number of lines resident in one associativity set."""
+        return len(self._sets[set_index])
+
+    def lines(self):
+        """Iterate over resident lines, oldest-first per set (reference order)."""
+        for stamps in self._sets:
+            yield from sorted(stamps, key=stamps.__getitem__)
+
+    def lru_snapshot(self) -> tuple[tuple[int, ...], ...]:
+        """Per-set lines in replacement order (next victim first)."""
+        return tuple(
+            tuple(sorted(stamps, key=stamps.__getitem__)) for stamps in self._sets
+        )
+
+    def clear(self) -> None:
+        """Empty the cache (used between profiling runs)."""
+        for stamps in self._sets:
+            stamps.clear()
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"FastCacheArray({self.name}, {self.geometry.size}B, "
             f"{self.geometry.ways}-way, occ={self.occupancy()})"
         )

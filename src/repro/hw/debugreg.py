@@ -111,7 +111,7 @@ class WatchManager:
 
     @property
     def any_armed(self) -> bool:
-        """Fast check used by the executor's hot path."""
+        """True while at least one watch is armed."""
         return bool(self.watched_lines)
 
     def free_slot(self) -> int | None:

@@ -14,6 +14,24 @@ Every access returns an :class:`~repro.hw.events.AccessResult` carrying the
 level served, the latency charged, and -- for local misses -- the
 ground-truth cause (cold / invalidation / eviction) that real hardware
 cannot report.
+
+Two independent implementations make exactly the same decisions:
+
+- :class:`MemoryHierarchy` is the hierarchy every
+  :class:`~repro.hw.machine.Machine` builds.  It runs on
+  :class:`~repro.hw.cache.FastCacheArray` and
+  :class:`~repro.hw.coherence.FastDirectory`, and its :meth:`access` is
+  fused: a single-line L1 hit is probed, counted and (for a write with no
+  other holder) marked dirty inline, without a per-line call.
+- :class:`ReferenceHierarchy` is the readable oracle, on
+  :class:`~repro.hw.cache.CacheArray` and
+  :class:`~repro.hw.coherence.Directory`, with its own per-line
+  :meth:`~ReferenceHierarchy.access`.
+
+They share construction and introspection, never access code, so the
+differential tests (``tests/test_fastpath_equivalence.py``,
+``tests/test_coherence_property.py``) compare two implementations of the
+split-line, write-upgrade and statistics logic, not one.
 """
 
 from __future__ import annotations
@@ -21,9 +39,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigError
-from repro.hw.cache import CacheArray, CacheGeometry
-from repro.hw.coherence import Directory
+from repro.hw.cache import CacheArray, CacheGeometry, FastCacheArray
+from repro.hw.coherence import Directory, FastDirectory
 from repro.hw.events import AccessResult, CacheLevel, MissKind
+
+_L1 = CacheLevel.L1
+_L2 = CacheLevel.L2
+_L3 = CacheLevel.L3
+_FOREIGN = CacheLevel.FOREIGN
+_DRAM = CacheLevel.DRAM
+_COLD = MissKind.COLD
+_INVALIDATION = MissKind.INVALIDATION
+_EVICTION = MissKind.EVICTION
 
 
 @dataclass(frozen=True)
@@ -98,11 +125,11 @@ class HierarchyStats:
     Beyond the level/miss-kind tallies the differential harness diffs,
     the stats also accumulate per-level latency sums and a per-line
     accessor bitmask -- the raw inputs :mod:`repro.metrics` derives MPKI,
-    average miss latency, and the sharing ratio from.  The machine's
-    :class:`~repro.hw.fastpath.FastHierarchy` and this reference oracle
-    share the accounting because the former inherits
-    :meth:`MemoryHierarchy.access`, so derived metrics agree by
-    construction.
+    average miss latency, and the sharing ratio from.
+    :class:`ReferenceHierarchy` folds each access in through
+    :meth:`record`; :class:`MemoryHierarchy` updates the same counters
+    inline on its fused path, and the differential tests compare the two
+    key for key.
     """
 
     def __init__(self) -> None:
@@ -148,8 +175,8 @@ class HierarchyStats:
         """Plain-dict view of every counter, for comparison and JSON.
 
         The differential harness (tests/test_fastpath_equivalence.py)
-        diffs the fast and reference hierarchies' snapshots; any
-        key-for-key mismatch is an equivalence failure.
+        diffs the two hierarchies' snapshots; any key-for-key mismatch is
+        an equivalence failure.
         """
         return {
             "accesses": self.accesses,
@@ -178,32 +205,89 @@ class HierarchyStats:
         return counters
 
 
-class MemoryHierarchy:
-    """Per-core L1/L2 (exclusive), shared victim L3, MESI directory.
+class _Hierarchy:
+    """Construction and introspection shared by both hierarchies.
 
-    Built from the readable reference structures.  The machine runs
-    :class:`~repro.hw.fastpath.FastHierarchy`, which subclasses this and
-    keeps :meth:`access`; this class is the oracle the differential tests
-    compare it against.
+    Per-core L1/L2 (exclusive), shared victim L3, MESI directory.  A
+    subclass names its cache and directory types and brings its own
+    access path.
     """
+
+    cache_type: type
+    directory_type: type
 
     def __init__(self, config: HierarchyConfig) -> None:
         self.config = config
         self.line_size = config.line_size
         self.l1 = [
-            CacheArray(config.l1_geometry(), f"L1.{i}") for i in range(config.ncores)
+            self.cache_type(config.l1_geometry(), f"L1.{i}")
+            for i in range(config.ncores)
         ]
         self.l2 = [
-            CacheArray(config.l2_geometry(), f"L2.{i}") for i in range(config.ncores)
+            self.cache_type(config.l2_geometry(), f"L2.{i}")
+            for i in range(config.ncores)
         ]
-        self.l3 = CacheArray(config.l3_geometry(), "L3")
-        self.directory = Directory(config.ncores)
+        self.l3 = self.cache_type(config.l3_geometry(), "L3")
+        self.directory = self.directory_type(config.ncores)
         self.latencies = config.latencies
         self.stats = HierarchyStats()
 
-    # ------------------------------------------------------------------
-    # Main access path
-    # ------------------------------------------------------------------
+    def cache_counters(self) -> dict[str, tuple[int, int, int]]:
+        """Per-cache (hits, misses, evictions), keyed by cache name."""
+        counters: dict[str, tuple[int, int, int]] = {}
+        for cache in [*self.l1, *self.l2, self.l3]:
+            counters[cache.name] = (cache.hits, cache.misses, cache.evictions)
+        return counters
+
+    def replacement_snapshot(self) -> dict[str, tuple]:
+        """Full LRU state of every cache array, keyed by cache name.
+
+        Two hierarchies that agree on this after a run agree on every future
+        eviction decision -- the strongest equivalence short of diffing
+        each access.
+        """
+        return {
+            cache.name: cache.lru_snapshot()
+            for cache in [*self.l1, *self.l2, self.l3]
+        }
+
+    def core_holds(self, cpu: int, addr: int) -> bool:
+        """True when the line containing *addr* sits in cpu's L1 or L2."""
+        line = addr // self.line_size
+        return self.l1[cpu].contains(line) or self.l2[cpu].contains(line)
+
+    def private_occupancy(self, cpu: int) -> int:
+        """Lines resident across the core's private L1+L2."""
+        return self.l1[cpu].occupancy() + self.l2[cpu].occupancy()
+
+    def flush_all(self) -> None:
+        """Empty every cache and forget coherence state (run boundary)."""
+        for cache in self.l1:
+            cache.clear()
+        for cache in self.l2:
+            cache.clear()
+        self.l3.clear()
+        self.directory = self.directory_type(self.config.ncores)
+
+
+class MemoryHierarchy(_Hierarchy):
+    """The machine's hierarchy, with a fused per-access path.
+
+    Bit-identical to :class:`ReferenceHierarchy` -- same levels,
+    latencies, miss classifications, loss records, LRU state, and counter
+    values -- but a single-line access probes its L1 inline, the stats
+    are updated inline, and a write hit on a line no other core holds
+    only marks the line dirty (no losers list, no ``record_write``).
+    Misses, split-line accesses and invalidating writes take the per-line
+    helpers below.
+    """
+
+    cache_type = FastCacheArray
+    directory_type = FastDirectory
+
+    def __init__(self, config: HierarchyConfig) -> None:
+        super().__init__(config)
+        self._l1_latency = config.latencies.l1
 
     def access(
         self,
@@ -220,6 +304,193 @@ class MemoryHierarchy:
         boundary) touch each line in turn; the reported level is the worst
         one encountered and latencies add up, mirroring how a split access
         stalls on its slowest half.
+        """
+        line_size = self.line_size
+        first = addr // line_size
+        last = (addr + size - 1) // line_size if size > 1 else first
+        bit = 1 << cpu
+        users = self.stats._line_users
+        if first == last:
+            l1 = self.l1[cpu]
+            stamps = l1._sets[first % l1._nsets]
+            if first in stamps:
+                l1._clock = stamps[first] = l1._clock + 1
+                l1.hits += 1
+                latency = self._l1_latency
+                if is_write:
+                    directory = self.directory
+                    if directory._holders.get(first, 0) == bit:
+                        directory._dirty[first] = cpu
+                    else:
+                        latency += self._write_upgrade(
+                            cpu, first, ip, addr, size, cycle
+                        )
+                result = AccessResult(_L1, latency)
+            else:
+                l1.misses += 1
+                result = self._l1_miss(cpu, first, is_write, ip, addr, size, cycle)
+            mask = users.get(first, 0)
+            if not mask & bit:
+                users[first] = mask | bit
+        else:
+            result = self._access_line(cpu, first, is_write, ip, addr, size, cycle)
+            for line in range(first + 1, last + 1):
+                extra = self._access_line(cpu, line, is_write, ip, addr, size, cycle)
+                result.latency += extra.latency
+                if extra.level > result.level:
+                    result.level = extra.level
+                    result.miss_kind = extra.miss_kind
+                    result.invalidation = extra.invalidation
+                    result.eviction = extra.eviction
+            for line in range(first, last + 1):
+                users[line] = users.get(line, 0) | bit
+        stats = self.stats
+        level = result.level
+        stats.accesses += 1
+        stats.level_counts[level] += 1
+        stats.latency_by_level[level] += result.latency
+        if result.miss_kind is not None:
+            stats.miss_kind_counts[result.miss_kind] += 1
+        return result
+
+    def _access_line(
+        self,
+        cpu: int,
+        line: int,
+        is_write: bool,
+        ip: int,
+        addr: int,
+        size: int,
+        cycle: int,
+    ) -> AccessResult:
+        """One line of a split access: L1 probe, then the miss path."""
+        if not self.l1[cpu].lookup(line):
+            return self._l1_miss(cpu, line, is_write, ip, addr, size, cycle)
+        latency = self._l1_latency
+        if is_write:
+            latency += self._write_upgrade(cpu, line, ip, addr, size, cycle)
+        return AccessResult(_L1, latency)
+
+    def _l1_miss(
+        self,
+        cpu: int,
+        line: int,
+        is_write: bool,
+        ip: int,
+        addr: int,
+        size: int,
+        cycle: int,
+    ) -> AccessResult:
+        """Serve *line* after the L1 probe missed (L1 miss already counted)."""
+        lat = self.latencies
+        l2 = self.l2[cpu]
+        if l2.lookup(line):
+            # Exclusive hierarchy: promote to L1, demoting an L1 victim.
+            l2.remove(line)
+            self._insert_private(cpu, line, cycle)
+            latency = lat.l2
+            if is_write:
+                latency += self._write_upgrade(cpu, line, ip, addr, size, cycle)
+            return AccessResult(_L2, latency)
+
+        # Local miss: recover the ground-truth cause before the directory
+        # state is mutated by the fill below.
+        directory = self.directory
+        inv = directory.invalidated[cpu].pop(line, None)
+        ev = directory.evicted[cpu].pop(line, None)
+        if inv is not None:
+            miss_kind = _INVALIDATION
+            ev = None
+        elif ev is not None:
+            miss_kind = _EVICTION
+        else:
+            miss_kind = _COLD
+
+        owner = directory._dirty.get(line)
+        if owner is not None and owner != cpu:
+            level = _FOREIGN
+            latency = lat.foreign
+            # Serving a dirty line writes it back into the shared L3.
+            self.l3.insert(line)
+        elif self.l3.lookup(line):
+            level = _L3
+            latency = lat.l3
+        elif directory._holders.get(line, 0) & ~(1 << cpu):
+            # Clean copy exists only in another core's private cache.
+            level = _FOREIGN
+            latency = lat.foreign_clean
+        else:
+            level = _DRAM
+            latency = lat.dram
+
+        if is_write:
+            for loser in directory.record_write(cpu, line, ip, addr, size, cycle):
+                self.l1[loser].remove(line)
+                self.l2[loser].remove(line)
+        else:
+            directory.record_read(cpu, line)
+
+        self._insert_private(cpu, line, cycle)
+        return AccessResult(level, latency, miss_kind, inv, ev)
+
+    def _write_upgrade(
+        self, cpu: int, line: int, ip: int, addr: int, size: int, cycle: int
+    ) -> int:
+        """Invalidate other holders on a write hit; return the extra cost."""
+        directory = self.directory
+        if directory._holders.get(line, 0) == 1 << cpu:
+            directory._dirty[line] = cpu
+            return 0
+        losers = directory.record_write(cpu, line, ip, addr, size, cycle)
+        if not losers:
+            return 0
+        for loser in losers:
+            self.l1[loser].remove(line)
+            self.l2[loser].remove(line)
+        return self.latencies.upgrade
+
+    def _insert_private(self, cpu: int, line: int, cycle: int) -> None:
+        """Insert *line* into the core's L1, cascading evictions downward."""
+        victim = self.l1[cpu].insert(line)
+        if victim is None:
+            return
+        l2 = self.l2[cpu]
+        victim2 = l2.insert(victim)
+        if victim2 is None:
+            return
+        # The line leaves the private domain entirely: record why (set
+        # pressure), drop it into the shared victim L3, and release the
+        # directory holder bit.
+        self.directory.record_eviction(cpu, victim2, victim2 % l2._nsets, cycle)
+        self.l3.insert(victim2)
+
+
+class ReferenceHierarchy(_Hierarchy):
+    """The readable oracle: the same hierarchy, one line at a time.
+
+    Built from :class:`~repro.hw.cache.CacheArray` and
+    :class:`~repro.hw.coherence.Directory`, with every access going
+    through :meth:`_access_line` per line and :meth:`HierarchyStats.record`
+    per access.  No machine builds it; the differential tests compare
+    :class:`MemoryHierarchy` against it.
+    """
+
+    cache_type = CacheArray
+    directory_type = Directory
+
+    def access(
+        self,
+        cpu: int,
+        addr: int,
+        size: int,
+        is_write: bool,
+        ip: int,
+        cycle: int,
+    ) -> AccessResult:
+        """Run one access through the hierarchy and return its outcome.
+
+        Accesses spanning multiple lines touch each line in turn; the
+        reported level is the worst one encountered and latencies add up.
         """
         first = addr // self.line_size
         last = (addr + max(size, 1) - 1) // self.line_size
@@ -333,44 +604,3 @@ class MemoryHierarchy:
         set_index = self.l2[cpu].geometry.set_of(victim2)
         self.directory.record_eviction(cpu, victim2, set_index, cycle)
         self.l3.insert(victim2)
-
-    # ------------------------------------------------------------------
-    # Introspection helpers (tests, working-set validation)
-    # ------------------------------------------------------------------
-
-    def cache_counters(self) -> dict[str, tuple[int, int, int]]:
-        """Per-cache (hits, misses, evictions), keyed by cache name."""
-        counters: dict[str, tuple[int, int, int]] = {}
-        for cache in [*self.l1, *self.l2, self.l3]:
-            counters[cache.name] = (cache.hits, cache.misses, cache.evictions)
-        return counters
-
-    def replacement_snapshot(self) -> dict[str, tuple]:
-        """Full LRU state of every cache array, keyed by cache name.
-
-        Two hierarchies that agree on this after a run agree on every future
-        eviction decision -- the strongest equivalence short of diffing
-        each access.
-        """
-        return {
-            cache.name: cache.lru_snapshot()
-            for cache in [*self.l1, *self.l2, self.l3]
-        }
-
-    def core_holds(self, cpu: int, addr: int) -> bool:
-        """True when the line containing *addr* sits in cpu's L1 or L2."""
-        line = addr // self.line_size
-        return self.l1[cpu].contains(line) or self.l2[cpu].contains(line)
-
-    def private_occupancy(self, cpu: int) -> int:
-        """Lines resident across the core's private L1+L2."""
-        return self.l1[cpu].occupancy() + self.l2[cpu].occupancy()
-
-    def flush_all(self) -> None:
-        """Empty every cache and forget coherence state (run boundary)."""
-        for cache in self.l1:
-            cache.clear()
-        for cache in self.l2:
-            cache.clear()
-        self.l3.clear()
-        self.directory = Directory(self.config.ncores)

@@ -88,7 +88,13 @@ class IbsUnit:
         self.samples_corrupted = 0
         #: Installed by the machine when a fault plan is active.
         self.faults = None
-        self._countdown = rng.jitter(interval) if interval > 0 else 0
+        #: Instructions left until the next tag: positive exactly while
+        #: sampling is enabled, 0 while it is disabled.  The machine
+        #: decrements it inline and calls :meth:`on_instruction` only for
+        #: the instruction that brings it to zero, so the unit costs one
+        #: attribute update per untagged instruction.
+        self.countdown = 0
+        self.configure(interval, None)
 
     @property
     def enabled(self) -> bool:
@@ -99,7 +105,8 @@ class IbsUnit:
         """(Re)program the sampling interval and delivery handler."""
         self.interval = interval
         self.handler = handler
-        self._countdown = self.rng.jitter(interval) if interval > 0 else 0
+        countdown = self.rng.jitter(interval) if interval > 0 else 0
+        self.countdown = countdown if handler is not None else 0
 
     def on_instruction(
         self, instr: Instr, result: AccessResult | None, cycle: int
@@ -107,14 +114,15 @@ class IbsUnit:
         """Advance the tag counter; deliver a sample when it expires.
 
         Returns the overhead cycles the interrupt cost the core (0 when no
-        sample fired).
+        sample fired).  Sampling and fault consultation happen here only;
+        the machine skips the call while :attr:`countdown` stays above 1.
         """
         if not self.enabled:
             return 0
-        self._countdown -= 1
-        if self._countdown > 0:
+        self.countdown -= 1
+        if self.countdown > 0:
             return 0
-        self._countdown = self.rng.jitter(self.interval)
+        self.countdown = self.rng.jitter(self.interval)
         if self.faults is not None and self.faults.drop_ibs_sample(self.cpu):
             # The tagged op never retired: no interrupt, no sample, no cost.
             self.samples_dropped += 1

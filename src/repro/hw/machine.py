@@ -19,7 +19,6 @@ from repro.errors import ConfigError, SimulationError
 from repro.hw.core import Core
 from repro.hw.debugreg import MAX_WATCH_BYTES, WatchManager
 from repro.hw.events import AccessResult, Instr, Pause
-from repro.hw.fastpath import FastHierarchy
 from repro.hw.hierarchy import HierarchyConfig, Latencies, MemoryHierarchy
 from repro.hw.interconnect import InterconnectCosts
 from repro.hw.memory import AddressSpace
@@ -109,9 +108,7 @@ class Machine:
         self.cores = [
             Core(cpu, self.rng.child(f"core{cpu}")) for cpu in range(self.config.ncores)
         ]
-        self.hierarchy: MemoryHierarchy = FastHierarchy(
-            self.config.hierarchy_config()
-        )
+        self.hierarchy = MemoryHierarchy(self.config.hierarchy_config())
         self.address_space = AddressSpace()
         self.watches = WatchManager(
             self.config.ncores,
@@ -124,6 +121,10 @@ class Machine:
         self._run_queues: list[deque[Thread]] = [
             deque() for _ in range(self.config.ncores)
         ]
+        #: Per-core count of threads not yet done, so the scheduler picks
+        #: a core without scanning its run queue.
+        self._live = [0] * self.config.ncores
+        self._line_size = self.config.line_size
         self.threads: list[Thread] = []
         self.access_observers: list[AccessObserver] = []
         self.instr_observers: list[InstrObserver] = []
@@ -143,6 +144,7 @@ class Machine:
         thread = Thread(name, cpu, body)
         self.threads.append(thread)
         self._run_queues[cpu].append(thread)
+        self._live[cpu] += 1
         return thread
 
     def add_access_observer(self, observer: AccessObserver) -> None:
@@ -203,9 +205,9 @@ class Machine:
 
     def _pick_core(self, until_cycle: int | None) -> Core | None:
         best: Core | None = None
+        live = self._live
         for core in self.cores:
-            queue = self._run_queues[core.cpu]
-            if not any(not t.done for t in queue):
+            if not live[core.cpu]:
                 continue
             if until_cycle is not None and core.cycle >= until_cycle:
                 continue
@@ -241,44 +243,68 @@ class Machine:
             core.cycle = target
 
     def _run_quantum(self, core: Core, thread: Thread) -> None:
+        body = thread.body
+        execute = self.execute
         for _ in range(self.config.quantum):
             try:
-                item = next(thread.body)
+                item = next(body)
             except StopIteration:
                 thread.state = Thread.DONE
+                self._live[core.cpu] -= 1
                 return
             if isinstance(item, Pause):
                 thread.state = Thread.PAUSED
                 thread.wake_at = core.cycle + max(item.cycles, 1)
                 return
-            self.execute(core, item)
+            execute(core, item)
 
     # ------------------------------------------------------------------
     # Instruction execution
     # ------------------------------------------------------------------
 
     def execute(self, core: Core, instr: Instr) -> AccessResult | None:
-        """Execute one instruction on *core*, firing all attached units."""
+        """Execute one instruction on *core*, firing all attached units.
+
+        The per-instruction path: a memory instruction goes through the
+        hierarchy; the watch manager is consulted only when the access
+        touches a watched line, and the IBS unit only when its countdown
+        expires (see :attr:`repro.hw.ibs.IbsUnit.countdown`).
+        """
         core.instructions += 1
         self.total_instructions += 1
-        cost = instr.work
-        result: AccessResult | None = None
-        if instr.is_memory:
+        kind = instr.kind
+        if kind == "exec":
+            result = None
+            core.cycle += instr.work
+        else:
             core.mem_accesses += 1
+            addr = instr.addr
+            size = instr.size
             result = self.hierarchy.access(
-                core.cpu, instr.addr, instr.size, instr.is_write, instr.ip, core.cycle
+                core.cpu, addr, size, kind == "store", instr.ip, core.cycle
             )
-            cost += result.latency
-        core.cycle += cost
+            core.cycle += instr.work + result.latency
+            watched = self.watches.watched_lines
+            if watched:
+                line_size = self._line_size
+                first = addr // line_size
+                last = (addr + size - 1) // line_size if size > 1 else first
+                if first in watched or (
+                    last != first
+                    and any(line in watched for line in range(first + 1, last + 1))
+                ):
+                    trap_cost = self.watches.check(core.cpu, instr, result, core.cycle)
+                    if trap_cost:
+                        core.charge(trap_cost, overhead=True)
 
-        if result is not None and self.watches.any_armed:
-            trap_cost = self.watches.check(core.cpu, instr, result, core.cycle)
-            if trap_cost:
-                core.charge(trap_cost, overhead=True)
-
-        ibs_cost = core.ibs.on_instruction(instr, result, core.cycle)
-        if ibs_cost:
-            core.charge(ibs_cost, overhead=True)
+        ibs = core.ibs
+        countdown = ibs.countdown
+        if countdown > 1:
+            ibs.countdown = countdown - 1
+        elif countdown:
+            ibs_cost = ibs.on_instruction(instr, result, core.cycle)
+            if ibs_cost:
+                core.charge(ibs_cost, overhead=True)
 
         for observer in self.instr_observers:
             observer(core.cpu, instr, result, core.cycle)

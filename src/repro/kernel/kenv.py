@@ -30,7 +30,16 @@ from repro.kernel.symbols import SymbolTable
 
 
 class KernelEnv:
-    """Builds instructions with stable ips for simulated kernel code."""
+    """Builds instructions with stable ips for simulated kernel code.
+
+    Every access site is resolved once: the first instruction built for a
+    site interns its ip in the symbol table and checks its field or range
+    against the struct layout, and the resulting ``(ip, offset, size)`` is
+    memoised.  Sites are keyed by the :class:`StructType` object, not its
+    name, because padded or fixed layouts may share a name.  An unknown
+    field or out-of-range offset is never memoised, so it raises
+    :class:`~repro.errors.ConfigError` every time.
+    """
 
     #: Default cache-line stride for bulk copies: one access per line is
     #: what matters to the cache model, whatever the real copy width.
@@ -39,6 +48,37 @@ class KernelEnv:
     def __init__(self, machine: Machine, symbols: SymbolTable) -> None:
         self.machine = machine
         self.symbols = symbols
+        #: (fn, kind, StructType, field name or (offset, size))
+        #: -> (ip, offset, size).
+        self._object_sites: dict[tuple, tuple[int, int, int]] = {}
+        #: (fn, site label) -> ip, for raw-address and compute sites.
+        self._label_ips: dict[tuple[str, str], int] = {}
+
+    def _field_site(
+        self, fn: str, kind: str, obj: KObject, field: str
+    ) -> tuple[int, int, int]:
+        addr, size = obj.field_addr(field)
+        tag = "W" if kind == "store" else "R"
+        ip = self.symbols.ip_for(fn, f"{tag}.{obj.otype.name}.{field}")
+        site = (ip, addr - obj.base, size)
+        self._object_sites[(fn, kind, obj.otype, field)] = site
+        return site
+
+    def _range_site(
+        self, fn: str, kind: str, obj: KObject, offset: int, size: int
+    ) -> tuple[int, int, int]:
+        obj.offset_addr(offset, size)
+        tag = "W" if kind == "store" else "R"
+        ip = self.symbols.ip_for(fn, f"{tag}.{obj.otype.name}+{offset}")
+        site = (ip, offset, size)
+        self._object_sites[(fn, kind, obj.otype, (offset, size))] = site
+        return site
+
+    def _label_ip(self, fn: str, site: str) -> int:
+        ip = self._label_ips.get((fn, site))
+        if ip is None:
+            ip = self._label_ips[(fn, site)] = self.symbols.ip_for(fn, site)
+        return ip
 
     # ------------------------------------------------------------------
     # Field-level accesses (the common case)
@@ -46,31 +86,37 @@ class KernelEnv:
 
     def read(self, fn: str, obj: KObject, field: str, work: int = 1) -> Instr:
         """Load of one struct field."""
-        addr, size = obj.field_addr(field)
-        ip = self.symbols.ip_for(fn, f"R.{obj.otype.name}.{field}")
-        return Instr("load", fn, ip, addr=addr, size=size, work=work)
+        site = self._object_sites.get((fn, "load", obj.otype, field))
+        if site is None:
+            site = self._field_site(fn, "load", obj, field)
+        ip, offset, size = site
+        return Instr("load", fn, ip, obj.base + offset, size, work)
 
     def write(self, fn: str, obj: KObject, field: str, work: int = 1) -> Instr:
         """Store to one struct field."""
-        addr, size = obj.field_addr(field)
-        ip = self.symbols.ip_for(fn, f"W.{obj.otype.name}.{field}")
-        return Instr("store", fn, ip, addr=addr, size=size, work=work)
+        site = self._object_sites.get((fn, "store", obj.otype, field))
+        if site is None:
+            site = self._field_site(fn, "store", obj, field)
+        ip, offset, size = site
+        return Instr("store", fn, ip, obj.base + offset, size, work)
 
     def read_range(
         self, fn: str, obj: KObject, offset: int, size: int, work: int = 1
     ) -> Instr:
         """Load of a raw offset range of an object (untyped data)."""
-        addr, _ = obj.offset_addr(offset, size)
-        ip = self.symbols.ip_for(fn, f"R.{obj.otype.name}+{offset}")
-        return Instr("load", fn, ip, addr=addr, size=size, work=work)
+        site = self._object_sites.get((fn, "load", obj.otype, (offset, size)))
+        if site is None:
+            site = self._range_site(fn, "load", obj, offset, size)
+        return Instr("load", fn, site[0], obj.base + offset, size, work)
 
     def write_range(
         self, fn: str, obj: KObject, offset: int, size: int, work: int = 1
     ) -> Instr:
         """Store to a raw offset range of an object (untyped data)."""
-        addr, _ = obj.offset_addr(offset, size)
-        ip = self.symbols.ip_for(fn, f"W.{obj.otype.name}+{offset}")
-        return Instr("store", fn, ip, addr=addr, size=size, work=work)
+        site = self._object_sites.get((fn, "store", obj.otype, (offset, size)))
+        if site is None:
+            site = self._range_site(fn, "store", obj, offset, size)
+        return Instr("store", fn, site[0], obj.base + offset, size, work)
 
     # ------------------------------------------------------------------
     # Raw-address accesses (page tables, static data, lock words, ...)
@@ -78,15 +124,11 @@ class KernelEnv:
 
     def read_at(self, fn: str, site: str, addr: int, size: int, work: int = 1) -> Instr:
         """Load of an arbitrary address under an explicit site label."""
-        return Instr(
-            "load", fn, self.symbols.ip_for(fn, site), addr=addr, size=size, work=work
-        )
+        return Instr("load", fn, self._label_ip(fn, site), addr, size, work)
 
     def write_at(self, fn: str, site: str, addr: int, size: int, work: int = 1) -> Instr:
         """Store to an arbitrary address under an explicit site label."""
-        return Instr(
-            "store", fn, self.symbols.ip_for(fn, site), addr=addr, size=size, work=work
-        )
+        return Instr("store", fn, self._label_ip(fn, site), addr, size, work)
 
     # ------------------------------------------------------------------
     # Compute and bulk helpers
@@ -94,7 +136,7 @@ class KernelEnv:
 
     def work(self, fn: str, cycles: int, site: str = "compute") -> Instr:
         """Pure compute: burns *cycles* without touching memory."""
-        return Instr("exec", fn, self.symbols.ip_for(fn, site), work=cycles)
+        return Instr("exec", fn, self._label_ip(fn, site), work=cycles)
 
     def bulk(
         self,

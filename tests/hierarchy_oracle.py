@@ -1,10 +1,10 @@
 """Test-only switch between the machine's hierarchy and the reference oracle.
 
 Every :class:`~repro.hw.machine.Machine` builds a
-:class:`~repro.hw.fastpath.FastHierarchy`.  The differential tests also
-run the readable reference :class:`~repro.hw.hierarchy.MemoryHierarchy`
-and compare the two; :func:`use_hierarchy` substitutes the reference for
-the machines built inside its block, and :func:`outcome_of` makes two
+:class:`~repro.hw.hierarchy.MemoryHierarchy`.  The differential tests also
+run the readable :class:`~repro.hw.hierarchy.ReferenceHierarchy` and
+compare the two; :func:`use_hierarchy` substitutes the reference for the
+machines built inside its block, and :func:`outcome_of` makes two
 hierarchies' access results comparable.
 """
 
@@ -14,7 +14,7 @@ from contextlib import contextmanager
 from dataclasses import astuple
 
 import repro.hw.machine as machine_module
-from repro.hw.hierarchy import MemoryHierarchy
+from repro.hw.hierarchy import ReferenceHierarchy
 
 #: The two hierarchies: the reference oracle and the one machines run.
 HIERARCHIES = ("reference", "fast")
@@ -28,12 +28,12 @@ def use_hierarchy(kind: str):
     if kind == "fast":
         yield
         return
-    original = machine_module.FastHierarchy
-    machine_module.FastHierarchy = MemoryHierarchy
+    original = machine_module.MemoryHierarchy
+    machine_module.MemoryHierarchy = ReferenceHierarchy
     try:
         yield
     finally:
-        machine_module.FastHierarchy = original
+        machine_module.MemoryHierarchy = original
 
 
 def outcome_of(result) -> tuple:

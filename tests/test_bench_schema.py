@@ -298,12 +298,109 @@ def test_write_report_refuses_partial_and_writes_valid(tmp_path):
     assert written["service_throughput"] == document["service_throughput"]
 
 
+def _quartiles(median):
+    return {"median": median, "q1": median * 0.98, "q3": median * 1.02}
+
+
+def _valid_end_to_end_section():
+    return {
+        "benchmark": "perfbench/run.py",
+        "parent_commit": "d4bd017",
+        "seconds": 30,
+        "pairs": 10,
+        "seeds": list(range(101, 111)),
+        "host": "2 vCPU x86_64",
+        "workloads": {
+            "profile-memcached": {
+                "op_p50_norm_s": {
+                    "unit": "s",
+                    "parent": _quartiles(5.2),
+                    "change": _quartiles(3.3),
+                    "change_wins": 10,
+                }
+            }
+        },
+    }
+
+
+def _valid_layers_section():
+    return {
+        "workload": "profile-memcached",
+        "seed": 1,
+        "seconds": 5,
+        "parent_commit": "d4bd017",
+        "rows": {
+            "hw.hierarchy.access_s": {"unit": "s", "parent": 3.8, "change": 1.6},
+            "hw.machine.instructions": {
+                "unit": "count", "parent": 492495, "change": 492495,
+            },
+        },
+    }
+
+
+def test_end_to_end_and_layers_sections_validate():
+    document = _valid_document()
+    document["end_to_end"] = _valid_end_to_end_section()
+    document["layers"] = _valid_layers_section()
+    validate_report(document)
+    del document["service_throughput"]  # either section alone is a report
+    validate_report(document)
+
+
+def test_rejects_end_to_end_row_missing_quartile():
+    document = _valid_document()
+    document["end_to_end"] = _valid_end_to_end_section()
+    row = document["end_to_end"]["workloads"]["profile-memcached"]["op_p50_norm_s"]
+    del row["parent"]["q3"]
+    with pytest.raises(BenchFormatError, match="q3"):
+        validate_report(document)
+
+
+def test_rejects_end_to_end_wins_beyond_pairs():
+    document = _valid_document()
+    document["end_to_end"] = _valid_end_to_end_section()
+    row = document["end_to_end"]["workloads"]["profile-memcached"]["op_p50_norm_s"]
+    row["change_wins"] = 11
+    with pytest.raises(BenchFormatError, match="change_wins"):
+        validate_report(document)
+
+
+def test_rejects_end_to_end_without_workloads():
+    document = _valid_document()
+    document["end_to_end"] = _valid_end_to_end_section()
+    document["end_to_end"]["workloads"] = {}
+    with pytest.raises(BenchFormatError, match="no workloads"):
+        validate_report(document)
+
+
+def test_rejects_layer_row_without_change():
+    document = _valid_document()
+    document["layers"] = _valid_layers_section()
+    del document["layers"]["rows"]["hw.hierarchy.access_s"]["change"]
+    with pytest.raises(BenchFormatError, match="change"):
+        validate_report(document)
+
+
+def test_rejects_empty_layers():
+    document = _valid_document()
+    document["layers"] = _valid_layers_section()
+    document["layers"]["rows"] = {}
+    with pytest.raises(BenchFormatError, match="no rows"):
+        validate_report(document)
+
+
 def test_checked_in_baseline_validates():
     """The repo's committed BENCH_dprof.json satisfies the schema."""
     from pathlib import Path
 
     baseline = Path(__file__).resolve().parent.parent / "BENCH_dprof.json"
-    validate_report(json.loads(baseline.read_text()))
+    document = json.loads(baseline.read_text())
+    validate_report(document)
+    # The perfbench ledger covers every benchmark workload.
+    assert set(document["end_to_end"]["workloads"]) == {
+        "profile-memcached", "analyze-archives", "serve-jobs",
+    }
+    assert document["layers"]["workload"] == "profile-memcached"
 
 
 def test_smoke_without_out_writes_no_report(tmp_path, monkeypatch):

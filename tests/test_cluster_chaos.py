@@ -9,8 +9,6 @@ identical victim and firing time.
 """
 
 import json
-import os
-import signal
 import subprocess
 import sys
 import time
@@ -24,6 +22,7 @@ from repro.api import JobSpec, request_once
 from repro.serve.cluster import CLUSTER_DIR, RESULTS_DIR
 from repro.serve.store import SessionStore
 from repro.serve.workers import execute_job
+from tests.process_helpers import child_pids, kill_quietly, stop_server
 
 HOST = "127.0.0.1"
 BOOT_TIMEOUT_S = 20.0
@@ -69,43 +68,6 @@ def _start_node(tmp_path, node_id, *, workers=2):
         time.sleep(0.05)
     proc.kill()
     raise AssertionError(f"{node_id} did not write its port file in time")
-
-
-def _child_pids(pid):
-    """Direct children of *pid*, ignoring the mp resource tracker."""
-    pids = []
-    for children in Path(f"/proc/{pid}/task").glob("*/children"):
-        try:
-            pids += [int(p) for p in children.read_text().split()]
-        except OSError:
-            continue
-    workers = []
-    for child in pids:
-        try:
-            cmdline = Path(f"/proc/{child}/cmdline").read_bytes().decode()
-        except OSError:
-            continue
-        if "resource_tracker" not in cmdline:
-            workers.append(child)
-    return workers
-
-
-def _kill_quietly(pids):
-    for pid in pids:
-        try:
-            os.kill(pid, signal.SIGKILL)
-        except ProcessLookupError:
-            pass
-
-
-def _stop(proc):
-    if proc.poll() is None:
-        workers = _child_pids(proc.pid)
-        proc.kill()
-        _kill_quietly(workers)
-    proc.wait(timeout=10)
-    if proc.stdout:
-        proc.stdout.close()
 
 
 def _submit(port, scenario, seed, duration, **extra):
@@ -234,8 +196,8 @@ def test_cluster_routes_and_commits_every_job(tmp_path):
         assert list((base / "leases").glob("*.json")) == []
         assert list((base / "nodes").glob("*.json")) == []
     finally:
-        _stop(node_a)
-        _stop(node_b)
+        stop_server(node_a)
+        stop_server(node_b)
 
 
 @pytest.mark.slow
@@ -282,7 +244,7 @@ def test_cluster_sigkill_loses_and_duplicates_nothing(tmp_path):
             )
         assert len(set(job_ids)) == 20
 
-        victim_workers = _child_pids(procs[victim].pid)
+        victim_workers = child_pids(procs[victim].pid)
         delay = action.at_s - (time.monotonic() - burst_start)
         if delay > 0:
             time.sleep(delay)
@@ -290,7 +252,7 @@ def test_cluster_sigkill_loses_and_duplicates_nothing(tmp_path):
         procs[victim].wait(timeout=10)
         # SIGKILL skips the mp cleanup: reap the victim's orphaned
         # workers so they cannot keep publishing results.
-        _kill_quietly(victim_workers)
+        kill_quietly(victim_workers)
 
         results = _wait_results(tmp_path, set(job_ids), timeout_s=120.0)
         # Zero lost, zero duplicated: exactly one result per submitted
@@ -337,8 +299,8 @@ def test_cluster_sigkill_loses_and_duplicates_nothing(tmp_path):
         assert dead == {victim: "dead"}
     finally:
         for proc in procs.values():
-            _stop(proc)
-        _kill_quietly(victim_workers)
+            stop_server(proc)
+        kill_quietly(victim_workers)
 
 
 @pytest.mark.slow
@@ -388,5 +350,5 @@ def test_cluster_heartbeat_stall_suspects_then_recovers(tmp_path):
         assert _metrics(port_a)["jobs_reclaimed"] == 0
         assert _cluster_status(port_a)["ring"] == ["flaky", "steady"]
     finally:
-        _stop(node_a)
-        _stop(node_b)
+        stop_server(node_a)
+        stop_server(node_b)

@@ -4,9 +4,9 @@ Hypothesis drives random (cpu, line, is_write) interleavings through a
 deliberately tiny hierarchy (2-way 1 KiB L1s, 2-way 2 KiB L2s, 4-way
 4 KiB L3) so that evictions, invalidations, and dirty-serve paths all
 fire within a few dozen accesses.  After every access both the
-machine's :class:`FastHierarchy` and the reference oracle must satisfy
-the MESI invariants, and the fast hierarchy must produce exactly the
-reference's outcome.
+machine's :class:`MemoryHierarchy` and the :class:`ReferenceHierarchy`
+oracle must satisfy the MESI invariants, and the machine's hierarchy must
+produce exactly the reference's outcome.
 
 Invariants (the ISSUE's contract, spelled out):
 
@@ -24,8 +24,7 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from repro.hw.fastpath import FastHierarchy
-from repro.hw.hierarchy import HierarchyConfig, MemoryHierarchy
+from repro.hw.hierarchy import HierarchyConfig, MemoryHierarchy, ReferenceHierarchy
 from tests.hierarchy_oracle import outcome_of
 
 NCORES = 4
@@ -58,7 +57,7 @@ def dirty_owner_of(directory, line: int) -> int | None:
     return ent.dirty_owner if ent else None
 
 
-def check_invariants(hierarchy: MemoryHierarchy) -> None:
+def check_invariants(hierarchy) -> None:
     """Assert every MESI/capacity invariant on the hierarchy's state."""
     directory = hierarchy.directory
     resident: dict[int, set[int]] = {}
@@ -110,8 +109,8 @@ accesses = st.lists(
 @given(accesses)
 def test_invariants_hold_on_both_engines(ops) -> None:
     """Every interleaving preserves the invariants; hierarchies agree exactly."""
-    reference = MemoryHierarchy(tiny_config())
-    fast = FastHierarchy(tiny_config())
+    reference = ReferenceHierarchy(tiny_config())
+    fast = MemoryHierarchy(tiny_config())
     for cycle, (cpu, line, is_write, straddle) in enumerate(ops):
         if straddle:
             addr, size = line * LINE_SIZE + LINE_SIZE - 8, 16
@@ -137,8 +136,8 @@ def test_invariants_hold_on_both_engines(ops) -> None:
 @given(accesses, st.integers(min_value=0, max_value=NCORES - 1))
 def test_flush_resets_to_cold(ops, cpu) -> None:
     """After flush_all, both hierarchies classify the next miss as COLD again."""
-    reference = MemoryHierarchy(tiny_config())
-    fast = FastHierarchy(tiny_config())
+    reference = ReferenceHierarchy(tiny_config())
+    fast = MemoryHierarchy(tiny_config())
     for cycle, (c, line, is_write, _) in enumerate(ops):
         reference.access(c, line * LINE_SIZE, 8, is_write, 0x1000 + c, cycle)
         fast.access(c, line * LINE_SIZE, 8, is_write, 0x1000 + c, cycle)

@@ -80,3 +80,29 @@ def test_cycle_reads_core_clock():
     k.spawn("t", 0, iter([k.env.work("fn", 123)]))
     k.run()
     assert k.env.cycle(0) == 123
+
+
+def test_sites_memoised_per_struct_type_object():
+    """Two layouts sharing a name keep their own offsets, each site
+    interns its ip once, and invalid sites raise on every call."""
+    k = make_kernel()
+    padded = StructType("kwidget", [("pad", 32), ("a", 8)], object_size=128)
+    plain = k.slab.new_static(WIDGET, "plain")
+    shifted = k.slab.new_static(padded, "shifted")
+    interned = []
+    ip_for = k.symbols.ip_for
+    k.symbols.ip_for = lambda fn, site: interned.append(site) or ip_for(fn, site)
+    for _ in range(3):
+        assert k.env.read("fn", plain, "a").addr == plain.base
+        assert k.env.read("fn", shifted, "a").addr == shifted.base + 32
+        assert k.env.write_range("fn", plain, 8, 4).addr == plain.base + 8
+        assert k.env.write_range("fn", plain, 8, 8).size == 8
+        k.env.read_at("fn", "probe", 0x1000, 8)
+    # Same name, same field: one ip, interned once per distinct site key.
+    assert k.env.read("fn", plain, "a").ip == k.env.read("fn", shifted, "a").ip
+    assert interned == ["R.kwidget.a", "R.kwidget.a", "W.kwidget+8", "W.kwidget+8", "probe"]
+    for _ in range(2):
+        with pytest.raises(ConfigError):
+            k.env.read("fn", plain, "missing")
+        with pytest.raises(ConfigError):
+            k.env.write_range("fn", plain, 126, 8)

@@ -18,6 +18,7 @@ import pytest
 from repro.api import JobSpec, request_once
 from repro.serve.store import SessionStore
 from repro.serve.workers import execute_job
+from tests.process_helpers import child_pids, stop_server
 
 HOST = "127.0.0.1"
 BOOT_TIMEOUT_S = 20.0
@@ -52,14 +53,6 @@ def _start_server(tmp_path, workers=2, queue_size=64, drain_grace=10.0):
         time.sleep(0.05)
     proc.kill()
     raise AssertionError("server did not write its port file in time")
-
-
-def _stop(proc):
-    if proc.poll() is None:
-        proc.kill()
-    proc.wait(timeout=10)
-    if proc.stdout:
-        proc.stdout.close()
 
 
 def _rpc(port, message, timeout=10.0):
@@ -114,7 +107,7 @@ def test_serve_submit_fetch_and_metrics(tmp_path):
         assert metrics["counters"]["reconciled"] is True
         assert "repro_serve_jobs_done 1" in metrics["rendered"]
     finally:
-        _stop(proc)
+        stop_server(proc)
 
 
 @pytest.mark.slow
@@ -133,7 +126,7 @@ def test_serve_results_bit_identical_to_one_shot(tmp_path):
         served = _rpc(port, {"op": "fetch", "job_id": job_id, "view": "archive"})
         assert served["archive"] == local_text
     finally:
-        _stop(proc)
+        stop_server(proc)
     # And the on-disk archive is the same bytes under its content digest.
     store = SessionStore(tmp_path / "store")
     assert store.read_text(jobs[job_id]["digest"]) == local_text
@@ -173,7 +166,7 @@ def test_serve_concurrent_mixed_burst(tmp_path):
         # mean every job here is unique.
         assert len(SessionStore(tmp_path / "store").digests()) == 20
     finally:
-        _stop(proc)
+        stop_server(proc)
 
 
 @pytest.mark.slow
@@ -188,7 +181,7 @@ def test_serve_sigterm_drains_and_requeues(tmp_path):
         proc.wait(timeout=30)
         assert proc.returncode == 0
     finally:
-        _stop(proc)
+        stop_server(proc)
 
     store = SessionStore(tmp_path / "store")
     requeued = store.read_requeue()
@@ -198,26 +191,6 @@ def test_serve_sigterm_drains_and_requeues(tmp_path):
     for spec in requeued:
         assert spec["scenario"] == "apache"
         JobSpec.from_wire(spec)  # still valid for resubmission
-
-
-def _worker_pids(server_pid):
-    """The server's pool workers (direct children, minus the mp
-    resource tracker)."""
-    pids = []
-    for children in Path(f"/proc/{server_pid}/task").glob("*/children"):
-        try:
-            pids += [int(p) for p in children.read_text().split()]
-        except OSError:
-            continue
-    workers = []
-    for pid in pids:
-        try:
-            cmdline = Path(f"/proc/{pid}/cmdline").read_bytes().decode()
-        except OSError:
-            continue
-        if "resource_tracker" not in cmdline:
-            workers.append(pid)
-    return workers
 
 
 @pytest.mark.slow
@@ -238,7 +211,7 @@ def test_serve_worker_death_during_drain_still_requeues(tmp_path):
                 break
             time.sleep(0.05)
         assert job["state"] == "running"
-        workers = _worker_pids(proc.pid)
+        workers = child_pids(proc.pid)
         assert workers, "no pool worker found"
 
         proc.send_signal(signal.SIGTERM)
@@ -248,7 +221,7 @@ def test_serve_worker_death_during_drain_still_requeues(tmp_path):
         proc.wait(timeout=30)
         assert proc.returncode == 0
     finally:
-        _stop(proc)
+        stop_server(proc)
 
     requeued = SessionStore(tmp_path / "store").read_requeue()
     assert len(requeued) == 1
@@ -266,7 +239,7 @@ def test_serve_rejects_when_draining_is_clean(tmp_path):
         proc.wait(timeout=30)
         assert proc.returncode == 0
     finally:
-        _stop(proc)
+        stop_server(proc)
 
 
 @pytest.mark.slow
@@ -290,4 +263,4 @@ def test_serve_queue_backpressure(tmp_path):
         assert rejected["code"] == "queue_full"
         assert rejected["retry_after_s"] > 0
     finally:
-        _stop(proc)
+        stop_server(proc)

@@ -36,6 +36,7 @@ from repro.trace import (
     span_id_for,
     stage_totals,
 )
+from tests.process_helpers import stop_server
 
 HOST = "127.0.0.1"
 BOOT_TIMEOUT_S = 20.0
@@ -313,11 +314,7 @@ def test_serve_burst_spans_reconcile(tmp_path):
         proc.send_signal(signal.SIGTERM)
         proc.wait(timeout=30)
     finally:
-        if proc.poll() is None:
-            proc.kill()
-        proc.wait(timeout=10)
-        if proc.stdout:
-            proc.stdout.close()
+        stop_server(proc)
 
     manifest, spans = load_trace(tmp_path / "store" / "server.trace.jsonl")
     counters = manifest["counters"]
