@@ -10,11 +10,16 @@ pytest-benchmark, and asserts the paper's *shape* claims on the shared
 data.
 
 Rendered tables/figures are written to ``benchmarks/out/`` so they can be
-inspected and diffed against the paper.
+inspected and diffed against the paper.  Every artifact is a pure
+function of the code: ``benchmarks/artifact_hashes.csv`` pins the
+SHA-256 of each one, and :func:`write_artifact` fails the benchmark that
+writes different bytes (after writing them, so the diff can be read).
 """
 
 from __future__ import annotations
 
+import csv
+import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -36,6 +41,9 @@ from repro.workloads import (
 
 OUT_DIR = Path(__file__).parent / "out"
 
+#: ``artifact,sha256`` rows: the pinned bytes of every file in OUT_DIR.
+ARTIFACT_HASHES = Path(__file__).parent / "artifact_hashes.csv"
+
 
 def pytest_collection_modifyitems(items) -> None:
     """Mark everything in this directory ``bench``.
@@ -52,11 +60,31 @@ APACHE_PEAK_PERIOD = 22_000
 APACHE_DROPOFF_PERIOD = 11_000
 
 
+def pinned_artifact_hashes() -> dict[str, str]:
+    """Artifact file name -> pinned SHA-256 hex digest."""
+    with ARTIFACT_HASHES.open(newline="") as fh:
+        return {row["artifact"]: row["sha256"] for row in csv.DictReader(fh)}
+
+
+def artifact_digest(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def write_artifact(name: str, content: str) -> Path:
-    """Persist one rendered table/figure under benchmarks/out/."""
+    """Persist one rendered table/figure under benchmarks/out/.
+
+    Fails when the bytes differ from the pinned digest: a change that
+    means to move an artifact regenerates it and updates its row in
+    ``artifact_hashes.csv`` in the same commit.
+    """
     OUT_DIR.mkdir(exist_ok=True)
     path = OUT_DIR / name
     path.write_text(content + "\n")
+    pinned = pinned_artifact_hashes().get(name)
+    assert pinned is not None, f"{name} has no row in {ARTIFACT_HASHES.name}"
+    assert artifact_digest(path) == pinned, (
+        f"{path} differs from its pinned digest in {ARTIFACT_HASHES.name}"
+    )
     return path
 
 
