@@ -20,9 +20,10 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from repro.dprof.records import AddressSet, AddressSetEntry, PathTrace
-from repro.hw.cache import CacheArray, CacheGeometry
+from repro.hw.cache import CacheGeometry
 from repro.util.rng import DeterministicRng
 
 
@@ -106,7 +107,7 @@ class DProfCacheSim:
         if len(entries) > max_objects:
             entries = self.rng.sample(entries, max_objects)
         events = self._build_events(entries, traces_by_type)
-        events.sort(key=lambda e: e[0])
+        events.sort(key=itemgetter(0))
         return self._replay(events)
 
     # ------------------------------------------------------------------
@@ -118,27 +119,38 @@ class DProfCacheSim:
         entries: list[AddressSetEntry],
         traces_by_type: dict[str, list[PathTrace]],
     ) -> list[tuple]:
-        """(time, kind, entry, lines) events for each sampled object."""
+        """(time, kind, obj_id, entry, lines) events for each sampled object."""
         line_size = self.geometry.line_size
         events: list[tuple] = []
+        append = events.append
+        # trace id -> (mean time, first byte offset, last byte offset)
+        # per entry; a trace is picked for many objects.
+        spans: dict[int, list[tuple[float, int, int]]] = {}
         for obj_id, entry in enumerate(entries):
             # Every sampled object occupies its full footprint from
             # allocation: the address set records whole objects, and the
             # working-set sizes the view reports (Table 6.1) are
             # whole-object sizes.  Path traces -- which only cover the
             # watched offsets -- refine *when* parts are re-touched.
-            all_lines = _lines(entry.base, entry.size, line_size)
-            events.append((entry.alloc_cycle, "access", obj_id, entry, all_lines))
+            base = entry.base
+            alloc = entry.alloc_cycle
+            all_lines = _lines(base, entry.size, line_size)
+            append((alloc, "access", obj_id, entry, all_lines))
             trace = self._pick_trace(traces_by_type.get(entry.type_name))
             if trace is not None:
-                for pt_entry in trace.entries:
-                    lo, hi = pt_entry.offsets
-                    lines = _lines(entry.base + lo, max(hi - lo, 1), line_size)
-                    events.append(
-                        (entry.alloc_cycle + pt_entry.mean_time, "access", obj_id, entry, lines)
+                trace_spans = spans.get(id(trace))
+                if trace_spans is None:
+                    trace_spans = spans[id(trace)] = [
+                        (pt.mean_time, pt.offsets[0], max(pt.offsets[1] - 1, pt.offsets[0]))
+                        for pt in trace.entries
+                    ]
+                for mean_time, first, last in trace_spans:
+                    lines = range(
+                        (base + first) // line_size, (base + last) // line_size + 1
                     )
+                    append((alloc + mean_time, "access", obj_id, entry, lines))
             if entry.free_cycle is not None:
-                events.append((entry.free_cycle, "free", obj_id, entry, all_lines))
+                append((entry.free_cycle, "free", obj_id, entry, all_lines))
         return events
 
     def _pick_trace(self, traces: list[PathTrace] | None) -> PathTrace | None:
@@ -158,37 +170,57 @@ class DProfCacheSim:
     # ------------------------------------------------------------------
 
     def _replay(self, events: list[tuple]) -> WorkingSetSimResult:
-        cache = CacheArray(self.geometry, "dprof-sim")
+        """Replay the events through a per-set LRU model cache.
+
+        Each set is a dict from resident line to its owner type, in
+        recency order: a hit moves the line to the end and a full set
+        evicts its first line, exactly the decisions of
+        :class:`~repro.hw.cache.CacheArray`.  Resident lines per type
+        are counted as lines come and go, so an occupancy snapshot adds
+        up the types rather than the lines.
+        """
+        nsets = self.geometry.num_sets
+        ways = self.geometry.ways
+        snapshot_every = self.SNAPSHOT_EVERY
+        sets: list[dict[int, str]] = [{} for _ in range(nsets)]
         result = WorkingSetSimResult(geometry=self.geometry)
         distinct: dict[int, set[int]] = defaultdict(set)
         set_instances: dict[int, dict[str, set[int]]] = defaultdict(
             lambda: defaultdict(set)
         )
-        line_owner_type: dict[int, str] = {}
+        resident: dict[str, int] = {}
         resident_accumulator: Counter = Counter()
         snapshots = 0
         accesses = 0
         seen_objects: set[int] = set()
 
-        for time, kind, obj_id, entry, lines in events:
+        for _time, kind, obj_id, entry, lines in events:
             seen_objects.add(obj_id)
             if kind == "free":
                 for line in lines:
-                    cache.remove(line)
-                    line_owner_type.pop(line, None)
+                    owner = sets[line % nsets].pop(line, None)
+                    if owner is not None:
+                        resident[owner] -= 1
                 continue
+            type_name = entry.type_name
             for line in lines:
-                set_index = self.geometry.set_of(line)
+                set_index = line % nsets
                 distinct[set_index].add(line)
-                set_instances[set_index][entry.type_name].add(obj_id)
-                victim = cache.insert(line)
-                if victim is not None:
-                    line_owner_type.pop(victim, None)
-                line_owner_type[line] = entry.type_name
+                set_instances[set_index][type_name].add(obj_id)
+                bucket = sets[set_index]
+                owner = bucket.pop(line, None)
+                if owner is not None:
+                    resident[owner] -= 1
+                elif len(bucket) >= ways:
+                    resident[bucket.pop(next(iter(bucket)))] -= 1
+                bucket[line] = type_name
+                resident[type_name] = resident.get(type_name, 0) + 1
                 accesses += 1
-                if accesses % self.SNAPSHOT_EVERY == 0:
+                if accesses % snapshot_every == 0:
                     snapshots += 1
-                    resident_accumulator.update(Counter(line_owner_type.values()))
+                    for name, count in resident.items():
+                        if count:
+                            resident_accumulator[name] += count
 
         result.objects_simulated = len(seen_objects)
         result.accesses_simulated = accesses
@@ -206,7 +238,7 @@ class DProfCacheSim:
         return result
 
 
-def _lines(addr: int, size: int, line_size: int) -> list[int]:
+def _lines(addr: int, size: int, line_size: int) -> range:
     first = addr // line_size
     last = (addr + max(size, 1) - 1) // line_size
-    return list(range(first, last + 1))
+    return range(first, last + 1)

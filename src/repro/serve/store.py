@@ -28,6 +28,12 @@ archive digest pins the raw input exactly (content addressing), so a
 (digest, view, params) key can never serve stale text, and re-fetching
 an already-rendered view is one file read instead of a full offline
 analysis (clustering + merge + cache simulation).
+
+A full view render of one archive decodes it once: the store keeps the
+last decoded archive (one slot), and the views rendered from it share
+its memoised path traces and cache simulation.  See
+:meth:`SessionStore.render_view` for what that slot may and may not
+serve.
 """
 
 from __future__ import annotations
@@ -141,6 +147,9 @@ class SessionStore:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.views = ViewCache(self.root / VIEW_CACHE_DIR)
+        #: The last archive a view was rendered from: (digest, its
+        #: decoded session, the (view, type, top) keys rendered from it).
+        self._slot: tuple[str, OfflineSession, set[tuple]] | None = None
 
     # ------------------------------------------------------------------
     # Writing
@@ -205,7 +214,10 @@ class SessionStore:
 
     def open(self, digest: str) -> OfflineSession:
         """Offline-analysis handle for one archive (may raise
-        :class:`~repro.errors.SessionFormatError` on damage)."""
+        :class:`~repro.errors.SessionFormatError` on damage).
+
+        Always decodes the bytes on disk; it never returns the session
+        :meth:`render_view` keeps."""
         path = self.path_for(digest)
         if not path.exists():
             raise ServeError(f"no archive {digest[:12]}... in store {self.root}")
@@ -244,10 +256,24 @@ class SessionStore:
         """Render one stored session as a named DProf view.
 
         Renders are memoized through :attr:`views` (content-addressed,
-        so never stale); ``use_cache=False`` forces recomputation.  The
-        ``archive`` view is the raw file itself and bypasses the cache.
-        A :class:`repro.trace.Tracer` records the render as a
+        so never stale); ``use_cache=False`` bypasses that on-disk cache
+        and renders the view again.  The ``archive`` view is the raw
+        file itself and bypasses the cache.  A
+        :class:`repro.trace.Tracer` records the render as a
         ``view-render`` span carrying the cache hit/miss outcome.
+
+        A render does not always decode the archive.  The store keeps
+        one decoded archive: the last one a view was rendered from.  A
+        render reuses it while the digest is the same and this (view,
+        type, top) has not yet been rendered from it, so a full view set
+        costs one decode and one cache simulation.  A render of another
+        digest, or a repeat of a view already rendered from the kept
+        session, decodes the file again and replaces it.  So
+        ``use_cache=False`` does not bypass the kept session for views
+        not yet rendered from it, and a file corrupted on disk after the
+        first view of its digest was rendered is caught by
+        :meth:`verify` or :meth:`open`, not by the later views of that
+        digest.
         """
         if view not in VIEW_NAMES:
             raise ServeError(
@@ -273,10 +299,22 @@ class SessionStore:
             self.views.put(key, text)
         return text
 
+    def _session_for(self, digest: str, key: tuple) -> OfflineSession:
+        """The kept decoded session for *digest*, decoding it again when
+        another digest is kept or *key* was already rendered from it."""
+        slot = self._slot
+        if slot is None or slot[0] != digest or key in slot[2]:
+            # Drop the old session first: never two decoded at once.
+            self._slot = None
+            slot = (digest, self.open(digest), set())
+            self._slot = slot
+        slot[2].add(key)
+        return slot[1]
+
     def _render_view_uncached(
         self, digest: str, view: str, type_name: str | None, top: int
     ) -> str:
-        session = self.open(digest)
+        session = self._session_for(digest, (view, type_name, top))
         if view == "data-profile":
             return session.data_profile().render(top)
         if view == "working-set":

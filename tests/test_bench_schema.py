@@ -400,7 +400,7 @@ def test_checked_in_baseline_validates():
     assert set(document["end_to_end"]["workloads"]) == {
         "profile-memcached", "analyze-archives", "serve-jobs",
     }
-    assert document["layers"]["workload"] == "profile-memcached"
+    assert document["layers"]["workload"] == "analyze-archives"
 
 
 def test_smoke_without_out_writes_no_report(tmp_path, monkeypatch):

@@ -4,9 +4,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.dprof.cachesim import DProfCacheSim
-from repro.dprof.records import AddressSet
+from repro.dprof.records import AddressSet, PathTrace, PathTraceEntry
 from repro.hw.cache import CacheGeometry
 from repro.util.rng import DeterministicRng
+from tests.cachesim_oracle import OracleCacheSim
 
 slow = settings(
     max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -67,3 +68,86 @@ def test_conflict_sets_monotone_in_factor(aset, factor):
     tight = set(result.conflict_sets(factor))
     # Raising the threshold can only shrink the suspect set.
     assert tight <= loose
+
+
+# ----------------------------------------------------------------------
+# Differential: the lean replay against the readable oracle
+# ----------------------------------------------------------------------
+
+TYPES = ("a", "b", "c")
+
+
+@st.composite
+def reused_address_sets(draw):
+    """Allocations over a small pool of bases, so addresses are reused
+    after a free, live objects share lines, and sets overflow."""
+    aset = AddressSet()
+    live: list[tuple[int, int]] = []
+    cycle = 0
+    for cookie in range(draw(st.integers(min_value=1, max_value=40))):
+        if live and draw(st.booleans()):
+            base, live_cookie = live.pop(draw(st.integers(0, len(live) - 1)))
+            cycle += draw(st.integers(0, 50))
+            aset.record_free(base, live_cookie, 0, cycle)
+        cycle += draw(st.integers(0, 50))
+        base = draw(st.integers(0, 31)) * 64 + draw(st.sampled_from([0, 8, 40]))
+        size = draw(st.sampled_from([8, 64, 100, 192, 256]))
+        aset.record_alloc(draw(st.sampled_from(TYPES)), base, size, cookie, 0, cycle)
+        live.append((base, cookie))
+    return aset
+
+
+@st.composite
+def path_trace_sets(draw):
+    """type -> path traces whose entries re-touch (and overrun) objects."""
+    traces = {}
+    for type_name in TYPES:
+        traces[type_name] = [
+            PathTrace(
+                type_name=type_name,
+                entries=[
+                    PathTraceEntry(
+                        ip=i,
+                        fn=f"f{i}",
+                        cpu_changed=False,
+                        offsets=(lo, lo + draw(st.integers(0, 200))),
+                        is_write=False,
+                        mean_time=draw(st.sampled_from([0, 5, 17.5, 40, 300.25])),
+                    )
+                    for i, lo in enumerate(
+                        draw(st.lists(st.integers(0, 255), min_size=1, max_size=5))
+                    )
+                ],
+                frequency=draw(st.integers(1, 5)),
+            )
+            for _ in range(draw(st.integers(0, 3)))
+        ]
+    return traces
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    reused_address_sets(),
+    path_trace_sets(),
+    st.sampled_from([(512, 1), (1024, 2), (2048, 4)]),
+    st.integers(1, 16),
+    st.integers(1, 50),
+    st.integers(0, 2**16),
+)
+def test_replay_matches_oracle(aset, traces, geometry, snapshot_every, max_objects, seed):
+    size, ways = geometry
+    results = []
+    for sim_class in (DProfCacheSim, OracleCacheSim):
+        sim = sim_class(CacheGeometry(size, ways, 64), DeterministicRng(seed, "diff"))
+        # Snapshot often, so small inputs exercise the resident counts.
+        sim.SNAPSHOT_EVERY = snapshot_every
+        results.append(sim.simulate(aset, traces, max_objects=max_objects))
+    lean, oracle = results
+    assert lean.distinct_lines_per_set == oracle.distinct_lines_per_set
+    assert lean.set_type_instances == oracle.set_type_instances
+    assert {i: c.most_common() for i, c in lean.set_type_instances.items()} == {
+        i: c.most_common() for i, c in oracle.set_type_instances.items()
+    }
+    assert lean.mean_resident_lines == oracle.mean_resident_lines
+    assert lean.objects_simulated == oracle.objects_simulated
+    assert lean.accesses_simulated == oracle.accesses_simulated

@@ -3,7 +3,8 @@
 A cached view is keyed by (cache version, archive digest, view name,
 params); the archive digest pins the raw input bytes, so a hit can never
 be stale.  These tests pin the key discipline, hit/miss accounting, the
-warm==cold text guarantee, temp-file sweeping, and the metrics export.
+warm==cold text guarantee, temp-file sweeping, the metrics export, and
+how often a render decodes its archive.
 """
 
 import json
@@ -19,8 +20,10 @@ from repro.kernel import Kernel
 from repro.kernel.net import NetStack
 from repro.kernel.net.stack import Arrival
 from repro.kernel.net.udp import udp_rcv, udp_recvmsg, udp_sendmsg, udp_sock_create
+import repro.serve.store as store_module
 from repro.serve.metrics import ServeMetrics
 from repro.serve.store import TMP_PREFIX, VIEW_SUFFIX, ViewCache
+from tests.test_golden_views import VIEWS
 
 
 @pytest.fixture(scope="module")
@@ -171,3 +174,58 @@ def test_metrics_export_view_cache_counters():
     rendered = m.render(0, 0)
     assert "repro_serve_view_cache_hits 7" in rendered
     assert "repro_serve_view_cache_misses 3" in rendered
+
+
+# ----------------------------------------------------------------------
+# Decodes: one per full view set, never carried across digests
+# ----------------------------------------------------------------------
+
+@pytest.fixture
+def decodes(monkeypatch):
+    """Archive file names, one per ``load_session`` call by the store."""
+    calls = []
+    real = store_module.load_session
+
+    def counting(path):
+        calls.append(path.name)
+        return real(path)
+
+    monkeypatch.setattr(store_module, "load_session", counting)
+    return calls
+
+
+class TestDecodeSlot:
+    def test_full_view_set_decodes_once(self, store, decodes):
+        s, digest = store
+        for view, type_name in VIEWS:
+            s.render_view(digest, view, type_name=type_name, use_cache=False)
+        assert len(decodes) == 1
+
+    def test_other_digest_replaces_the_slot(self, store, archive_text, decodes):
+        s, a = store
+        # Same session, other bytes: a second digest.
+        b = s.put_text(json.dumps(json.loads(archive_text), indent=1))
+        assert b != a
+        # A different view each time: only the digest forces the decode.
+        for digest, view in ((a, "data-profile"), (b, "working-set"), (a, "quality")):
+            s.render_view(digest, view, use_cache=False)
+        assert decodes == [s.path_for(d).name for d in (a, b, a)]
+
+    def test_repeated_cold_render_decodes_again(self, store, decodes):
+        s, digest = store
+        first = s.render_view(digest, "working-set", use_cache=False)
+        again = s.render_view(digest, "working-set", use_cache=False)
+        assert again == first
+        assert len(decodes) == 2
+
+    def test_view_cache_hit_does_not_decode(self, store, decodes):
+        s, digest = store
+        s.render_view(digest, "quality")
+        s.render_view(digest, "quality")
+        assert len(decodes) == 1
+
+    def test_open_always_decodes(self, store, decodes):
+        s, digest = store
+        s.render_view(digest, "data-profile", use_cache=False)
+        assert s.open(digest) is not s.open(digest)
+        assert len(decodes) == 3
