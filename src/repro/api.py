@@ -33,8 +33,8 @@ are breaking changes.
 from __future__ import annotations
 
 from repro.config import RunConfig
-from repro.dprof.analysis import analyze_histories
 from repro.dprof.diagnosis import Diagnosis, Finding
+from repro.dprof.pathtrace import analyze_histories
 from repro.dprof.profiler import DProf, DProfConfig
 from repro.dprof.quality import DataQuality
 from repro.dprof.session_io import OfflineSession, export_session, load_session

@@ -432,7 +432,7 @@ class HistoryCollector:
         """All histories grouped by type, in collection order.
 
         One pass instead of one :meth:`histories_for` scan per type; the
-        analysis driver (:func:`~repro.dprof.analysis.analyze_histories`)
+        analysis driver (:func:`~repro.dprof.pathtrace.analyze_histories`)
         consumes this grouping directly.
         """
         grouped: dict[str, list[ObjectAccessHistory]] = {}

@@ -18,10 +18,8 @@ Combines the two raw data sets into per-(type, execution path) traces:
    (type, offset, ip) key, producing :class:`~repro.dprof.records.PathTrace`
    rows shaped like the paper's Table 4.1.
 
-:class:`PathTraceBuilder` is the straightforward statement of these
-steps.  The profiler runs the bit-identical
-:class:`~repro.dprof.analysis.IndexedPathTraceBuilder`; this one is kept
-as the oracle ``tests/test_analysis_equivalence.py`` checks it against.
+:class:`PathTraceBuilder` is the one implementation of these steps;
+:func:`analyze_histories` runs it over every profiled type.
 """
 
 from __future__ import annotations
@@ -37,23 +35,23 @@ from repro.dprof.records import (
 )
 from repro.hw.events import CacheLevel
 from repro.kernel.symbols import SymbolTable
+from repro.trace import NULL_TRACER
 from repro.util.stats import OnlineStats
 
 #: "No offset observed yet" sentinel for an event's low byte bound; far
-#: above any real object offset.  Shared with the indexed pipeline in
-#: :mod:`repro.dprof.analysis`, which must replicate it bit-for-bit.
+#: above any real object offset.
 OFFSET_SENTINEL = 1 << 62
 
 
 def canonical_trace_order(traces) -> list[PathTrace]:
     """Path traces by descending frequency with a *stable* tie-break.
 
-    Equal-frequency traces used to keep whatever dict-insertion order the
-    builder happened to produce; content-addressed caching and the
-    indexed/reference equivalence contract both need a total order that
-    depends only on the traces themselves, so ties break on (type name,
-    path key).  Path keys are unique per trace after deduplication, so
-    the result is fully determined.
+    Equal-frequency traces would otherwise keep whatever dict-insertion
+    order the builder happened to produce; content-addressed view caching
+    and the pinned view digests need a total order that depends only on
+    the traces themselves, so ties break on (type name, path key).  Path
+    keys are unique per trace after deduplication, so the result is fully
+    determined.
     """
     return sorted(
         traces, key=lambda t: (-t.frequency, t.type_name, t.path_key())
@@ -337,3 +335,33 @@ def _chunk_of(history: ObjectAccessHistory, offset: int) -> tuple[int, int] | No
         if lo <= offset < lo + length:
             return chunk
     return None
+
+
+def analyze_histories(
+    symbols: SymbolTable,
+    sampler,
+    histories: list[ObjectAccessHistory] | dict[str, list[ObjectAccessHistory]],
+    *,
+    tracer=None,
+) -> dict[str, list[PathTrace]]:
+    """Path traces for every type, keyed (and ordered) by type name.
+
+    ``histories`` is a flat list or an already-grouped ``{type: [...]}``
+    dict; ``sampler`` may be a live collector, an offline sampler, or
+    None.  When a :class:`repro.trace.Tracer` is passed, the whole call
+    is wrapped in an ``analysis`` span.
+    """
+    if isinstance(histories, dict):
+        by_type = histories
+    else:
+        by_type = {}
+        for history in histories:
+            by_type.setdefault(history.type_name, []).append(history)
+    if tracer is None:
+        tracer = NULL_TRACER
+    builder = PathTraceBuilder(symbols, sampler)
+    with tracer.span("analysis", types=len(by_type)):
+        return {
+            type_name: builder.build(type_name, by_type[type_name])
+            for type_name in sorted(by_type)
+        }

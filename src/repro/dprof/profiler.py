@@ -20,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.dprof.access_sampler import AccessSampleCollector
-from repro.dprof.analysis import IndexedPathTraceBuilder, analyze_histories
 from repro.dprof.cachesim import DProfCacheSim, WorkingSetSimResult
 from repro.dprof.history import DEFAULT_CHUNK_SIZE, HistoryCollector
+from repro.dprof.pathtrace import PathTraceBuilder, analyze_histories
 from repro.dprof.quality import DataQuality
 from repro.dprof.records import AddressSet, PathTrace
 from repro.dprof.resolver import TypeResolver
@@ -249,7 +249,7 @@ class DProf:
         """Path traces for one type (built lazily, cached)."""
         cached = self._traces_cache.get(type_name)
         if cached is None:
-            builder = IndexedPathTraceBuilder(self.kernel.symbols, self.sampler)
+            builder = PathTraceBuilder(self.kernel.symbols, self.sampler)
             cached = builder.build(type_name, self.history.histories_for(type_name))
             self._traces_cache[type_name] = cached
         return cached

@@ -25,8 +25,8 @@ import json
 import os
 from pathlib import Path
 
-from repro.dprof.analysis import IndexedPathTraceBuilder, analyze_histories
 from repro.dprof.cachesim import DProfCacheSim, WorkingSetSimResult
+from repro.dprof.pathtrace import PathTraceBuilder, analyze_histories
 from repro.dprof.quality import DataQuality
 from repro.dprof.records import (
     AccessStats,
@@ -326,7 +326,7 @@ class OfflineSession:
     def path_traces(self, type_name: str):
         cached = self._traces_cache.get(type_name)
         if cached is None:
-            builder = IndexedPathTraceBuilder(self.symbols, self.sampler)
+            builder = PathTraceBuilder(self.symbols, self.sampler)
             relevant = [h for h in self.histories if h.type_name == type_name]
             cached = builder.build(type_name, relevant)
             self._traces_cache[type_name] = cached

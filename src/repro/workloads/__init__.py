@@ -24,8 +24,8 @@ from repro.workloads import synthetic as _synthetic
 from repro.workloads.kernels import KERNEL_FAMILIES, KernelSpec
 
 #: Uniform scenario entry points: name -> drive(kernel, duration_cycles).
-#: Used by ``repro.bench``, ``repro.serve``, and the hierarchy-equivalence
-#: tests to run each workload identically everywhere.
+#: Used by ``repro.serve``, the CLI and the hierarchy-equivalence tests
+#: to run each workload identically everywhere.
 SCENARIOS = {
     "memcached": _memcached.drive,
     "apache": _apache.drive,

@@ -1,13 +1,24 @@
 """Tests for path trace construction: clustering, merging, augmentation."""
 
-from repro.dprof.pathtrace import PathTraceBuilder, canonical_trace_order
+import random
+
+import pytest
+
+from repro.dprof.pathtrace import (
+    PathTraceBuilder,
+    analyze_histories,
+    canonical_trace_order,
+)
 from repro.dprof.records import HistoryElement, ObjectAccessHistory
 from repro.kernel.symbols import SymbolTable
+from repro.trace import Tracer
 
 
-def make_history(chunks, elements, base=0x1000, cookie=1, alloc_cpu=0):
+def make_history(
+    chunks, elements, base=0x1000, cookie=1, alloc_cpu=0, type_name="widget"
+):
     h = ObjectAccessHistory(
-        type_name="widget",
+        type_name=type_name,
         object_base=base,
         object_cookie=cookie,
         offsets=tuple(chunks),
@@ -215,3 +226,51 @@ class TestUniquePaths:
         h3 = make_history([(0, 4)], [(0, ips["send"], 0, 10, False)], cookie=3)
         paths = PathTraceBuilder.unique_paths([h1, h2, h3])
         assert len(paths) == 2  # h1 and h2 share a signature
+
+
+def multi_type_corpus(seed):
+    """Pairwise and single-chunk histories of three types, keyed in
+    unsorted order; a pure function of *seed*."""
+    rng = random.Random(seed)
+    symbols = SymbolTable()
+    ips = [symbols.ip_for(f"step{i}_fn", "r") for i in range(8)]
+    chunks = [(0, 4), (8, 4), (16, 4)]
+    corpus = {}
+    for type_name in ("zeta", "alpha", "mid"):
+        histories = []
+        for cookie in range(24):
+            watched = tuple(rng.sample(chunks, rng.choice((1, 2))))
+            path = rng.randrange(3)
+            elements, time = [], 0
+            for step in range(5):
+                chunk = chunks[(path + step) % len(chunks)]
+                time += rng.randint(5, 40)
+                if chunk in watched:
+                    elements.append(
+                        (chunk[0], ips[path + step], step % 2, time, step == 0)
+                    )
+            histories.append(
+                make_history(watched, elements, cookie=cookie, type_name=type_name)
+            )
+        corpus[type_name] = histories
+    return symbols, corpus
+
+
+@pytest.mark.parametrize("seed", (3, 7, 11, 23, 42))
+def test_analyze_histories_flat_and_grouped_agree(seed):
+    # Grouped or flat input, every type's traces are exactly what the
+    # builder gives for that type alone, keyed in sorted type order, and
+    # each call is one ``analysis`` span.
+    symbols, corpus = multi_type_corpus(seed)
+    builder = PathTraceBuilder(symbols)
+    expected = {name: builder.build(name, corpus[name]) for name in sorted(corpus)}
+    assert all(expected.values())
+    # Types interleaved; each type's own histories keep their order
+    # (family clustering is first-fit, so that order matters).
+    flat = [h for group in zip(*corpus.values()) for h in group]
+    for histories in (corpus, flat):
+        tracer = Tracer(seed=seed)
+        got = analyze_histories(symbols, None, histories, tracer=tracer)
+        assert list(got) == ["alpha", "mid", "zeta"]
+        assert got == expected
+        assert [span.name for span in tracer.spans] == ["analysis"]

@@ -1,8 +1,9 @@
-"""Validation: DProf's classification vs the simulator's ground truth.
+"""Validation: the simulator's ground truth on the synthetic workloads.
 
-Each synthetic workload produces one dominant miss class *by construction*;
-the hardware model's ground truth and DProf's statistical inference must
-both identify it.
+Each synthetic workload produces one dominant miss class *by construction*.
+These tests check that the hardware model's ground truth (the miss kind,
+writer ranges and cache sets it records per access) shows that class.
+They do not score DProf's inferred miss classification.
 """
 
 from collections import Counter
