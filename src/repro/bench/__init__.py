@@ -139,9 +139,9 @@ _END_TO_END_METRIC_SCHEMA = {
     "change_wins": int,
 }
 _QUARTILES_SCHEMA = {"median": _NUMBER, "q1": _NUMBER, "q3": _NUMBER}
-#: ``layers``: one traced run's per-layer rows, before and after.
+#: ``layers``: per workload, one traced run's per-layer rows, before
+#: and after.  The section maps each workload name to one such entry.
 _LAYERS_SCHEMA = {
-    "workload": str,
     "seed": int,
     "seconds": _NUMBER,
     "parent_commit": str,
@@ -247,14 +247,20 @@ def _check_end_to_end(section: Any) -> None:
 def _check_layers(section: Any) -> None:
     if not isinstance(section, dict):
         raise BenchFormatError("layers is not an object")
-    _check_fields(section, _LAYERS_SCHEMA, "layers")
-    if not section["rows"]:
-        raise BenchFormatError("layers has no rows")
-    for name, row in section["rows"].items():
-        where = f"layers.rows[{name!r}]"
-        if not isinstance(row, dict):
-            raise BenchFormatError(f"{where}: row is not an object")
-        _check_fields(row, _LAYER_ROW_SCHEMA, where)
+    if not section:
+        raise BenchFormatError("layers has no workloads")
+    for workload, entry in section.items():
+        where = f"layers[{workload!r}]"
+        if not isinstance(entry, dict):
+            raise BenchFormatError(f"{where}: entry is not an object")
+        _check_fields(entry, _LAYERS_SCHEMA, where)
+        if not entry["rows"]:
+            raise BenchFormatError(f"{where} has no rows")
+        for name, row in entry["rows"].items():
+            row_where = f"{where}.rows[{name!r}]"
+            if not isinstance(row, dict):
+                raise BenchFormatError(f"{row_where}: row is not an object")
+            _check_fields(row, _LAYER_ROW_SCHEMA, row_where)
 
 
 #: Every benchmark section a report may carry, with its checker.

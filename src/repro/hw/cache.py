@@ -10,9 +10,9 @@ capacity-miss classes.
 Two arrays make the same replacement decisions:
 
 - :class:`FastCacheArray`, which the machine's
-  :class:`~repro.hw.hierarchy.MemoryHierarchy` builds: each set maps its
-  resident lines to recency stamps, so a hit rewrites one stamp and the
-  victim is the minimum stamp;
+  :class:`~repro.hw.hierarchy.MemoryHierarchy` builds: each set is a
+  plain dict kept in LRU order by insertion, so a hit deletes and
+  re-inserts one key and the victim is the first key;
 - :class:`CacheArray`, the readable oracle the
   :class:`~repro.hw.hierarchy.ReferenceHierarchy` builds: each set is an
   ``OrderedDict`` used as an LRU queue.
@@ -126,8 +126,8 @@ class CacheArray:
     def lru_snapshot(self) -> tuple[tuple[int, ...], ...]:
         """Per-set lines in replacement order (next victim first).
 
-        :class:`FastCacheArray` produces the same shape from its recency
-        stamps, so the differential tests can compare full replacement
+        :class:`FastCacheArray` produces the same shape from its dict
+        order, so the differential tests can compare full replacement
         state against this oracle.
         """
         return tuple(tuple(bucket.keys()) for bucket in self._sets)
@@ -145,14 +145,15 @@ class CacheArray:
 
 
 class FastCacheArray:
-    """The machine's cache array: per-set recency stamps.
+    """The machine's cache array: per-set insertion-ordered dicts.
 
-    Each set is a dict from resident line to the stamp of its last use.
-    Stamps come from one per-cache monotonic clock, so the victim on a
-    full-set insert (the minimum stamp) is always unique and exactly the
-    line :class:`CacheArray` would evict.  The machine's hierarchy probes
-    ``_sets``, ``_nsets`` and ``_clock`` inline on its L1-hit path; every
-    other caller goes through the methods.
+    Each set is a plain dict whose insertion order is the LRU order, least
+    recent first: a hit or a re-insert deletes the line and re-inserts it
+    at the end, and the victim on a full-set insert is the first key.
+    That is the order :class:`CacheArray` keeps with ``move_to_end``, so
+    both arrays evict the same lines.  The machine's hierarchy probes
+    ``_sets`` and ``_nsets`` inline on its L1-hit path; every other
+    caller goes through the methods.
     """
 
     def __init__(self, geometry: CacheGeometry, name: str = "cache") -> None:
@@ -160,18 +161,17 @@ class FastCacheArray:
         self.name = name
         self._nsets = geometry.num_sets
         self._ways = geometry.ways
-        self._sets: list[dict[int, int]] = [{} for _ in range(self._nsets)]
-        self._clock = 0
+        self._sets: list[dict[int, None]] = [{} for _ in range(self._nsets)]
         self.hits = 0
         self.misses = 0
         self.evictions = 0
 
     def lookup(self, line: int) -> bool:
-        """Probe for *line*; refresh its recency stamp on a hit."""
-        stamps = self._sets[line % self._nsets]
-        if line in stamps:
-            self._clock += 1
-            stamps[line] = self._clock
+        """Probe for *line*; move it to most recent on a hit."""
+        bucket = self._sets[line % self._nsets]
+        if line in bucket:
+            del bucket[line]
+            bucket[line] = None
             self.hits += 1
             return True
         self.misses += 1
@@ -183,46 +183,48 @@ class FastCacheArray:
 
     def insert(self, line: int) -> int | None:
         """Insert *line*, returning the evicted victim line if the set was full."""
-        stamps = self._sets[line % self._nsets]
-        self._clock += 1
-        if line in stamps:
-            stamps[line] = self._clock
+        bucket = self._sets[line % self._nsets]
+        if line in bucket:
+            del bucket[line]
+            bucket[line] = None
             return None
         victim = None
-        if len(stamps) >= self._ways:
-            victim = min(stamps, key=stamps.__getitem__)
-            del stamps[victim]
+        if len(bucket) >= self._ways:
+            victim = next(iter(bucket))
+            del bucket[victim]
             self.evictions += 1
-        stamps[line] = self._clock
+        bucket[line] = None
         return victim
 
     def remove(self, line: int) -> bool:
         """Drop *line* if present (invalidation); returns whether it was there."""
-        return self._sets[line % self._nsets].pop(line, None) is not None
+        bucket = self._sets[line % self._nsets]
+        if line in bucket:
+            del bucket[line]
+            return True
+        return False
 
     def occupancy(self) -> int:
         """Number of lines currently resident."""
-        return sum(len(stamps) for stamps in self._sets)
+        return sum(len(bucket) for bucket in self._sets)
 
     def set_occupancy(self, set_index: int) -> int:
         """Number of lines resident in one associativity set."""
         return len(self._sets[set_index])
 
     def lines(self):
-        """Iterate over resident lines, oldest-first per set (reference order)."""
-        for stamps in self._sets:
-            yield from sorted(stamps, key=stamps.__getitem__)
+        """Iterate over resident lines, least recent first per set."""
+        for bucket in self._sets:
+            yield from bucket
 
     def lru_snapshot(self) -> tuple[tuple[int, ...], ...]:
         """Per-set lines in replacement order (next victim first)."""
-        return tuple(
-            tuple(sorted(stamps, key=stamps.__getitem__)) for stamps in self._sets
-        )
+        return tuple(tuple(bucket) for bucket in self._sets)
 
     def clear(self) -> None:
         """Empty the cache (used between profiling runs)."""
-        for stamps in self._sets:
-            stamps.clear()
+        for bucket in self._sets:
+            bucket.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -22,7 +22,8 @@ Two independent implementations make exactly the same decisions:
   :class:`~repro.hw.cache.FastCacheArray` and
   :class:`~repro.hw.coherence.FastDirectory`, and its :meth:`access` is
   fused: a single-line L1 hit is probed, counted and (for a write with no
-  other holder) marked dirty inline, without a per-line call.
+  other holder) marked dirty inline, without a per-line call, and
+  returns one of two shared, preallocated results.
 - :class:`ReferenceHierarchy` is the readable oracle, on
   :class:`~repro.hw.cache.CacheArray` and
   :class:`~repro.hw.coherence.Directory`, with its own per-line
@@ -280,6 +281,21 @@ class MemoryHierarchy(_Hierarchy):
     only marks the line dirty (no losers list, no ``record_write``).
     Misses, split-line accesses and invalidating writes take the per-line
     helpers below.
+
+    A single-line L1 hit returns one of two results preallocated per
+    hierarchy, ``(L1, l1)`` or ``(L1, l1 + upgrade)``, instead of a new
+    :class:`~repro.hw.events.AccessResult`.  Callers must read a result's
+    fields before the next access and never mutate it; every consumer in
+    the machine (IBS, PEBS, the watch manager, access and instruction
+    observers) copies the fields it keeps.  Misses and split-line
+    accesses still build a fresh result each time, because the split path
+    folds the later lines into the first line's result.
+
+    The hit path also skips the per-line accessor-mask update in
+    :class:`HierarchyStats`.  That update cannot change anything there: a
+    line enters cpu's L1 only through cpu's own access (a miss fill or an
+    L2 promotion; evictions only move lines down to L2 and L3), and that
+    access already set cpu's bit, which nothing ever clears.
     """
 
     cache_type = FastCacheArray
@@ -288,6 +304,10 @@ class MemoryHierarchy(_Hierarchy):
     def __init__(self, config: HierarchyConfig) -> None:
         super().__init__(config)
         self._l1_latency = config.latencies.l1
+        self._l1_hit = AccessResult(_L1, config.latencies.l1)
+        self._l1_upgrade_hit = AccessResult(
+            _L1, config.latencies.l1 + config.latencies.upgrade
+        )
 
     def access(
         self,
@@ -303,32 +323,35 @@ class MemoryHierarchy(_Hierarchy):
         Accesses spanning multiple lines (a field straddling a line
         boundary) touch each line in turn; the reported level is the worst
         one encountered and latencies add up, mirroring how a split access
-        stalls on its slowest half.
+        stalls on its slowest half.  A single-line L1 hit returns a shared
+        result (see the class docstring).
         """
         line_size = self.line_size
         first = addr // line_size
         last = (addr + size - 1) // line_size if size > 1 else first
-        bit = 1 << cpu
-        users = self.stats._line_users
+        stats = self.stats
         if first == last:
             l1 = self.l1[cpu]
-            stamps = l1._sets[first % l1._nsets]
-            if first in stamps:
-                l1._clock = stamps[first] = l1._clock + 1
+            bucket = l1._sets[first % l1._nsets]
+            if first in bucket:
+                del bucket[first]
+                bucket[first] = None
                 l1.hits += 1
-                latency = self._l1_latency
+                result = self._l1_hit
                 if is_write:
                     directory = self.directory
-                    if directory._holders.get(first, 0) == bit:
+                    if directory._holders.get(first, 0) == 1 << cpu:
                         directory._dirty[first] = cpu
-                    else:
-                        latency += self._write_upgrade(
-                            cpu, first, ip, addr, size, cycle
-                        )
-                result = AccessResult(_L1, latency)
-            else:
-                l1.misses += 1
-                result = self._l1_miss(cpu, first, is_write, ip, addr, size, cycle)
+                    elif self._write_upgrade(cpu, first, ip, addr, size, cycle):
+                        result = self._l1_upgrade_hit
+                stats.accesses += 1
+                stats.level_counts[_L1] += 1
+                stats.latency_by_level[_L1] += result.latency
+                return result
+            l1.misses += 1
+            result = self._l1_miss(cpu, first, is_write, ip, addr, size, cycle)
+            users = stats._line_users
+            bit = 1 << cpu
             mask = users.get(first, 0)
             if not mask & bit:
                 users[first] = mask | bit
@@ -342,9 +365,10 @@ class MemoryHierarchy(_Hierarchy):
                     result.miss_kind = extra.miss_kind
                     result.invalidation = extra.invalidation
                     result.eviction = extra.eviction
+            users = stats._line_users
+            bit = 1 << cpu
             for line in range(first, last + 1):
                 users[line] = users.get(line, 0) | bit
-        stats = self.stats
         level = result.level
         stats.accesses += 1
         stats.level_counts[level] += 1

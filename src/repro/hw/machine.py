@@ -125,6 +125,7 @@ class Machine:
         #: a core without scanning its run queue.
         self._live = [0] * self.config.ncores
         self._line_size = self.config.line_size
+        self._quantum = self.config.quantum
         self.threads: list[Thread] = []
         self.access_observers: list[AccessObserver] = []
         self.instr_observers: list[InstrObserver] = []
@@ -181,6 +182,12 @@ class Machine:
         """
         steps = 0
         probe = self.trace_probe
+        cores = self.cores
+        live = self._live
+        run_queues = self._run_queues
+        run_quantum = self._run_quantum
+        paused = Thread.PAUSED
+        done = Thread.DONE
         while True:
             if stop_when is not None and stop_when():
                 return
@@ -189,47 +196,45 @@ class Machine:
             steps += 1
             if probe is not None:
                 probe.tick(self)
-            core = self._pick_core(until_cycle)
-            if core is None:
+            # Pick the live core furthest behind (lowest cpu on a tie).
+            best = None
+            best_cycle = 0
+            for core in cores:
+                if not live[core.cpu]:
+                    continue
+                cycle = core.cycle
+                if until_cycle is not None and cycle >= until_cycle:
+                    continue
+                if best is None or cycle < best_cycle:
+                    best = core
+                    best_cycle = cycle
+            if best is None:
                 return
-            thread = self._next_thread(core)
+            # Round-robin over its run queue for a thread that can run.
+            queue = run_queues[best.cpu]
+            thread = None
+            for _ in range(len(queue)):
+                candidate = queue[0]
+                queue.rotate(-1)
+                state = candidate.state
+                if state == done:
+                    queue.remove(candidate)
+                    continue
+                if state == paused:
+                    if candidate.wake_at > best_cycle:
+                        continue
+                    candidate.state = Thread.RUNNABLE
+                thread = candidate
+                break
             if thread is None:
                 # Every thread on this core sleeps: jump to the next wake.
-                self._advance_to_wake(core, until_cycle)
+                self._advance_to_wake(best, until_cycle)
                 continue
-            self._run_quantum(core, thread)
+            run_quantum(best, thread)
 
     def elapsed_cycles(self) -> int:
         """Wall-clock proxy: the furthest-ahead core's cycle count."""
         return max(core.cycle for core in self.cores)
-
-    def _pick_core(self, until_cycle: int | None) -> Core | None:
-        best: Core | None = None
-        live = self._live
-        for core in self.cores:
-            if not live[core.cpu]:
-                continue
-            if until_cycle is not None and core.cycle >= until_cycle:
-                continue
-            if best is None or core.cycle < best.cycle:
-                best = core
-        return best
-
-    def _next_thread(self, core: Core) -> Thread | None:
-        queue = self._run_queues[core.cpu]
-        for _ in range(len(queue)):
-            thread = queue[0]
-            queue.rotate(-1)
-            if thread.done:
-                queue.remove(thread)
-                continue
-            if thread.state == Thread.PAUSED:
-                if thread.wake_at <= core.cycle:
-                    thread.state = Thread.RUNNABLE
-                else:
-                    continue
-            return thread
-        return None
 
     def _advance_to_wake(self, core: Core, until_cycle: int | None) -> None:
         queue = self._run_queues[core.cpu]
@@ -245,14 +250,14 @@ class Machine:
     def _run_quantum(self, core: Core, thread: Thread) -> None:
         body = thread.body
         execute = self.execute
-        for _ in range(self.config.quantum):
+        for _ in range(self._quantum):
             try:
                 item = next(body)
             except StopIteration:
                 thread.state = Thread.DONE
                 self._live[core.cpu] -= 1
                 return
-            if isinstance(item, Pause):
+            if item.__class__ is Pause:
                 thread.state = Thread.PAUSED
                 thread.wake_at = core.cycle + max(item.cycles, 1)
                 return
@@ -306,11 +311,12 @@ class Machine:
             if ibs_cost:
                 core.charge(ibs_cost, overhead=True)
 
-        for observer in self.instr_observers:
-            observer(core.cpu, instr, result, core.cycle)
-        if result is not None:
-            for observer in self.access_observers:
+        if self.instr_observers or self.access_observers:
+            for observer in self.instr_observers:
                 observer(core.cpu, instr, result, core.cycle)
+            if result is not None:
+                for observer in self.access_observers:
+                    observer(core.cpu, instr, result, core.cycle)
         return result
 
     # ------------------------------------------------------------------
@@ -359,10 +365,3 @@ class Machine:
     def total_cycles(self) -> int:
         """Sum of all core clocks (busy time proxy)."""
         return sum(core.cycle for core in self.cores)
-
-    def reset_counters(self) -> None:
-        """Zero per-core counters without touching caches or threads."""
-        for core in self.cores:
-            core.instructions = 0
-            core.mem_accesses = 0
-            core.overhead_cycles = 0

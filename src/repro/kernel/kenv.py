@@ -53,6 +53,8 @@ class KernelEnv:
         self._object_sites: dict[tuple, tuple[int, int, int]] = {}
         #: (fn, site label) -> ip, for raw-address and compute sites.
         self._label_ips: dict[tuple[str, str], int] = {}
+        #: (fn, site label, cycles) -> the shared compute instruction.
+        self._work_instrs: dict[tuple[str, str, int], Instr] = {}
 
     def _field_site(
         self, fn: str, kind: str, obj: KObject, field: str
@@ -135,8 +137,18 @@ class KernelEnv:
     # ------------------------------------------------------------------
 
     def work(self, fn: str, cycles: int, site: str = "compute") -> Instr:
-        """Pure compute: burns *cycles* without touching memory."""
-        return Instr("exec", fn, self._label_ip(fn, site), work=cycles)
+        """Pure compute: burns *cycles* without touching memory.
+
+        A compute instruction has no address, so one instance per
+        ``(fn, site, cycles)`` is built and yielded again each time;
+        consumers copy its fields and never mutate it.
+        """
+        key = (fn, site, cycles)
+        instr = self._work_instrs.get(key)
+        if instr is None:
+            instr = Instr("exec", fn, self._label_ip(fn, site), work=cycles)
+            self._work_instrs[key] = instr
+        return instr
 
     def bulk(
         self,

@@ -233,16 +233,17 @@ def _valid_end_to_end_section():
 
 def _valid_layers_section():
     return {
-        "workload": "profile-memcached",
-        "seed": 1,
-        "seconds": 5,
-        "parent_commit": "d4bd017",
-        "rows": {
-            "hw.hierarchy.access_s": {"unit": "s", "parent": 3.8, "change": 1.6},
-            "hw.machine.instructions": {
-                "unit": "count", "parent": 492495, "change": 492495,
+        "profile-memcached": {
+            "seed": 1,
+            "seconds": 5,
+            "parent_commit": "d4bd017",
+            "rows": {
+                "hw.hierarchy.access_s": {"unit": "s", "parent": 3.8, "change": 1.6},
+                "hw.machine.instructions": {
+                    "unit": "count", "parent": 492495, "change": 492495,
+                },
             },
-        },
+        }
     }
 
 
@@ -284,7 +285,9 @@ def test_rejects_end_to_end_without_workloads():
 def test_rejects_layer_row_without_change():
     document = _valid_document()
     document["layers"] = _valid_layers_section()
-    del document["layers"]["rows"]["hw.hierarchy.access_s"]["change"]
+    del document["layers"]["profile-memcached"]["rows"]["hw.hierarchy.access_s"][
+        "change"
+    ]
     with pytest.raises(BenchFormatError, match="change"):
         validate_report(document)
 
@@ -292,8 +295,19 @@ def test_rejects_layer_row_without_change():
 def test_rejects_empty_layers():
     document = _valid_document()
     document["layers"] = _valid_layers_section()
-    document["layers"]["rows"] = {}
+    document["layers"]["profile-memcached"]["rows"] = {}
     with pytest.raises(BenchFormatError, match="no rows"):
+        validate_report(document)
+    document["layers"] = {}
+    with pytest.raises(BenchFormatError, match="no workloads"):
+        validate_report(document)
+
+
+def test_rejects_layers_entry_missing_seed():
+    document = _valid_document()
+    document["layers"] = _valid_layers_section()
+    del document["layers"]["profile-memcached"]["seed"]
+    with pytest.raises(BenchFormatError, match="seed"):
         validate_report(document)
 
 
@@ -308,7 +322,12 @@ def test_checked_in_baseline_validates():
     assert set(document["end_to_end"]["workloads"]) == {
         "profile-memcached", "analyze-archives", "serve-jobs",
     }
-    assert document["layers"]["workload"] == "analyze-archives"
+    # Traced per-layer rows: the analyze-archives rows, and the
+    # profile-memcached rows whose counts the CI traced step gates on.
+    assert set(document["layers"]) == {"analyze-archives", "profile-memcached"}
+    rows = document["layers"]["profile-memcached"]["rows"]
+    assert rows["hw.machine.instructions"]["unit"] == "count"
+    assert rows["hw.machine.instructions"]["change"] > 0
 
 
 #: The smallest load sweep the CLI runs: one rate, two jobs.

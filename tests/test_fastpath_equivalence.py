@@ -6,8 +6,9 @@ no access code with it, is kept as the oracle.  Two layers of comparison:
 
 1. *Live machines*: a full workload run (5 seeds x every scenario) on
    each hierarchy must agree on every per-access outcome (level, miss
-   classification, latency, loss record), the hierarchy stats, cache
-   counters, complete LRU state, residual loss records, invalidation
+   classification, latency, loss record), the hierarchy stats (with the
+   metrics counters: latency by level, lines touched, lines shared),
+   cache counters, complete LRU state, residual loss records, invalidation
    count, and DProf's top-10 data-profile ranking.
 2. *Generated streams*: a seeded multi-core access stream that exercises
    every miss class, driven through both hierarchies in lockstep, must
@@ -52,7 +53,9 @@ def loss_records(hierarchy):
 
 def end_state(hierarchy) -> dict:
     return {
-        "stats": hierarchy.stats.snapshot(),
+        # metrics_counters() is snapshot() plus the per-level latency
+        # sums and the accessor-mask line counts.
+        "stats": hierarchy.stats.metrics_counters(),
         "counters": hierarchy.cache_counters(),
         "lru": hierarchy.replacement_snapshot(),
         "loss_records": loss_records(hierarchy),

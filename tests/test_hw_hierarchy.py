@@ -1,7 +1,11 @@
 """Tests for the MESI memory hierarchy and ground-truth miss causes."""
 
+from repro.dprof.profiler import DProf, DProfConfig
 from repro.hw.events import CacheLevel, MissKind
 from repro.hw.hierarchy import HierarchyConfig, Latencies, MemoryHierarchy
+from repro.hw.pebs import PebsEvent, PebsUnit
+from repro.workloads import MemcachedWorkload, build_kernel
+from tests.hierarchy_oracle import outcome_of
 
 
 def make_hierarchy(ncores=2, **kwargs):
@@ -149,3 +153,62 @@ def test_flush_all_forgets_everything():
     r = h.access(0, 0, 8, False, ip=2, cycle=1)
     assert r.level == CacheLevel.DRAM
     assert r.miss_kind == MissKind.COLD
+
+
+def test_shared_hit_results_survive_a_profiled_session():
+    """No consumer mutates the shared L1-hit results.
+
+    A 4-core memcached session runs with IBS (through DProf), PEBS, an
+    access observer and a debug-register history collection attached.
+    Afterwards the hierarchy's two preallocated hit results still read
+    ``(L1, l1)`` and ``(L1, l1 + upgrade)``, and a line-straddling
+    access, whose result the split path mutates, gets a fresh object.
+    """
+    kernel = build_kernel(4, seed=3)
+    machine = kernel.machine
+    hierarchy = machine.hierarchy
+    shared = (hierarchy._l1_hit, hierarchy._l1_upgrade_hit)
+    workload = MemcachedWorkload(kernel)
+    workload.setup()
+    workload.start()
+    kernel.run(until_cycle=50_000)
+
+    pebs_samples = []
+    pebs = PebsUnit(machine, PebsEvent(kind="all"), 37, pebs_samples.append)
+    pebs.attach()
+    seen = {"hit": 0, "upgrade": 0}
+
+    def observer(cpu, instr, result, cycle):
+        if result is shared[0]:
+            seen["hit"] += 1
+        elif result is shared[1]:
+            seen["upgrade"] += 1
+
+    machine.add_access_observer(observer)
+    dprof = DProf(kernel, DProfConfig(ibs_interval=50))
+    dprof.attach()
+    kernel.run(until_cycle=kernel.elapsed_cycles() + 150_000)
+    dprof.collect_histories("skbuff", sets=1, hot_chunks=2)
+    kernel.run(
+        until_cycle=kernel.elapsed_cycles() + 3_000_000,
+        stop_when=lambda: dprof.histories_done,
+    )
+    dprof.detach()
+    pebs.detach()
+    machine.remove_access_observer(observer)
+
+    delivered, _dropped, _corrupted = machine.ibs_delivery_counts()
+    assert delivered > 0 and pebs_samples and machine.watches.traps_delivered > 0
+    assert seen["hit"] > 0 and seen["upgrade"] > 0, seen
+    lat = hierarchy.latencies
+    assert outcome_of(shared[0]) == (CacheLevel.L1, lat.l1, None, None, None)
+    assert outcome_of(shared[1]) == (
+        CacheLevel.L1, lat.l1 + lat.upgrade, None, None, None,
+    )
+
+    addr = 0x7F00_0000 + 60  # bytes 60..67 straddle two lines
+    hierarchy.access(0, addr, 8, False, ip=1, cycle=machine.elapsed_cycles())
+    split = hierarchy.access(0, addr, 8, False, ip=1, cycle=machine.elapsed_cycles())
+    assert split is not shared[0] and split is not shared[1]
+    assert outcome_of(split) == (CacheLevel.L1, 2 * lat.l1, None, None, None)
+    assert outcome_of(shared[0]) == (CacheLevel.L1, lat.l1, None, None, None)
