@@ -18,8 +18,10 @@ view is to estimate cache contents from the two raw data sets alone.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import accumulate
 from operator import itemgetter
 
 from repro.dprof.records import AddressSet, AddressSetEntry, PathTrace
@@ -119,13 +121,29 @@ class DProfCacheSim:
         entries: list[AddressSetEntry],
         traces_by_type: dict[str, list[PathTrace]],
     ) -> list[tuple]:
-        """(time, kind, obj_id, entry, lines) events for each sampled object."""
+        """(time, kind, obj_id, entry, lines) events for each sampled object.
+
+        ``kind`` is ``"alloc"`` for an object's first event (its whole
+        footprint), ``"touch"`` for a trace span inside the footprint
+        that cannot precede the allocation, ``"access"`` for any other
+        span, and ``"free"``.  :meth:`_replay` does the conflict
+        bookkeeping of an object once, from its ``"alloc"`` event, and
+        skips it for ``"touch"`` events, which add no line, set or
+        object the allocation has not already added.
+        """
         line_size = self.geometry.line_size
         events: list[tuple] = []
         append = events.append
-        # trace id -> (mean time, first byte offset, last byte offset)
-        # per entry; a trace is picked for many objects.
-        spans: dict[int, list[tuple[float, int, int]]] = {}
+        # Running frequency totals per type, for the trace picks.
+        cumulative = {
+            name: list(accumulate(t.frequency for t in traces))
+            for name, traces in traces_by_type.items()
+        }
+        # (trace id, byte offset of the object in its first line, lines
+        # in the footprint) -> (mean time, kind, first line, end line)
+        # per trace entry, with lines relative to the object's first
+        # line; a trace is picked for many objects of few shapes.
+        spans: dict[tuple[int, int, int], list[tuple[float, str, int, int]]] = {}
         for obj_id, entry in enumerate(entries):
             # Every sampled object occupies its full footprint from
             # allocation: the address set records whole objects, and the
@@ -135,35 +153,47 @@ class DProfCacheSim:
             base = entry.base
             alloc = entry.alloc_cycle
             all_lines = _lines(base, entry.size, line_size)
-            append((alloc, "access", obj_id, entry, all_lines))
-            trace = self._pick_trace(traces_by_type.get(entry.type_name))
+            append((alloc, "alloc", obj_id, entry, all_lines))
+            type_name = entry.type_name
+            trace = self._pick_trace(
+                traces_by_type.get(type_name), cumulative.get(type_name)
+            )
             if trace is not None:
-                trace_spans = spans.get(id(trace))
+                offset, footprint = base % line_size, len(all_lines)
+                key = (id(trace), offset, footprint)
+                trace_spans = spans.get(key)
                 if trace_spans is None:
-                    trace_spans = spans[id(trace)] = [
-                        (pt.mean_time, pt.offsets[0], max(pt.offsets[1] - 1, pt.offsets[0]))
-                        for pt in trace.entries
-                    ]
-                for mean_time, first, last in trace_spans:
-                    lines = range(
-                        (base + first) // line_size, (base + last) // line_size + 1
+                    trace_spans = spans[key] = _relative_spans(
+                        trace, offset, footprint, line_size
                     )
-                    append((alloc + mean_time, "access", obj_id, entry, lines))
+                first_line = all_lines.start
+                for mean_time, kind, start, stop in trace_spans:
+                    append(
+                        (
+                            alloc + mean_time,
+                            kind,
+                            obj_id,
+                            entry,
+                            range(first_line + start, first_line + stop),
+                        )
+                    )
             if entry.free_cycle is not None:
                 append((entry.free_cycle, "free", obj_id, entry, all_lines))
         return events
 
-    def _pick_trace(self, traces: list[PathTrace] | None) -> PathTrace | None:
+    def _pick_trace(
+        self, traces: list[PathTrace] | None, cumulative: list[int] | None
+    ) -> PathTrace | None:
+        """Pick one trace, weighted by frequency (one draw per pick).
+
+        ``cumulative`` holds the running frequency totals of ``traces``;
+        the pick is the first trace whose total reaches the draw.
+        """
         if not traces:
             return None
-        total = sum(t.frequency for t in traces)
-        pick = self.rng.randint(1, max(total, 1))
-        running = 0
-        for trace in traces:
-            running += trace.frequency
-            if pick <= running:
-                return trace
-        return traces[-1]
+        pick = self.rng.randint(1, max(cumulative[-1], 1))
+        index = bisect_left(cumulative, pick)
+        return traces[index] if index < len(traces) else traces[-1]
 
     # ------------------------------------------------------------------
     # Replay
@@ -178,24 +208,39 @@ class DProfCacheSim:
         :class:`~repro.hw.cache.CacheArray`.  Resident lines per type
         are counted as lines come and go, so an occupancy snapshot adds
         up the types rather than the lines.
+
+        The conflict bookkeeping (distinct lines and object instances
+        per set) is done per object, not per line.  An object's
+        footprint is a contiguous line range, so the sets it covers are
+        fixed by (first set, set count): objects are counted per such
+        shape and each shape is spread over its sets at the end.  The
+        lines of ``"access"`` spans are walked one by one: they count
+        the object in sets outside its footprint's, and may reach a set
+        before the allocation does.  The order in which types first
+        reach a set (which breaks ``Counter.most_common`` ties) is
+        recovered from the event index at which each shape or span pair
+        first appeared.
         """
         nsets = self.geometry.num_sets
         ways = self.geometry.ways
+        line_size = self.geometry.line_size
         snapshot_every = self.SNAPSHOT_EVERY
         sets: list[dict[int, str]] = [{} for _ in range(nsets)]
         result = WorkingSetSimResult(geometry=self.geometry)
-        distinct: dict[int, set[int]] = defaultdict(set)
-        set_instances: dict[int, dict[str, set[int]]] = defaultdict(
-            lambda: defaultdict(set)
-        )
+        touched_lines: set[int] = set()
+        # (type, first set, set count) -> [first event index, objects]
+        shapes: dict[tuple[str, int, int], list[int]] = {}
+        # (set, type) -> (first event index, object ids) for the lines of
+        # "access" spans; only objects outside their footprint's sets
+        # are added, as the footprint shape already counts the rest.
+        span_pairs: dict[tuple[int, str], tuple[int, set[int]]] = {}
         resident: dict[str, int] = {}
         resident_accumulator: Counter = Counter()
         snapshots = 0
         accesses = 0
-        seen_objects: set[int] = set()
+        objects = 0
 
-        for _time, kind, obj_id, entry, lines in events:
-            seen_objects.add(obj_id)
+        for index, (_time, kind, obj_id, entry, lines) in enumerate(events):
             if kind == "free":
                 for line in lines:
                     owner = sets[line % nsets].pop(line, None)
@@ -203,11 +248,35 @@ class DProfCacheSim:
                         resident[owner] -= 1
                 continue
             type_name = entry.type_name
+            if kind == "alloc":
+                objects += 1
+                touched_lines.update(lines)
+                count = len(lines)
+                key = (
+                    (type_name, lines.start % nsets, count)
+                    if count < nsets
+                    else (type_name, 0, nsets)
+                )
+                shape = shapes.get(key)
+                if shape is None:
+                    shapes[key] = [index, 1]
+                else:
+                    shape[1] += 1
+            elif kind == "access":
+                touched_lines.update(lines)
+                footprint = _lines(entry.base, entry.size, line_size)
+                first_set = footprint.start % nsets
+                covered = len(footprint)
+                for line in lines:
+                    set_index = line % nsets
+                    pair = span_pairs.get((set_index, type_name))
+                    if pair is None:
+                        pair = span_pairs[(set_index, type_name)] = (index, set())
+                    if (set_index - first_set) % nsets >= covered:
+                        pair[1].add(obj_id)
+
             for line in lines:
-                set_index = line % nsets
-                distinct[set_index].add(line)
-                set_instances[set_index][type_name].add(obj_id)
-                bucket = sets[set_index]
+                bucket = sets[line % nsets]
                 owner = bucket.pop(line, None)
                 if owner is not None:
                     resident[owner] -= 1
@@ -222,20 +291,69 @@ class DProfCacheSim:
                         if count:
                             resident_accumulator[name] += count
 
-        result.objects_simulated = len(seen_objects)
+        result.objects_simulated = objects
         result.accesses_simulated = accesses
-        result.distinct_lines_per_set = {
-            idx: len(lines) for idx, lines in distinct.items()
-        }
-        result.set_type_instances = {
-            idx: Counter({t: len(objs) for t, objs in per_type.items()})
-            for idx, per_type in set_instances.items()
-        }
+        distinct = Counter(line % nsets for line in touched_lines)
+        result.distinct_lines_per_set = {idx: distinct[idx] for idx in sorted(distinct)}
+        result.set_type_instances = _instances_per_set(shapes, span_pairs, nsets)
         if snapshots:
             result.mean_resident_lines = {
                 t: count / snapshots for t, count in resident_accumulator.items()
             }
         return result
+
+
+def _instances_per_set(
+    shapes: dict[tuple[str, int, int], list[int]],
+    span_pairs: dict[tuple[int, str], tuple[int, set[int]]],
+    nsets: int,
+) -> dict[int, Counter]:
+    """Spread the footprint shapes over their sets and add the span pairs.
+
+    Returns set index -> Counter of type -> object instances, with each
+    set's types in the order they first reached it.
+    """
+    counts: dict[tuple[int, str], int] = {}
+    first_seen: dict[tuple[int, str], int] = {}
+    # Shapes are in order of first appearance, so the first shape to
+    # reach a (set, type) pair is the earliest one.
+    for (type_name, first_set, covered), (index, objects) in shapes.items():
+        for set_index in range(first_set, first_set + covered):
+            key = (set_index % nsets, type_name)
+            if key in counts:
+                counts[key] += objects
+            else:
+                counts[key] = objects
+                first_seen[key] = index
+    for key, (index, objects) in span_pairs.items():
+        counts[key] = counts.get(key, 0) + len(objects)
+        if index < first_seen.get(key, index + 1):
+            first_seen[key] = index
+    per_set: dict[int, Counter] = {}
+    for set_index, type_name in sorted(first_seen, key=lambda k: (k[0], first_seen[k])):
+        per_set.setdefault(set_index, Counter())[type_name] = counts[(set_index, type_name)]
+    return per_set
+
+
+def _relative_spans(
+    trace: PathTrace, offset: int, footprint: int, line_size: int
+) -> list[tuple[float, str, int, int]]:
+    """(mean time, kind, first line, end line) of each trace entry.
+
+    Lines count from the first line of an object that starts *offset*
+    bytes into a line and spans *footprint* lines.  A span at a
+    non-negative time sorts after the allocation (the sort is stable),
+    so inside the footprint it is a ``"touch"``: it only re-touches what
+    the allocation already recorded.
+    """
+    spans = []
+    for pt in trace.entries:
+        first, end = pt.offsets
+        start = (offset + first) // line_size
+        stop = (offset + max(end - 1, first)) // line_size + 1
+        inside = 0 <= start and stop <= footprint and pt.mean_time >= 0
+        spans.append((pt.mean_time, "touch" if inside else "access", start, stop))
+    return spans
 
 
 def _lines(addr: int, size: int, line_size: int) -> range:

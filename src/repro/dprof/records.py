@@ -219,18 +219,28 @@ class AddressSetEntry:
 
 
 class AddressSet:
-    """Every allocation/free observed during profiling, by type."""
+    """Every allocation/free observed during profiling, by type.
+
+    ``entries`` is the recording order; a per-type index of the same
+    entry objects (in the same order) serves the per-type queries, so
+    each reads only its own type's entries.
+    """
 
     def __init__(self) -> None:
         self.entries: list[AddressSetEntry] = []
         self._open: dict[tuple[int, int], AddressSetEntry] = {}
+        self._by_type: dict[str, list[AddressSetEntry]] = {}
+
+    def _append(self, entry: AddressSetEntry) -> None:
+        self.entries.append(entry)
+        self._by_type.setdefault(entry.type_name, []).append(entry)
 
     def record_alloc(
         self, type_name: str, base: int, size: int, cookie: int, cpu: int, cycle: int
     ) -> None:
         """Open a lifetime interval for a fresh allocation."""
         entry = AddressSetEntry(type_name, base, size, cycle, cpu)
-        self.entries.append(entry)
+        self._append(entry)
         self._open[(base, cookie)] = entry
 
     def record_free(self, base: int, cookie: int, cpu: int, cycle: int) -> None:
@@ -240,12 +250,31 @@ class AddressSet:
             entry.free_cycle = cycle
             entry.free_cpu = cpu
 
+    def record_interval(
+        self,
+        type_name: str,
+        base: int,
+        size: int,
+        cpu: int,
+        cycle: int,
+        free_cpu: int | None,
+        free_cycle: int | None,
+    ) -> None:
+        """Append one already-known lifetime interval (an archived entry).
+
+        The interval is complete as given: it is never opened for a later
+        :meth:`record_free`.  A ``free_cycle`` of ``None`` is an object
+        still live at the end of recording.
+        """
+        entry = AddressSetEntry(type_name, base, size, cycle, cpu)
+        if free_cycle is not None:
+            entry.free_cycle = free_cycle
+            entry.free_cpu = free_cpu
+        self._append(entry)
+
     def by_type(self) -> dict[str, list[AddressSetEntry]]:
         """Entries grouped by type name."""
-        grouped: dict[str, list[AddressSetEntry]] = {}
-        for entry in self.entries:
-            grouped.setdefault(entry.type_name, []).append(entry)
-        return grouped
+        return {name: list(group) for name, group in self._by_type.items()}
 
     def mean_live_bytes(self, type_name: str, start: int, end: int) -> float:
         """Average bytes of *type_name* live over [start, end).
@@ -256,9 +285,7 @@ class AddressSet:
         if end <= start:
             return 0.0
         total_byte_cycles = 0.0
-        for entry in self.entries:
-            if entry.type_name != type_name:
-                continue
+        for entry in self._by_type.get(type_name, ()):
             lo = max(entry.alloc_cycle, start)
             hi = min(entry.free_cycle if entry.free_cycle is not None else end, end)
             if hi > lo:
@@ -270,9 +297,7 @@ class AddressSet:
         if end <= start:
             return 0.0
         total = 0.0
-        for entry in self.entries:
-            if entry.type_name != type_name:
-                continue
+        for entry in self._by_type.get(type_name, ()):
             lo = max(entry.alloc_cycle, start)
             hi = min(entry.free_cycle if entry.free_cycle is not None else end, end)
             if hi > lo:
@@ -281,4 +306,4 @@ class AddressSet:
 
     def type_names(self) -> list[str]:
         """Every type with at least one recorded allocation."""
-        return sorted({e.type_name for e in self.entries})
+        return sorted(self._by_type)

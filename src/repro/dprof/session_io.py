@@ -250,11 +250,15 @@ class OfflineSession:
         with self._recover(blob, failed, "address_set"):
             self.address_set = AddressSet()
             for e in blob["address_set"]:
-                self.address_set.record_alloc(
-                    e["type"], e["base"], e["size"], 0, e["alloc_cpu"], e["alloc"]
+                self.address_set.record_interval(
+                    e["type"],
+                    e["base"],
+                    e["size"],
+                    e["alloc_cpu"],
+                    e["alloc"],
+                    e["free_cpu"],
+                    e["free"],
                 )
-                if e["free"] is not None:
-                    self.address_set.record_free(e["base"], 0, e["free_cpu"], e["free"])
         with self._recover(blob, failed, "histories"):
             self.histories = [self._history_from(h) for h in blob["histories"]]
 

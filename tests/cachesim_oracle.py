@@ -4,10 +4,10 @@
 with its event construction and replay swapped for the plain readable
 versions: whole-line lists per event, and the replay driving a
 :class:`~repro.hw.cache.CacheArray` and recounting every resident line's
-type at each occupancy snapshot.  Sampling and trace picking are the
-class's own, so for equal seeds both simulations draw the same objects
-and traces; the differential tests then compare every field of the two
-results.
+type at each occupancy snapshot.  Trace picking is the plain linear
+walk over running frequency totals, with the same single draw per pick,
+so for equal seeds both simulations draw the same objects and traces;
+the differential tests then compare every field of the two results.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ class OracleCacheSim(DProfCacheSim):
         for obj_id, entry in enumerate(entries):
             all_lines = _lines(entry.base, entry.size, line_size)
             events.append((entry.alloc_cycle, "access", obj_id, entry, all_lines))
-            trace = self._pick_trace(traces_by_type.get(entry.type_name))
+            trace = _pick_trace(self.rng, traces_by_type.get(entry.type_name))
             if trace is not None:
                 for pt_entry in trace.entries:
                     lo, hi = pt_entry.offsets
@@ -86,6 +86,19 @@ class OracleCacheSim(DProfCacheSim):
                 t: count / snapshots for t, count in resident_accumulator.items()
             }
         return result
+
+
+def _pick_trace(rng, traces):
+    if not traces:
+        return None
+    total = sum(t.frequency for t in traces)
+    pick = rng.randint(1, max(total, 1))
+    running = 0
+    for trace in traces:
+        running += trace.frequency
+        if pick <= running:
+            return trace
+    return traces[-1]
 
 
 def _lines(addr: int, size: int, line_size: int) -> list[int]:

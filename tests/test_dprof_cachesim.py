@@ -4,6 +4,7 @@ from repro.dprof.cachesim import DProfCacheSim
 from repro.dprof.records import AddressSet, PathTrace, PathTraceEntry
 from repro.hw.cache import CacheGeometry
 from repro.util.rng import DeterministicRng
+from tests.cachesim_oracle import OracleCacheSim
 
 
 def make_sim(size=4096, ways=4):
@@ -100,3 +101,18 @@ def test_sampling_caps_object_count():
     sim = make_sim()
     result = sim.simulate(aset, {}, max_objects=10)
     assert result.objects_simulated == 10
+
+
+def test_span_before_its_allocation_keeps_first_touch_order():
+    # Object "a" (line 0) has a trace span 50 cycles *before* its
+    # allocation; object "b" (line 4, the same set of 4) is allocated in
+    # between.  Set 0 first sees "a" through the span, so the tie
+    # between one "a" and one "b" instance lists "a" first.
+    geometry = CacheGeometry(256, 1, 64)
+    aset = AddressSet()
+    aset.record_alloc("a", 0, 64, 1, 0, 100)
+    aset.record_alloc("b", 256, 64, 2, 0, 60)
+    traces = {"a": [PathTrace("a", [entry(1, 0, 8, -50)], frequency=1)]}
+    for sim_class in (DProfCacheSim, OracleCacheSim):
+        result = sim_class(geometry, DeterministicRng(1, "t")).simulate(aset, traces)
+        assert result.types_in_set(0) == [("a", 1), ("b", 1)]

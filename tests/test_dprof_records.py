@@ -156,3 +156,86 @@ class TestAddressSet:
             aset.record_free(0x1000 + i * size, 1, 0, start + length)
         mean = aset.mean_live_bytes("t", 0, 1000)
         assert 0 <= mean <= len(intervals) * size
+
+
+def _scan_live(entries, type_name, start, end, weight):
+    """The plain scan the per-type index must reproduce, float for float."""
+    if end <= start:
+        return 0.0
+    total = 0.0
+    for entry in entries:
+        if entry.type_name != type_name:
+            continue
+        lo = max(entry.alloc_cycle, start)
+        hi = min(entry.free_cycle if entry.free_cycle is not None else end, end)
+        if hi > lo:
+            total += (hi - lo) * weight(entry)
+    return total / (end - start)
+
+
+@st.composite
+def recorded_address_sets(draw):
+    """Interleaved allocs, frees (some unknown) and archived intervals
+    over a few reused bases."""
+    aset = AddressSet()
+    live: list[tuple[int, int]] = []
+    cycle = 0
+    for cookie in range(draw(st.integers(min_value=0, max_value=40))):
+        cycle += draw(st.integers(0, 30))
+        action = draw(st.sampled_from(["alloc", "free", "unknown-free", "interval"]))
+        base = draw(st.integers(0, 7)) * 64
+        if action == "free" and live:
+            freed_base, freed_cookie = live.pop(draw(st.integers(0, len(live) - 1)))
+            aset.record_free(freed_base, freed_cookie, 1, cycle)
+        elif action == "unknown-free":
+            aset.record_free(base, -1 - cookie, 1, cycle)
+        elif action == "interval":
+            free = draw(st.none() | st.integers(cycle, cycle + 100))
+            aset.record_interval(
+                draw(st.sampled_from("abc")), base, draw(st.integers(1, 300)),
+                0, cycle, 1, free,
+            )
+        else:
+            aset.record_alloc(
+                draw(st.sampled_from("abc")), base, draw(st.integers(1, 300)),
+                cookie, 0, cycle,
+            )
+            live.append((base, cookie))
+    return aset
+
+
+@given(
+    recorded_address_sets(),
+    st.integers(0, 600),
+    st.integers(0, 600),
+    st.sampled_from("abcd"),
+)
+def test_per_type_index_matches_a_plain_scan(aset, start, end, type_name):
+    entries = aset.entries
+    assert aset.mean_live_bytes(type_name, start, end) == _scan_live(
+        entries, type_name, start, end, lambda e: e.size
+    )
+    assert aset.mean_live_objects(type_name, start, end) == _scan_live(
+        entries, type_name, start, end, lambda e: 1
+    )
+    assert aset.type_names() == sorted({e.type_name for e in entries})
+    grouped: dict = {}
+    for entry in entries:
+        grouped.setdefault(entry.type_name, []).append(entry)
+    by_type = aset.by_type()
+    assert list(by_type) == list(grouped)
+    assert all(
+        [id(e) for e in by_type[name]] == [id(e) for e in group]
+        for name, group in grouped.items()
+    )
+
+
+def test_record_interval_appends_one_closed_entry():
+    aset = AddressSet()
+    aset.record_interval("t", 0x1000, 64, 0, 10, 1, 50)
+    aset.record_interval("t", 0x1000, 64, 2, 60, 3, None)
+    aset.record_free(0x1000, 0, 3, 90)  # no interval is open to close
+    first, second = aset.entries
+    assert (first.alloc_cycle, first.free_cycle, first.free_cpu) == (10, 50, 1)
+    assert (second.alloc_cycle, second.free_cycle, second.free_cpu) == (60, None, None)
+    assert aset.mean_live_objects("t", 0, 100) == (40 + 40) / 100
