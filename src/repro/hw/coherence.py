@@ -180,20 +180,18 @@ class FastDirectory:
         bit = 1 << cpu
         losers_mask = self._holders.get(line, 0) & ~bit
         losers = []
-        mask = losers_mask
-        while mask:
-            low = mask & -mask
-            loser = low.bit_length() - 1
-            mask ^= low
-            losers.append(loser)
-            self.invalidated[loser][line] = InvalidationRecord(
-                writer_cpu=cpu,
-                writer_ip=ip,
-                writer_addr=addr,
-                writer_size=size,
-                cycle=cycle,
-            )
-            self.invalidation_count += 1
+        if losers_mask:
+            # One immutable record serves every loser of this write.
+            record = InvalidationRecord(cpu, ip, addr, size, cycle)
+            invalidated = self.invalidated
+            mask = losers_mask
+            while mask:
+                low = mask & -mask
+                loser = low.bit_length() - 1
+                mask ^= low
+                losers.append(loser)
+                invalidated[loser][line] = record
+            self.invalidation_count += len(losers)
         self._holders[line] = bit
         self._dirty[line] = cpu
         return losers
@@ -205,7 +203,7 @@ class FastDirectory:
             self._holders[line] = mask & ~(1 << cpu)
             if self._dirty.get(line) == cpu:
                 del self._dirty[line]
-        self.evicted[cpu][line] = EvictionRecord(set_index=set_index, cycle=cycle)
+        self.evicted[cpu][line] = EvictionRecord(set_index, cycle)
 
     def take_loss_record(
         self, cpu: int, line: int

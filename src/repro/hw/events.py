@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum, IntEnum
+from typing import NamedTuple
 
 
 class CacheLevel(IntEnum):
@@ -38,9 +39,13 @@ class MissKind(Enum):
     INVALIDATION = "invalidation"
     EVICTION = "eviction"
 
+    # Identity hash: Enum's default hashes the member name in Python code,
+    # and the hierarchy counts misses in a ``MissKind``-keyed dict on its
+    # hot path.  Members are singletons, so identity is the same relation.
+    __hash__ = object.__hash__
 
-@dataclass(frozen=True, slots=True)
-class InvalidationRecord:
+
+class InvalidationRecord(NamedTuple):
     """Why a core lost a line: a remote write invalidated its copy."""
 
     writer_cpu: int
@@ -50,8 +55,7 @@ class InvalidationRecord:
     cycle: int
 
 
-@dataclass(frozen=True, slots=True)
-class EvictionRecord:
+class EvictionRecord(NamedTuple):
     """Why a core lost a line: set pressure evicted it from its L2."""
 
     set_index: int
@@ -60,7 +64,11 @@ class EvictionRecord:
 
 @dataclass(slots=True)
 class AccessResult:
-    """Outcome of one memory access through the hierarchy."""
+    """Outcome of one memory access through the hierarchy.
+
+    Mutable, unlike the records above: a split-line access folds the
+    outcome of each later line into its first line's result.
+    """
 
     level: CacheLevel
     latency: int
@@ -79,8 +87,7 @@ class AccessResult:
         return self.level not in (CacheLevel.L1, CacheLevel.L2)
 
 
-@dataclass(slots=True)
-class Instr:
+class Instr(NamedTuple):
     """One simulated instruction.
 
     ``kind`` is ``'load'``, ``'store'``, or ``'exec'`` (pure compute).
@@ -88,6 +95,12 @@ class Instr:
     instruction and ``ip`` its fake instruction pointer; profilers resolve
     ``ip`` back to ``fn`` through the symbol table.  ``work`` is the compute
     cost in cycles, charged in addition to any memory latency.
+
+    Threads may yield an ``Instr`` or any plain 6-tuple in this field
+    order; :class:`~repro.kernel.kenv.KernelEnv` yields plain tuples,
+    which are far cheaper to build.  The machine builds an ``Instr`` view
+    only where an instruction is kept or inspected (IBS samples, watch
+    traps, observers), so those consumers see named fields either way.
     """
 
     kind: str

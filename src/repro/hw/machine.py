@@ -1,12 +1,13 @@
 """The simulated machine: cores, hierarchy, profiling units, event loop.
 
-Threads are Python generators that yield :class:`~repro.hw.events.Instr`
-(execute one instruction) or :class:`~repro.hw.events.Pause` (sleep for
-some cycles).  Each thread is pinned to one core -- matching the paper's
-experimental setup, where every memcached/Apache instance and every NIC
-queue was pinned.  The event loop always advances the core whose clock is
-furthest behind, so cross-core interactions (lock contention, cache-line
-bouncing) interleave consistently.
+Threads are Python generators that yield an instruction to execute (an
+:class:`~repro.hw.events.Instr` or a plain tuple in its field order) or a
+:class:`~repro.hw.events.Pause` to sleep for some cycles.  Each thread is
+pinned to one core -- matching the paper's experimental setup, where
+every memcached/Apache instance and every NIC queue was pinned.  The event
+loop always advances the core whose clock is furthest behind, so
+cross-core interactions (lock contention, cache-line bouncing) interleave
+consistently.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from repro.hw.interconnect import InterconnectCosts
 from repro.hw.memory import AddressSpace
 from repro.util.rng import DeterministicRng
 
-ThreadBody = Generator["Instr | Pause", None, None]
+ThreadBody = Generator["Instr | tuple | Pause", None, None]
 AccessObserver = Callable[[int, Instr, AccessResult, int], None]
 InstrObserver = Callable[[int, Instr, "AccessResult | None", int], None]
 
@@ -267,28 +268,30 @@ class Machine:
     # Instruction execution
     # ------------------------------------------------------------------
 
-    def execute(self, core: Core, instr: Instr) -> AccessResult | None:
+    def execute(self, core: Core, instr: Instr | tuple) -> AccessResult | None:
         """Execute one instruction on *core*, firing all attached units.
 
-        The per-instruction path: a memory instruction goes through the
-        hierarchy; the watch manager is consulted only when the access
-        touches a watched line, and the IBS unit only when its countdown
-        expires (see :attr:`repro.hw.ibs.IbsUnit.countdown`).
+        The per-instruction path: *instr* is unpacked as a
+        ``(kind, fn, ip, addr, size, work)`` tuple (an
+        :class:`~repro.hw.events.Instr` is one), and a memory instruction
+        goes through the hierarchy.  The watch manager is consulted only
+        when the access touches a watched line, and the IBS unit only when
+        its countdown expires (see :attr:`repro.hw.ibs.IbsUnit.countdown`);
+        those two and any observers receive an ``Instr`` built from the
+        tuple, so no object is built for the common instruction.
         """
+        kind, _fn, ip, addr, size, work = instr
         core.instructions += 1
         self.total_instructions += 1
-        kind = instr.kind
         if kind == "exec":
             result = None
-            core.cycle += instr.work
+            core.cycle += work
         else:
             core.mem_accesses += 1
-            addr = instr.addr
-            size = instr.size
             result = self.hierarchy.access(
-                core.cpu, addr, size, kind == "store", instr.ip, core.cycle
+                core.cpu, addr, size, kind == "store", ip, core.cycle
             )
-            core.cycle += instr.work + result.latency
+            core.cycle += work + result.latency
             watched = self.watches.watched_lines
             if watched:
                 line_size = self._line_size
@@ -298,7 +301,9 @@ class Machine:
                     last != first
                     and any(line in watched for line in range(first + 1, last + 1))
                 ):
-                    trap_cost = self.watches.check(core.cpu, instr, result, core.cycle)
+                    trap_cost = self.watches.check(
+                        core.cpu, Instr._make(instr), result, core.cycle
+                    )
                     if trap_cost:
                         core.charge(trap_cost, overhead=True)
 
@@ -307,16 +312,17 @@ class Machine:
         if countdown > 1:
             ibs.countdown = countdown - 1
         elif countdown:
-            ibs_cost = ibs.on_instruction(instr, result, core.cycle)
+            ibs_cost = ibs.on_instruction(Instr._make(instr), result, core.cycle)
             if ibs_cost:
                 core.charge(ibs_cost, overhead=True)
 
         if self.instr_observers or self.access_observers:
+            view = Instr._make(instr)
             for observer in self.instr_observers:
-                observer(core.cpu, instr, result, core.cycle)
+                observer(core.cpu, view, result, core.cycle)
             if result is not None:
                 for observer in self.access_observers:
-                    observer(core.cpu, instr, result, core.cycle)
+                    observer(core.cpu, view, result, core.cycle)
         return result
 
     # ------------------------------------------------------------------

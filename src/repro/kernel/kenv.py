@@ -5,7 +5,10 @@ machine executes each yielded instruction against the cache hierarchy.
 :class:`KernelEnv` builds those instructions: it assigns every distinct
 access site a stable instruction pointer (via the symbol table) so that
 profilers see consistent code addresses, and it resolves object fields to
-physical addresses through the struct layout.
+physical addresses through the struct layout.  An instruction is a plain
+``(kind, fn, ip, addr, size, work)`` tuple in
+:class:`~repro.hw.events.Instr` field order: one is built per simulated
+access, and a plain tuple costs a fraction of any named record.
 
 Example kernel function::
 
@@ -23,7 +26,6 @@ spinlock implementation in :mod:`repro.kernel.locks` sound.
 
 from __future__ import annotations
 
-from repro.hw.events import Instr
 from repro.hw.machine import Machine
 from repro.kernel.layout import KObject
 from repro.kernel.symbols import SymbolTable
@@ -54,7 +56,7 @@ class KernelEnv:
         #: (fn, site label) -> ip, for raw-address and compute sites.
         self._label_ips: dict[tuple[str, str], int] = {}
         #: (fn, site label, cycles) -> the shared compute instruction.
-        self._work_instrs: dict[tuple[str, str, int], Instr] = {}
+        self._work_instrs: dict[tuple[str, str, int], tuple] = {}
 
     def _field_site(
         self, fn: str, kind: str, obj: KObject, field: str
@@ -86,67 +88,66 @@ class KernelEnv:
     # Field-level accesses (the common case)
     # ------------------------------------------------------------------
 
-    def read(self, fn: str, obj: KObject, field: str, work: int = 1) -> Instr:
+    def read(self, fn: str, obj: KObject, field: str, work: int = 1) -> tuple:
         """Load of one struct field."""
         site = self._object_sites.get((fn, "load", obj.otype, field))
         if site is None:
             site = self._field_site(fn, "load", obj, field)
         ip, offset, size = site
-        return Instr("load", fn, ip, obj.base + offset, size, work)
+        return ("load", fn, ip, obj.base + offset, size, work)
 
-    def write(self, fn: str, obj: KObject, field: str, work: int = 1) -> Instr:
+    def write(self, fn: str, obj: KObject, field: str, work: int = 1) -> tuple:
         """Store to one struct field."""
         site = self._object_sites.get((fn, "store", obj.otype, field))
         if site is None:
             site = self._field_site(fn, "store", obj, field)
         ip, offset, size = site
-        return Instr("store", fn, ip, obj.base + offset, size, work)
+        return ("store", fn, ip, obj.base + offset, size, work)
 
     def read_range(
         self, fn: str, obj: KObject, offset: int, size: int, work: int = 1
-    ) -> Instr:
+    ) -> tuple:
         """Load of a raw offset range of an object (untyped data)."""
         site = self._object_sites.get((fn, "load", obj.otype, (offset, size)))
         if site is None:
             site = self._range_site(fn, "load", obj, offset, size)
-        return Instr("load", fn, site[0], obj.base + offset, size, work)
+        return ("load", fn, site[0], obj.base + offset, size, work)
 
     def write_range(
         self, fn: str, obj: KObject, offset: int, size: int, work: int = 1
-    ) -> Instr:
+    ) -> tuple:
         """Store to a raw offset range of an object (untyped data)."""
         site = self._object_sites.get((fn, "store", obj.otype, (offset, size)))
         if site is None:
             site = self._range_site(fn, "store", obj, offset, size)
-        return Instr("store", fn, site[0], obj.base + offset, size, work)
+        return ("store", fn, site[0], obj.base + offset, size, work)
 
     # ------------------------------------------------------------------
     # Raw-address accesses (page tables, static data, lock words, ...)
     # ------------------------------------------------------------------
 
-    def read_at(self, fn: str, site: str, addr: int, size: int, work: int = 1) -> Instr:
+    def read_at(self, fn: str, site: str, addr: int, size: int, work: int = 1) -> tuple:
         """Load of an arbitrary address under an explicit site label."""
-        return Instr("load", fn, self._label_ip(fn, site), addr, size, work)
+        return ("load", fn, self._label_ip(fn, site), addr, size, work)
 
-    def write_at(self, fn: str, site: str, addr: int, size: int, work: int = 1) -> Instr:
+    def write_at(self, fn: str, site: str, addr: int, size: int, work: int = 1) -> tuple:
         """Store to an arbitrary address under an explicit site label."""
-        return Instr("store", fn, self._label_ip(fn, site), addr, size, work)
+        return ("store", fn, self._label_ip(fn, site), addr, size, work)
 
     # ------------------------------------------------------------------
     # Compute and bulk helpers
     # ------------------------------------------------------------------
 
-    def work(self, fn: str, cycles: int, site: str = "compute") -> Instr:
+    def work(self, fn: str, cycles: int, site: str = "compute") -> tuple:
         """Pure compute: burns *cycles* without touching memory.
 
-        A compute instruction has no address, so one instance per
-        ``(fn, site, cycles)`` is built and yielded again each time;
-        consumers copy its fields and never mutate it.
+        A compute instruction has no address, so one tuple per
+        ``(fn, site, cycles)`` is built and yielded again each time.
         """
         key = (fn, site, cycles)
         instr = self._work_instrs.get(key)
         if instr is None:
-            instr = Instr("exec", fn, self._label_ip(fn, site), work=cycles)
+            instr = ("exec", fn, self._label_ip(fn, site), 0, 0, cycles)
             self._work_instrs[key] = instr
         return instr
 
@@ -165,9 +166,12 @@ class KernelEnv:
         Models memcpy-style bulk transfers (packet payload copies): the
         cache sees one access per line regardless of the copy width, so a
         line-stride walk reproduces the right miss behaviour at a fraction
-        of the simulation cost.
+        of the simulation cost.  After the first access the walk moves to
+        the next *stride*-aligned address, so an unaligned range still
+        touches each of its lines exactly once.
         """
         stride = stride or self.BULK_STRIDE
+        base = obj.base
         pos = offset
         end = offset + length
         while pos < end:
@@ -176,7 +180,7 @@ class KernelEnv:
                 yield self.write_range(fn, obj, pos, size, work=work_per_access)
             else:
                 yield self.read_range(fn, obj, pos, size, work=work_per_access)
-            pos += stride
+            pos = ((base + pos) // stride + 1) * stride - base
 
     # ------------------------------------------------------------------
     # Clock access

@@ -11,7 +11,6 @@ hierarchies' access results comparable.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import astuple
 
 import repro.hw.machine as machine_module
 from repro.hw.hierarchy import ReferenceHierarchy
@@ -43,6 +42,6 @@ def outcome_of(result) -> tuple:
         result.level,
         result.latency,
         result.miss_kind,
-        astuple(result.invalidation) if result.invalidation else None,
-        astuple(result.eviction) if result.eviction else None,
+        tuple(result.invalidation) if result.invalidation else None,
+        tuple(result.eviction) if result.eviction else None,
     )

@@ -323,11 +323,15 @@ def test_checked_in_baseline_validates():
         "profile-memcached", "analyze-archives", "serve-jobs",
     }
     # Traced per-layer rows: the analyze-archives rows, and the
-    # profile-memcached rows whose counts the CI traced step gates on.
-    assert set(document["layers"]) == {"analyze-archives", "profile-memcached"}
-    rows = document["layers"]["profile-memcached"]["rows"]
-    assert rows["hw.machine.instructions"]["unit"] == "count"
-    assert rows["hw.machine.instructions"]["change"] > 0
+    # profile-memcached and serve-jobs rows whose counts the CI traced
+    # steps gate on.
+    assert set(document["layers"]) == {
+        "analyze-archives", "profile-memcached", "serve-jobs",
+    }
+    for workload in ("profile-memcached", "serve-jobs"):
+        rows = document["layers"][workload]["rows"]
+        assert rows["hw.machine.instructions"]["unit"] == "count"
+        assert rows["hw.machine.instructions"]["change"] > 0
 
 
 #: The smallest load sweep the CLI runs: one rate, two jobs.

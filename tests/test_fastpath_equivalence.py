@@ -20,7 +20,6 @@ Any nonzero delta anywhere fails; there is no tolerance.
 from __future__ import annotations
 
 import random
-from dataclasses import astuple
 
 import pytest
 
@@ -41,11 +40,11 @@ IBS_INTERVAL = 29  # runs are instruction-sparse; sample densely
 def loss_records(hierarchy):
     """The directory's residual loss maps as plain tuples."""
     inv = [
-        {line: astuple(rec) for line, rec in per_cpu.items()}
+        {line: tuple(rec) for line, rec in per_cpu.items()}
         for per_cpu in hierarchy.directory.invalidated
     ]
     ev = [
-        {line: astuple(rec) for line, rec in per_cpu.items()}
+        {line: tuple(rec) for line, rec in per_cpu.items()}
         for per_cpu in hierarchy.directory.evicted
     ]
     return inv, ev
