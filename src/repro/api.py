@@ -25,12 +25,22 @@ Groups:
 - **metrics & kernels**: :class:`MetricsSummary`, :func:`machine_counters`,
   :class:`KernelSpec`, ``KERNEL_FAMILIES``, :func:`expected_metrics`.
 
+Import rule: ``import repro.api`` loads every group except service and
+federation, because a profiling run uses all of them.  The service and
+federation names resolve on first use (PEP 562), all but
+:class:`SessionStore`, which sessions use too.  A profiling run
+therefore never imports ``asyncio``, ``ssl``, ``multiprocessing`` or
+the server and worker modules.  A lazily resolved name is the defining
+module's own object and is bound here on first use.
+
 The ``__all__`` tuple is the public API contract and is pinned by
 ``tests/test_api_facade.py``; additions are fine, removals and renames
 are breaking changes.
 """
 
 from __future__ import annotations
+
+import importlib
 
 from repro.config import RunConfig
 from repro.dprof.diagnosis import Diagnosis, Finding
@@ -40,13 +50,7 @@ from repro.dprof.quality import DataQuality
 from repro.dprof.session_io import OfflineSession, export_session, load_session
 from repro.hw.machine import MachineConfig
 from repro.metrics import MetricsSummary, machine_counters
-from repro.serve.cluster import ClusterConfig, ClusterServer
-from repro.serve.jobs import JobSpec
-from repro.serve.protocol import ServeClient, request_once
-from repro.serve.retry import RetryExhaustedError, RetryPolicy
-from repro.serve.server import ProfilingServer
 from repro.serve.store import SessionStore
-from repro.serve.workers import execute_job, execute_job_to_store
 from repro.trace import (
     NULL_TRACER,
     SimProbe,
@@ -100,3 +104,35 @@ __all__ = (
     "request_once",
     "stage_totals",
 )
+
+#: Service and federation names, imported from their defining module on
+#: first use (see the import rule above).
+_LAZY = {
+    "ClusterConfig": "repro.serve.cluster",
+    "ClusterServer": "repro.serve.cluster",
+    "JobSpec": "repro.serve.jobs",
+    "ProfilingServer": "repro.serve.server",
+    "RetryExhaustedError": "repro.serve.retry",
+    "RetryPolicy": "repro.serve.retry",
+    "ServeClient": "repro.serve.protocol",
+    "execute_job": "repro.serve.workers",
+    "execute_job_to_store": "repro.serve.workers",
+    "request_once": "repro.serve.protocol",
+}
+
+
+def __getattr__(name: str):
+    try:
+        module = _LAZY[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}"
+        ) from None
+    value = getattr(importlib.import_module(module), name)
+    # Bound once: later lookups find the global and skip this hook.
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

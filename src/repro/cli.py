@@ -30,25 +30,25 @@ Every profiling command accepts ``--inject-faults SPEC`` (e.g.
 the pipeline over deterministically lossy hardware; one-shot runs then
 print a data-quality report and exit 0/3/4 (full/degraded/poor), while
 service jobs report status ok/degraded/failed instead.
+
+Import rule: a command imports the subsystem it drives (the profiler,
+diagnosis, baselines, fixes, the server's ``asyncio`` stack) inside its
+own function, so a command pays only for what it runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import asyncio
 import json
 import sys
 import time
+from typing import TYPE_CHECKING
 
 from repro import __version__
-from repro.baselines import LockStatReport
 from repro.config import RunConfig
-from repro.dprof.diagnosis import Diagnosis
-from repro.dprof.profiler import DProf
 from repro.dprof.quality import DataQuality
 from repro.errors import FaultInjectionError, ProtocolError, ServeError, TraceError
 from repro.faults import FaultPlan
-from repro.fixes import apply_admission_control, install_local_queue_selection
 from repro.kernel import Kernel
 from repro.workloads import (
     SCENARIO_DEFAULTS,
@@ -56,6 +56,9 @@ from repro.workloads import (
     ApacheWorkload,
     MemcachedWorkload,
 )
+
+if TYPE_CHECKING:
+    from repro.dprof.profiler import DProf
 
 
 def _fault_plan(args: argparse.Namespace) -> FaultPlan | None:
@@ -86,6 +89,9 @@ def _profiled_memcached(
     faults: FaultPlan | None = None,
     run: RunConfig | None = None,
 ):
+    from repro.dprof.profiler import DProf
+    from repro.fixes import install_local_queue_selection
+
     run = run or RunConfig(seed=11)
     kernel = Kernel(run.machine_config(ncores=cores))
     workload = MemcachedWorkload(kernel)
@@ -104,6 +110,8 @@ def _profiled_memcached(
 
 
 def cmd_memcached(args: argparse.Namespace) -> int:
+    from repro.baselines import LockStatReport
+
     plan = _fault_plan(args)
     kernel, _workload, dprof, result = _profiled_memcached(
         args.cores,
@@ -124,6 +132,9 @@ def cmd_memcached(args: argparse.Namespace) -> int:
 
 
 def cmd_apache(args: argparse.Namespace) -> int:
+    from repro.dprof.profiler import DProf
+    from repro.fixes import apply_admission_control
+
     plan = _fault_plan(args)
     run = RunConfig(seed=11)
     kernel = Kernel(run.machine_config(ncores=args.cores))
@@ -154,6 +165,9 @@ def cmd_apache(args: argparse.Namespace) -> int:
 
 
 def cmd_diagnose(args: argparse.Namespace) -> int:
+    from repro.dprof.diagnosis import Diagnosis
+    from repro.dprof.profiler import DProf
+
     plan = _fault_plan(args)
     run = RunConfig(seed=52)
     kernel = Kernel(run.machine_config(ncores=args.cores))
@@ -293,6 +307,7 @@ def _rpc_resilient(
 
 def _serve_forever(server, args: argparse.Namespace, banner: str) -> int:
     """Boot a server, announce it, and block until it drains."""
+    import asyncio
 
     async def main() -> None:
         await server.start()
@@ -376,7 +391,11 @@ def cmd_submit(args: argparse.Namespace) -> int:
         return 0
     while True:
         status = _rpc(args, {"op": "status", "job_id": job_id})
-        job = status.get("job", {})
+        if not status.get("ok"):
+            # E.g. "unknown job" from a restarted server: no poll fixes it.
+            print(status.get("error"), file=sys.stderr)
+            return 1
+        job = status["job"]
         if job.get("state") in ("done", "failed", "requeued"):
             print(
                 f"{job_id}: {job['state']}"

@@ -1,15 +1,40 @@
-"""Stop ``repro.cli serve``/``cluster`` processes together with their workers.
+"""Child processes for tests: fresh interpreters, and server shutdown.
 
-Both commands fork a worker pool.  SIGKILLing only the server process
-orphans those workers, which then sit idle after the test suite ends, so
-every test that stops a server goes through :func:`stop_server`.
+:func:`run_fresh` runs a snippet in a new interpreter, so modules that
+earlier tests imported cannot hide what an import loads or warns.
+
+``repro.cli serve``/``cluster`` fork a worker pool.  SIGKILLing only the
+server process orphans those workers, which then sit idle after the test
+suite ends, so every test that stops a server goes through
+:func:`stop_server`.
 """
 
 from __future__ import annotations
 
 import os
 import signal
+import subprocess
+import sys
 from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_fresh(code: str) -> str:
+    """Run *code* in a new interpreter with ``src`` on its path; its stdout.
+
+    A failing snippet fails the calling test with the child's stderr.
+    """
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def child_pids(pid: int) -> list[int]:

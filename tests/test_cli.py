@@ -297,6 +297,29 @@ def test_rpc_resilient_zero_retries_is_fail_fast(monkeypatch):
         _rpc_resilient(_client_args(retry=0), {"op": "submit"})
 
 
+def test_submit_wait_stops_on_a_status_error(monkeypatch, capsys):
+    # A restarted server no longer knows the job: its status reply is an
+    # error with no "job", which polling again cannot fix.
+    polls = []
+
+    def status(args, message):
+        assert not polls, "polled again after an error reply"
+        polls.append(message)
+        return {"ok": False, "error": "unknown job 'job-1'"}
+
+    monkeypatch.setattr(
+        "repro.cli._rpc_resilient",
+        lambda args, message: {"ok": True, "job_id": "job-1"},
+    )
+    monkeypatch.setattr("repro.cli._rpc", status)
+    rc = main(
+        ["submit", "--port", "1", "synthetic", "--wait", "--poll-interval", "0"]
+    )
+    assert rc == 1
+    assert polls == [{"op": "status", "job_id": "job-1"}]
+    assert "unknown job 'job-1'" in capsys.readouterr().err
+
+
 def test_cluster_parser_flags():
     parser = build_parser()
     args = parser.parse_args(
