@@ -88,6 +88,11 @@ class WorkingSetSimResult:
         return counter.most_common()
 
 
+#: Event kinds, in the order :meth:`DProfCacheSim._replay` tests them.
+#: ``_TOUCH_LINE`` is a ``_TOUCH`` span of exactly one line.
+_TOUCH_LINE, _ALLOC, _FREE, _TOUCH, _ACCESS = range(5)
+
+
 class DProfCacheSim:
     """Replays sampled address-set lifetimes through a model cache."""
 
@@ -121,29 +126,44 @@ class DProfCacheSim:
         entries: list[AddressSetEntry],
         traces_by_type: dict[str, list[PathTrace]],
     ) -> list[tuple]:
-        """(time, kind, obj_id, entry, lines) events for each sampled object.
+        """(time, kind, who, lines) events for each sampled object.
 
-        ``kind`` is ``"alloc"`` for an object's first event (its whole
-        footprint), ``"touch"`` for a trace span inside the footprint
-        that cannot precede the allocation, ``"access"`` for any other
-        span, and ``"free"``.  :meth:`_replay` does the conflict
-        bookkeeping of an object once, from its ``"alloc"`` event, and
-        skips it for ``"touch"`` events, which add no line, set or
-        object the allocation has not already added.
+        ``kind`` is one of the small integer codes above:
+
+        - ``_ALLOC``: an object's first event, its whole footprint;
+          ``who`` is its type.
+        - ``_TOUCH``: a trace span inside the footprint that cannot
+          precede the allocation; ``who`` is the type.  A span of one
+          line is a ``_TOUCH_LINE`` whose ``lines`` is that line.
+        - ``_ACCESS``: any other span; ``who`` is (type, object id,
+          footprint).
+        - ``_FREE``: the footprint leaves the cache; ``who`` is None.
+
+        :meth:`_replay` does the conflict bookkeeping of an object once,
+        from its ``_ALLOC`` event, and skips it for touches, which add no
+        line, set or object the allocation has not already added.
+
+        Every time is a float, so the sort compares floats only.  Cycle
+        counts are exact as floats below 2**53, and the sort is stable,
+        so the order is the one the integer cycle counts give.
         """
         line_size = self.geometry.line_size
+        randint = self.rng.randint
         events: list[tuple] = []
         append = events.append
-        # Running frequency totals per type, for the trace picks.
-        cumulative = {
-            name: list(accumulate(t.frequency for t in traces))
-            for name, traces in traces_by_type.items()
-        }
+        # type -> (traces, running frequency totals, top of the draw),
+        # for the trace picks: one draw per pick, and the pick is the
+        # first trace whose running total reaches the draw.
+        picks: dict[str, tuple[list[PathTrace], list[int], int]] = {}
+        for name, traces in traces_by_type.items():
+            if traces:
+                totals = list(accumulate(t.frequency for t in traces))
+                picks[name] = (traces, totals, max(totals[-1], 1))
         # (trace id, byte offset of the object in its first line, lines
         # in the footprint) -> (mean time, kind, first line, end line)
         # per trace entry, with lines relative to the object's first
         # line; a trace is picked for many objects of few shapes.
-        spans: dict[tuple[int, int, int], list[tuple[float, str, int, int]]] = {}
+        spans: dict[tuple[int, int, int], list[tuple[float, int, int, int]]] = {}
         for obj_id, entry in enumerate(entries):
             # Every sampled object occupies its full footprint from
             # allocation: the address set records whole objects, and the
@@ -152,13 +172,14 @@ class DProfCacheSim:
             # watched offsets -- refine *when* parts are re-touched.
             base = entry.base
             alloc = entry.alloc_cycle
-            all_lines = _lines(base, entry.size, line_size)
-            append((alloc, "alloc", obj_id, entry, all_lines))
             type_name = entry.type_name
-            trace = self._pick_trace(
-                traces_by_type.get(type_name), cumulative.get(type_name)
-            )
-            if trace is not None:
+            all_lines = _lines(base, entry.size, line_size)
+            append((float(alloc), _ALLOC, type_name, all_lines))
+            pick = picks.get(type_name)
+            if pick is not None:
+                traces, totals, top = pick
+                index = bisect_left(totals, randint(1, top))
+                trace = traces[index] if index < len(traces) else traces[-1]
                 offset, footprint = base % line_size, len(all_lines)
                 key = (id(trace), offset, footprint)
                 trace_spans = spans.get(key)
@@ -168,32 +189,15 @@ class DProfCacheSim:
                     )
                 first_line = all_lines.start
                 for mean_time, kind, start, stop in trace_spans:
-                    append(
-                        (
-                            alloc + mean_time,
-                            kind,
-                            obj_id,
-                            entry,
-                            range(first_line + start, first_line + stop),
-                        )
-                    )
+                    if kind == _TOUCH_LINE:
+                        append((alloc + mean_time, kind, type_name, first_line + start))
+                        continue
+                    lines = range(first_line + start, first_line + stop)
+                    who = type_name if kind == _TOUCH else (type_name, obj_id, all_lines)
+                    append((alloc + mean_time, kind, who, lines))
             if entry.free_cycle is not None:
-                append((entry.free_cycle, "free", obj_id, entry, all_lines))
+                append((float(entry.free_cycle), _FREE, None, all_lines))
         return events
-
-    def _pick_trace(
-        self, traces: list[PathTrace] | None, cumulative: list[int] | None
-    ) -> PathTrace | None:
-        """Pick one trace, weighted by frequency (one draw per pick).
-
-        ``cumulative`` holds the running frequency totals of ``traces``;
-        the pick is the first trace whose total reaches the draw.
-        """
-        if not traces:
-            return None
-        pick = self.rng.randint(1, max(cumulative[-1], 1))
-        index = bisect_left(cumulative, pick)
-        return traces[index] if index < len(traces) else traces[-1]
 
     # ------------------------------------------------------------------
     # Replay
@@ -209,47 +213,75 @@ class DProfCacheSim:
         are counted as lines come and go, so an occupancy snapshot adds
         up the types rather than the lines.
 
+        Snapshots fall every ``SNAPSHOT_EVERY`` line accesses; ``left``
+        counts the accesses before the next one.  A single-line touch
+        takes its own short path.  Any other event with fewer lines than
+        ``left`` cannot reach a snapshot, so its type's resident count is
+        raised once for all its lines before they are walked (an eviction
+        during the walk may lower it again).  An event that reaches a
+        snapshot is walked line by line, counting as it goes.  A touch
+        never sorts before its own allocation (see :func:`_relative_spans`),
+        so its type is already a key of the resident counts.
+
         The conflict bookkeeping (distinct lines and object instances
         per set) is done per object, not per line.  An object's
         footprint is a contiguous line range, so the sets it covers are
         fixed by (first set, set count): objects are counted per such
         shape and each shape is spread over its sets at the end.  The
-        lines of ``"access"`` spans are walked one by one: they count
+        lines of ``_ACCESS`` spans are walked one by one: they count
         the object in sets outside its footprint's, and may reach a set
         before the allocation does.  The order in which types first
         reach a set (which breaks ``Counter.most_common`` ties) is
-        recovered from the event index at which each shape or span pair
-        first appeared.
+        recovered from the order in which each shape or span pair first
+        appeared among the alloc and access events.
         """
         nsets = self.geometry.num_sets
         ways = self.geometry.ways
-        line_size = self.geometry.line_size
         snapshot_every = self.SNAPSHOT_EVERY
         sets: list[dict[int, str]] = [{} for _ in range(nsets)]
         result = WorkingSetSimResult(geometry=self.geometry)
         touched_lines: set[int] = set()
-        # (type, first set, set count) -> [first event index, objects]
+        # (type, first set, set count) -> [first appearance, objects]
         shapes: dict[tuple[str, int, int], list[int]] = {}
-        # (set, type) -> (first event index, object ids) for the lines of
-        # "access" spans; only objects outside their footprint's sets
-        # are added, as the footprint shape already counts the rest.
+        # (set, type) -> (first appearance, object ids) for the lines of
+        # access spans; only objects outside their footprint's sets are
+        # added, as the footprint shape already counts the rest.
         span_pairs: dict[tuple[int, str], tuple[int, set[int]]] = {}
         resident: dict[str, int] = {}
         resident_accumulator: Counter = Counter()
         snapshots = 0
-        accesses = 0
+        left = snapshot_every
         objects = 0
+        order = 0
 
-        for index, (_time, kind, obj_id, entry, lines) in enumerate(events):
-            if kind == "free":
+        for _time, kind, who, lines in events:
+            if kind == _TOUCH_LINE:
+                bucket = sets[lines % nsets]
+                owner = bucket.pop(lines, None)
+                if owner is None:
+                    if len(bucket) >= ways:
+                        resident[bucket.pop(next(iter(bucket)))] -= 1
+                    resident[who] += 1
+                elif owner != who:
+                    resident[owner] -= 1
+                    resident[who] += 1
+                bucket[lines] = who
+                left -= 1
+                if not left:
+                    snapshots += 1
+                    left = snapshot_every
+                    _add_snapshot(resident_accumulator, resident)
+                continue
+            if kind == _FREE:
                 for line in lines:
                     owner = sets[line % nsets].pop(line, None)
                     if owner is not None:
                         resident[owner] -= 1
                 continue
-            type_name = entry.type_name
-            if kind == "alloc":
+            if kind == _ALLOC:
+                type_name = who
                 objects += 1
+                order += 1
                 touched_lines.update(lines)
                 count = len(lines)
                 key = (
@@ -259,22 +291,38 @@ class DProfCacheSim:
                 )
                 shape = shapes.get(key)
                 if shape is None:
-                    shapes[key] = [index, 1]
+                    shapes[key] = [order, 1]
                 else:
                     shape[1] += 1
-            elif kind == "access":
+            elif kind == _ACCESS:
+                type_name, obj_id, footprint = who
+                order += 1
                 touched_lines.update(lines)
-                footprint = _lines(entry.base, entry.size, line_size)
                 first_set = footprint.start % nsets
                 covered = len(footprint)
                 for line in lines:
                     set_index = line % nsets
                     pair = span_pairs.get((set_index, type_name))
                     if pair is None:
-                        pair = span_pairs[(set_index, type_name)] = (index, set())
+                        pair = span_pairs[(set_index, type_name)] = (order, set())
                     if (set_index - first_set) % nsets >= covered:
                         pair[1].add(obj_id)
+            else:
+                type_name = who
 
+            count = len(lines)
+            if count < left:
+                left -= count
+                resident[type_name] = resident.get(type_name, 0) + count
+                for line in lines:
+                    bucket = sets[line % nsets]
+                    owner = bucket.pop(line, None)
+                    if owner is not None:
+                        resident[owner] -= 1
+                    elif len(bucket) >= ways:
+                        resident[bucket.pop(next(iter(bucket)))] -= 1
+                    bucket[line] = type_name
+                continue
             for line in lines:
                 bucket = sets[line % nsets]
                 owner = bucket.pop(line, None)
@@ -284,16 +332,15 @@ class DProfCacheSim:
                     resident[bucket.pop(next(iter(bucket)))] -= 1
                 bucket[line] = type_name
                 resident[type_name] = resident.get(type_name, 0) + 1
-                accesses += 1
-                if accesses % snapshot_every == 0:
+                left -= 1
+                if not left:
                     snapshots += 1
-                    for name, count in resident.items():
-                        if count:
-                            resident_accumulator[name] += count
+                    left = snapshot_every
+                    _add_snapshot(resident_accumulator, resident)
 
         result.objects_simulated = objects
-        result.accesses_simulated = accesses
-        distinct = Counter(line % nsets for line in touched_lines)
+        result.accesses_simulated = (snapshots + 1) * snapshot_every - left
+        distinct = Counter(map(nsets.__rmod__, touched_lines))
         result.distinct_lines_per_set = {idx: distinct[idx] for idx in sorted(distinct)}
         result.set_type_instances = _instances_per_set(shapes, span_pairs, nsets)
         if snapshots:
@@ -301,6 +348,13 @@ class DProfCacheSim:
                 t: count / snapshots for t, count in resident_accumulator.items()
             }
         return result
+
+
+def _add_snapshot(accumulator: Counter, resident: dict[str, int]) -> None:
+    """Add one occupancy snapshot: every type's resident line count."""
+    for name, count in resident.items():
+        if count:
+            accumulator[name] += count
 
 
 def _instances_per_set(
@@ -337,13 +391,13 @@ def _instances_per_set(
 
 def _relative_spans(
     trace: PathTrace, offset: int, footprint: int, line_size: int
-) -> list[tuple[float, str, int, int]]:
+) -> list[tuple[float, int, int, int]]:
     """(mean time, kind, first line, end line) of each trace entry.
 
     Lines count from the first line of an object that starts *offset*
     bytes into a line and spans *footprint* lines.  A span at a
     non-negative time sorts after the allocation (the sort is stable),
-    so inside the footprint it is a ``"touch"``: it only re-touches what
+    so inside the footprint it is a touch: it only re-touches what
     the allocation already recorded.
     """
     spans = []
@@ -351,8 +405,11 @@ def _relative_spans(
         first, end = pt.offsets
         start = (offset + first) // line_size
         stop = (offset + max(end - 1, first)) // line_size + 1
-        inside = 0 <= start and stop <= footprint and pt.mean_time >= 0
-        spans.append((pt.mean_time, "touch" if inside else "access", start, stop))
+        if 0 <= start and stop <= footprint and pt.mean_time >= 0:
+            kind = _TOUCH_LINE if stop - start == 1 else _TOUCH
+        else:
+            kind = _ACCESS
+        spans.append((float(pt.mean_time), kind, start, stop))
     return spans
 
 

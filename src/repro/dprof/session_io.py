@@ -43,7 +43,7 @@ from repro.dprof.views import (
     WorkingSetRow,
     WorkingSetView,
 )
-from repro.errors import SessionFormatError
+from repro.errors import ConfigError, SessionFormatError
 from repro.hw.cache import CacheGeometry
 from repro.hw.events import CacheLevel
 from repro.kernel.symbols import SymbolTable
@@ -241,6 +241,9 @@ class OfflineSession:
         with self._recover(blob, failed, "window", required=True):
             start, end = blob["window"]
             self.window = (int(start), int(end))
+        with self._recover(blob, failed, "sim_geometry", required=True):
+            size, ways, line = blob["sim_geometry"]
+            self.sim_geometry = CacheGeometry(int(size), int(ways), int(line))
         with self._recover(blob, failed, "symbols"):
             self.symbols = SymbolTable()
             for ip, (fn, site) in blob["symbols"].items():
@@ -338,10 +341,7 @@ class OfflineSession:
 
     def working_set_sim(self) -> WorkingSetSimResult:
         if self._sim_cache is None:
-            size, ways, line = self.blob["sim_geometry"]
-            sim = DProfCacheSim(
-                CacheGeometry(size, ways, line), DeterministicRng(3, "offline")
-            )
+            sim = DProfCacheSim(self.sim_geometry, DeterministicRng(3, "offline"))
             # One batch analysis pass for every type not already built
             # individually.
             by_type: dict[str, list[ObjectAccessHistory]] = {}
@@ -450,7 +450,9 @@ class _SectionRecovery:
     recover to.
     """
 
-    _PARSE_ERRORS = (KeyError, TypeError, ValueError, IndexError)
+    #: A ConfigError is a value its section's type refuses, such as a
+    #: cache geometry whose size is not a multiple of ways * line size.
+    _PARSE_ERRORS = (KeyError, TypeError, ValueError, IndexError, ConfigError)
 
     def __init__(self, session, blob, failed, section, required) -> None:
         self.session = session

@@ -43,7 +43,7 @@ import json
 from pathlib import Path
 
 from repro.dprof.session_io import OfflineSession, atomic_write_text, load_session
-from repro.errors import ServeError
+from repro.errors import ReproError, ServeError
 
 #: Archive filename suffix inside a store directory.
 ARCHIVE_SUFFIX = ".session.json"
@@ -274,6 +274,10 @@ class SessionStore:
         first view of its digest was rendered is caught by
         :meth:`verify` or :meth:`open`, not by the later views of that
         digest.
+
+        An archive that cannot be decoded or rendered (a corrupt core
+        section, say) raises :class:`~repro.errors.ServeError` naming the
+        digest and, for decode damage, the section.
         """
         if view not in VIEW_NAMES:
             raise ServeError(
@@ -295,7 +299,15 @@ class SessionStore:
                     tracer.add(cache_hits=1)
                     return cached
             tracer.add(cache_misses=1)
-            text = self._render_view_uncached(digest, view, type_name, top)
+            try:
+                text = self._render_view_uncached(digest, view, type_name, top)
+            except ServeError:
+                raise
+            except ReproError as exc:
+                # A damaged archive fails this request, not the server.
+                raise ServeError(
+                    f"cannot render {view!r} from archive {digest}: {exc}"
+                ) from exc
             self.views.put(key, text)
         return text
 

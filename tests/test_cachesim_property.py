@@ -1,6 +1,6 @@
 """Property-based tests for DProf's offline cache simulation."""
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.dprof.cachesim import DProfCacheSim
@@ -78,12 +78,13 @@ TYPES = ("a", "b", "c")
 
 
 @st.composite
-def reused_address_sets(draw):
+def reused_address_sets(draw, first_cycle=st.just(0)):
     """Allocations over a small pool of bases, so addresses are reused
-    after a free, live objects share lines, and sets overflow."""
+    after a free, live objects share lines, and sets overflow.  Cycles
+    count up from a draw of *first_cycle*."""
     aset = AddressSet()
     live: list[tuple[int, int]] = []
-    cycle = 0
+    cycle = draw(first_cycle)
     for cookie in range(draw(st.integers(min_value=1, max_value=40))):
         if live and draw(st.booleans()):
             base, live_cookie = live.pop(draw(st.integers(0, len(live) - 1)))
@@ -135,18 +136,102 @@ def path_trace_sets(draw):
     return traces
 
 
+def _intervals(*intervals):
+    """An address set of (type, base, size, alloc cycle, free cycle or
+    None) lifetimes, in this order."""
+    aset = AddressSet()
+    for type_name, base, size, alloc, free in intervals:
+        aset.record_interval(
+            type_name, base, size, 0, alloc, None if free is None else 0, free
+        )
+    return aset
+
+
+def _trace(type_name, *entries):
+    """One path trace of (lo, hi, mean time) entries."""
+    return PathTrace(
+        type_name=type_name,
+        entries=[
+            PathTraceEntry(
+                ip=i,
+                fn=f"f{i}",
+                cpu_changed=False,
+                offsets=(lo, hi),
+                is_write=False,
+                mean_time=mean_time,
+            )
+            for i, (lo, hi, mean_time) in enumerate(entries)
+        ],
+        frequency=1,
+    )
+
+
+# (256, 1) has 4 sets: footprints wrap around the set index and some
+# cover more lines than there are sets.
+GEOMETRIES = st.sampled_from([(256, 1), (512, 1), (1024, 2), (2048, 4)])
+
+
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     reused_address_sets(),
     path_trace_sets(),
-    # (256, 1) has 4 sets: footprints wrap around the set index and
-    # some cover more lines than there are sets.
-    st.sampled_from([(256, 1), (512, 1), (1024, 2), (2048, 4)]),
+    GEOMETRIES,
     st.integers(1, 16),
     st.integers(1, 50),
     st.integers(0, 2**16),
 )
+# A footprint that ends exactly on a snapshot: the second allocation's
+# two lines are the last two accesses before it.
+@example(
+    _intervals(("a", 0, 128, 0, None), ("b", 128, 128, 5, None), ("c", 64, 64, 9, 30)),
+    {},
+    (256, 1),
+    4,
+    50,
+    0,
+)
+# A footprint that straddles a snapshot: one access is left before it
+# when the three-line allocation starts.
+@example(
+    _intervals(("a", 0, 128, 0, 20), ("b", 128, 192, 5, None)),
+    {},
+    (256, 1),
+    3,
+    50,
+    0,
+)
+# A single-line touch at cycle 10, the time of another object's free
+# and a third one's allocation, all in set 0 of a one-way cache.
+@example(
+    _intervals(("a", 0, 64, 0, None), ("b", 256, 64, 0, 10), ("c", 512, 64, 10, None)),
+    {"a": [_trace("a", (0, 8, 10))]},
+    (256, 1),
+    1,
+    50,
+    0,
+)
 def test_replay_matches_oracle(aset, traces, geometry, snapshot_every, max_objects, seed):
+    _assert_matches_oracle(aset, traces, geometry, snapshot_every, max_objects, seed)
+
+
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    # Event times are float sort keys; near 2**40 they are compared far
+    # from zero, where a float has fewer bits below the cycle.
+    reused_address_sets(first_cycle=st.integers(2**40 - 2**10, 2**40 + 2**10)),
+    path_trace_sets(),
+    GEOMETRIES,
+    st.integers(1, 16),
+    st.integers(1, 50),
+    st.integers(0, 2**16),
+)
+def test_replay_matches_oracle_late_cycles(
+    aset, traces, geometry, snapshot_every, max_objects, seed
+):
+    _assert_matches_oracle(aset, traces, geometry, snapshot_every, max_objects, seed)
+
+
+def _assert_matches_oracle(aset, traces, geometry, snapshot_every, max_objects, seed):
     size, ways = geometry
     results = []
     for sim_class in (DProfCacheSim, OracleCacheSim):

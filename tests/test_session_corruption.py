@@ -83,6 +83,16 @@ class TestUnusableArchives:
             load_session(copy)
         assert exc_info.value.section == "window"
 
+    @pytest.mark.parametrize("geometry", [[1000, 8, 64], [65536, 8], "l2"])
+    def test_bad_sim_geometry_raises(self, copy, geometry):
+        # 1000 bytes is not a whole number of 8-way 64-byte sets.
+        blob = json.loads(copy.read_text())
+        blob["sim_geometry"] = geometry
+        copy.write_text(json.dumps(blob))
+        with pytest.raises(SessionFormatError) as exc_info:
+            load_session(copy)
+        assert exc_info.value.section == "sim_geometry"
+
 
 class TestPartialRecovery:
     @pytest.mark.parametrize("section", CHECKSUMMED_SECTIONS)

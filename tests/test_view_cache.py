@@ -229,3 +229,43 @@ class TestDecodeSlot:
         s.render_view(digest, "data-profile", use_cache=False)
         assert s.open(digest) is not s.open(digest)
         assert len(decodes) == 3
+
+
+def _damaged(archive_text: str, section: str, value) -> str:
+    """The archive with one core section replaced by *value*."""
+    blob = json.loads(archive_text)
+    blob[section] = value
+    return json.dumps(blob)
+
+
+class TestDamagedArchive:
+    """A view of an archive that cannot be decoded fails the request with
+    a ServeError, never an exception the server does not handle."""
+
+    @pytest.mark.parametrize(
+        ("section", "value"),
+        [("window", 123), ("sim_geometry", [1000, 8, 64])],
+    )
+    def test_render_names_digest_and_section(self, tmp_path, archive_text, section, value):
+        s = SessionStore(tmp_path / "store")
+        digest = s.put_text(_damaged(archive_text, section, value))
+        with pytest.raises(ServeError) as exc_info:
+            s.render_view(digest, "working-set", use_cache=False)
+        message = str(exc_info.value)
+        assert digest in message
+        assert f"[section: {section}]" in message
+        assert s.views.entry_count() == 0
+
+    def test_server_fetch_fails_and_the_server_keeps_answering(self, tmp_path, archive_text):
+        from repro.serve.server import ProfilingServer
+
+        server = ProfilingServer(tmp_path / "store", workers=1)
+        digest = server.store.put_text(
+            _damaged(archive_text, "sim_geometry", [1000, 8, 64])
+        )
+        reply = server._handle_line(
+            json.dumps({"op": "fetch", "job_id": digest, "view": "working-set"})
+        )
+        assert reply["ok"] is False
+        assert "sim_geometry" in reply["error"]
+        assert server._handle_line(json.dumps({"op": "ping"}))["ok"] is True
