@@ -88,7 +88,7 @@ class WorkingSetSimResult:
         return counter.most_common()
 
 
-#: Event kinds, in the order :meth:`DProfCacheSim._replay` tests them.
+#: Event kinds (see :meth:`DProfCacheSim._build_events`).
 #: ``_TOUCH_LINE`` is a ``_TOUCH`` span of exactly one line.
 _TOUCH_LINE, _ALLOC, _FREE, _TOUCH, _ACCESS = range(5)
 

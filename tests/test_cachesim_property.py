@@ -216,8 +216,8 @@ def test_replay_matches_oracle(aset, traces, geometry, snapshot_every, max_objec
 
 @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
-    # Event times are float sort keys; near 2**40 they are compared far
-    # from zero, where a float has fewer bits below the cycle.
+    # Event times are float sort keys.  Near 2**40 a float keeps only
+    # 12 bits below the whole cycle, so keys are compared far from zero.
     reused_address_sets(first_cycle=st.integers(2**40 - 2**10, 2**40 + 2**10)),
     path_trace_sets(),
     GEOMETRIES,
