@@ -404,13 +404,12 @@ class DProf:
         sim = self.working_set_sim()
         rows = []
         for type_name in self.address_set.type_names():
+            live_bytes, live_objects = self.address_set.live_means(type_name, start, end)
             rows.append(
                 WorkingSetRow(
                     type_name=type_name,
-                    mean_live_bytes=self.address_set.mean_live_bytes(type_name, start, end),
-                    mean_live_objects=self.address_set.mean_live_objects(
-                        type_name, start, end
-                    ),
+                    mean_live_bytes=live_bytes,
+                    mean_live_objects=live_objects,
                     mean_resident_lines=sim.mean_resident_lines.get(type_name, 0.0),
                 )
             )

@@ -272,37 +272,60 @@ class AddressSet:
             entry.free_cpu = free_cpu
         self._append(entry)
 
+    @classmethod
+    def from_intervals(cls, entries: list[AddressSetEntry]) -> AddressSet:
+        """An address set of complete intervals, in recording order.
+
+        Takes ownership of *entries*; like :meth:`record_interval`, none
+        of them is open for a later :meth:`record_free`.
+        """
+        aset = cls()
+        aset.entries = entries
+        by_type = aset._by_type
+        for entry in entries:
+            group = by_type.get(entry.type_name)
+            if group is None:
+                by_type[entry.type_name] = [entry]
+            else:
+                group.append(entry)
+        return aset
+
     def by_type(self) -> dict[str, list[AddressSetEntry]]:
         """Entries grouped by type name."""
         return {name: list(group) for name, group in self._by_type.items()}
 
-    def mean_live_bytes(self, type_name: str, start: int, end: int) -> float:
-        """Average bytes of *type_name* live over [start, end).
+    def live_means(self, type_name: str, start: int, end: int) -> tuple[float, float]:
+        """Average (bytes, objects) of *type_name* live over [start, end).
 
-        This is the "working set size" column of Tables 6.1/6.4/6.5:
-        integrate each object's live interval against the window.
+        The bytes are the "working set size" column of Tables 6.1/6.4/6.5:
+        integrate each object's live interval against the window.  One
+        pass serves both integrals; each clip is written out so that it
+        picks the same operand ``max``/``min`` would, and each total
+        sums the same products in the same order, float for float.
         """
         if end <= start:
-            return 0.0
-        total_byte_cycles = 0.0
+            return 0.0, 0.0
+        byte_cycles = 0.0
+        object_cycles = 0.0
         for entry in self._by_type.get(type_name, ()):
-            lo = max(entry.alloc_cycle, start)
-            hi = min(entry.free_cycle if entry.free_cycle is not None else end, end)
+            lo = entry.alloc_cycle
+            if start > lo:
+                lo = start
+            hi = entry.free_cycle
+            if hi is None or end < hi:
+                hi = end
             if hi > lo:
-                total_byte_cycles += (hi - lo) * entry.size
-        return total_byte_cycles / (end - start)
+                byte_cycles += (hi - lo) * entry.size
+                object_cycles += hi - lo
+        return byte_cycles / (end - start), object_cycles / (end - start)
+
+    def mean_live_bytes(self, type_name: str, start: int, end: int) -> float:
+        """Average bytes of *type_name* live over [start, end)."""
+        return self.live_means(type_name, start, end)[0]
 
     def mean_live_objects(self, type_name: str, start: int, end: int) -> float:
         """Average count of live objects of *type_name* over the window."""
-        if end <= start:
-            return 0.0
-        total = 0.0
-        for entry in self._by_type.get(type_name, ()):
-            lo = max(entry.alloc_cycle, start)
-            hi = min(entry.free_cycle if entry.free_cycle is not None else end, end)
-            if hi > lo:
-                total += hi - lo
-        return total / (end - start)
+        return self.live_means(type_name, start, end)[1]
 
     def type_names(self) -> list[str]:
         """Every type with at least one recorded allocation."""

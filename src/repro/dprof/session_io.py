@@ -23,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from repro.dprof.cachesim import DProfCacheSim, WorkingSetSimResult
@@ -31,6 +32,7 @@ from repro.dprof.quality import DataQuality
 from repro.dprof.records import (
     AccessStats,
     AddressSet,
+    AddressSetEntry,
     HistoryElement,
     ObjectAccessHistory,
 )
@@ -68,10 +70,90 @@ _EMPTY_SECTION = {
 }
 
 
-def section_checksum(section) -> str:
-    """SHA-256 over the section's canonical JSON encoding."""
-    canonical = json.dumps(section, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+def section_checksum(section, canonical: bytes | bytearray | None = None) -> str:
+    """SHA-256 over the section's canonical JSON encoding.
+
+    *canonical* is that encoding when the caller has already formatted
+    it (see :func:`_canonical_address_rows`).
+    """
+    if canonical is None:
+        canonical = json.dumps(section, sort_keys=True, separators=(",", ":")).encode()
+    return hashlib.sha256(canonical).hexdigest()
+
+
+#: The canonical encoding of one exported address-set row (sorted keys,
+#: no spaces, ASCII escapes) and the comma after it, for an object still
+#: live at the end of recording and for a freed one.
+_LIVE_ROW = (
+    b'{"alloc":%d,"alloc_cpu":%d,"base":%d,"free":null,"free_cpu":null,'
+    b'"size":%d,"type":%s},'
+)
+_FREED_ROW = (
+    b'{"alloc":%d,"alloc_cpu":%d,"base":%d,"free":%d,"free_cpu":%d,'
+    b'"size":%d,"type":%s},'
+)
+
+
+def _canonical_address_rows(rows, entries: list | None = None) -> bytearray | None:
+    """The canonical encoding of an ``address_set`` section, or None.
+
+    Equals ``json.dumps(rows, sort_keys=True, separators=(",", ":"))``,
+    encoded, for a list of rows of exactly the exported shape: a dict of
+    the seven keys, ``alloc``/``alloc_cpu``/``base``/``size`` of type
+    ``int``, ``free``/``free_cpu`` both ``None`` or both ``int``, and a
+    ``str`` ``type``.  Any other row returns None, and the caller takes
+    the generic path.  When *entries* is a list, the same pass appends
+    each row's :class:`AddressSetEntry` to it.
+    """
+    if type(rows) is not list:
+        return None
+    # Rows go straight into one buffer: no formatted row stays allocated
+    # among the long-lived entries this loop builds.
+    encoded = bytearray(b"[")
+    escaped: dict[str, bytes] = {}
+    try:
+        for row in rows:
+            if type(row) is not dict or len(row) != 7:
+                return None
+            name = row["type"]
+            base = row["base"]
+            size = row["size"]
+            alloc = row["alloc"]
+            alloc_cpu = row["alloc_cpu"]
+            free = row["free"]
+            free_cpu = row["free_cpu"]
+            if (
+                type(alloc) is not int
+                or type(alloc_cpu) is not int
+                or type(base) is not int
+                or type(size) is not int
+                or type(name) is not str
+            ):
+                return None
+            quoted = escaped.get(name)
+            if quoted is None:
+                quoted = escaped[name] = encode_basestring_ascii(name).encode()
+            if free is None and free_cpu is None:
+                encoded += _LIVE_ROW % (alloc, alloc_cpu, base, size, quoted)
+            elif type(free) is int and type(free_cpu) is int:
+                encoded += _FREED_ROW % (
+                    alloc, alloc_cpu, base, free, free_cpu, size, quoted
+                )
+            else:
+                return None
+            if entries is not None:
+                entries.append(
+                    AddressSetEntry(name, base, size, alloc, alloc_cpu, free, free_cpu)
+                )
+    except (KeyError, ValueError):
+        # A missing key, or an int too long to print: the generic path
+        # gives today's verdict for both.
+        return None
+    if rows:
+        encoded[-1:] = b"]"  # in place of the comma after the last row
+    else:
+        encoded += b"]"
+    return encoded
 
 
 # ----------------------------------------------------------------------
@@ -160,8 +242,10 @@ def export_session(dprof) -> dict:
         # readers must keep accepting archives without the section.
         "hw_counters": machine_counters(dprof.machine),
     }
+    canonical = {"address_set": _canonical_address_rows(address_blob)}
     blob["checksums"] = {
-        name: section_checksum(blob[name]) for name in CHECKSUMMED_SECTIONS
+        name: section_checksum(blob[name], canonical.get(name))
+        for name in CHECKSUMMED_SECTIONS
     }
     return blob
 
@@ -234,7 +318,16 @@ class OfflineSession:
                 path=path,
                 section="version",
             )
-        failed = self._validate_sections(blob, version)
+        # One pass formats the address set's canonical encoding for its
+        # checksum and rebuilds its entries; a section outside the
+        # exported shape takes the generic path below instead.
+        address_entries: list[AddressSetEntry] = []
+        canonical = {
+            "address_set": _canonical_address_rows(
+                blob.get("address_set"), address_entries
+            )
+        }
+        failed = self._validate_sections(blob, version, canonical)
         self.blob = blob
         self.data_quality = DataQuality.from_blob(blob.get("data_quality", {}))
 
@@ -251,34 +344,42 @@ class OfflineSession:
         with self._recover(blob, failed, "stats"):
             self.sampler = _OfflineSampler(blob, blob["chunk_size"])
         with self._recover(blob, failed, "address_set"):
-            self.address_set = AddressSet()
-            for e in blob["address_set"]:
-                self.address_set.record_interval(
-                    e["type"],
-                    e["base"],
-                    e["size"],
-                    e["alloc_cpu"],
-                    e["alloc"],
-                    e["free_cpu"],
-                    e["free"],
-                )
+            if canonical["address_set"] is not None and "address_set" not in failed:
+                self.address_set = AddressSet.from_intervals(address_entries)
+            else:
+                self.address_set = AddressSet()
+                for e in blob["address_set"]:
+                    self.address_set.record_interval(
+                        e["type"],
+                        e["base"],
+                        e["size"],
+                        e["alloc_cpu"],
+                        e["alloc"],
+                        e["free_cpu"],
+                        e["free"],
+                    )
         with self._recover(blob, failed, "histories"):
             self.histories = [self._history_from(h) for h in blob["histories"]]
 
         self.data_quality.sections_failed = tuple(sorted(set(failed)))
         self._traces_cache: dict[str, list] = {}
         self._sim_cache: WorkingSetSimResult | None = None
+        self._live_means_cache: dict[str, tuple[float, float]] = {}
 
     # ------------------------------------------------------------------
     # Validation and recovery
     # ------------------------------------------------------------------
 
-    def _validate_sections(self, blob: dict, version: int) -> list[str]:
+    def _validate_sections(
+        self, blob: dict, version: int, canonical: dict[str, bytearray | None]
+    ) -> list[str]:
         """Checksum-validate bulk sections; returns the failed ones.
 
-        Failed or missing sections are replaced with empty data so the
-        rest of the constructor can proceed; v1 archives have no
-        checksums, so only structural parsing protects them.
+        *canonical* maps a section name to its canonical encoding when
+        that is already formatted.  Failed or missing sections are replaced
+        with empty data so the rest of the constructor can proceed; v1
+        archives have no checksums, so only structural parsing protects
+        them.
         """
         failed: list[str] = []
         checksums = blob.get("checksums", {}) if version >= 2 else {}
@@ -292,7 +393,9 @@ class OfflineSession:
                 failed.append(name)
                 blob[name] = _EMPTY_SECTION[name]
                 continue
-            if version >= 2 and checksums.get(name) != section_checksum(section):
+            if version >= 2 and checksums.get(name) != section_checksum(
+                section, canonical.get(name)
+            ):
                 failed.append(name)
                 blob[name] = _EMPTY_SECTION[name]
         return failed
@@ -339,6 +442,19 @@ class OfflineSession:
             self._traces_cache[type_name] = cached
         return cached
 
+    def live_means(self, type_name: str) -> tuple[float, float]:
+        """Mean (bytes, objects) of *type_name* live over the window.
+
+        Memoised per type: the window is fixed, so the data profile and
+        the working set share one integration pass.
+        """
+        means = self._live_means_cache.get(type_name)
+        if means is None:
+            start, end = self.window
+            means = self.address_set.live_means(type_name, start, end)
+            self._live_means_cache[type_name] = means
+        return means
+
     def working_set_sim(self) -> WorkingSetSimResult:
         if self._sim_cache is None:
             sim = DProfCacheSim(self.sim_geometry, DeterministicRng(3, "offline"))
@@ -363,12 +479,11 @@ class OfflineSession:
     def data_profile(self) -> DataProfileView:
         blob = self.blob
         total_misses = sum(blob["type_misses"].values()) or 1
-        start, end = self.window
         rows = []
         for type_name, misses in sorted(
             blob["type_misses"].items(), key=lambda kv: kv[1], reverse=True
         ):
-            live = self.address_set.mean_live_bytes(type_name, start, end)
+            live = self.live_means(type_name)[0]
             if not live:
                 live = float(blob["static_bytes"].get(type_name, 0))
             bounce = blob.get("bounce", {}).get(type_name)
@@ -400,19 +515,17 @@ class OfflineSession:
         """
         start, end = self.window
         sim = self.working_set_sim()
-        rows = [
-            WorkingSetRow(
-                type_name=type_name,
-                mean_live_bytes=self.address_set.mean_live_bytes(
-                    type_name, start, end
-                ),
-                mean_live_objects=self.address_set.mean_live_objects(
-                    type_name, start, end
-                ),
-                mean_resident_lines=sim.mean_resident_lines.get(type_name, 0.0),
+        rows = []
+        for type_name in self.address_set.type_names():
+            live_bytes, live_objects = self.live_means(type_name)
+            rows.append(
+                WorkingSetRow(
+                    type_name=type_name,
+                    mean_live_bytes=live_bytes,
+                    mean_live_objects=live_objects,
+                    mean_resident_lines=sim.mean_resident_lines.get(type_name, 0.0),
+                )
             )
-            for type_name in self.address_set.type_names()
-        ]
         view = WorkingSetView(rows, sim, window_cycles=end - start)
         return self._attach_quality(view, "working set")
 

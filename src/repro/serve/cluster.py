@@ -677,7 +677,10 @@ class ClusterServer(ProfilingServer):
         """Chaos op: suppress heartbeats (and lease renewals) for a
         while, so tests can drive suspect/dead transitions without
         killing the process."""
-        duration_s = float(message.get("duration_s", 5.0))
+        try:
+            duration_s = float(message.get("duration_s", 5.0))
+        except (TypeError, ValueError) as exc:
+            raise ServeError(f"field 'duration_s' is not a number: {exc}") from exc
         if duration_s < 0:
             raise ServeError("duration_s must be non-negative")
         loop = asyncio.get_running_loop()

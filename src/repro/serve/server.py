@@ -439,7 +439,7 @@ class ProfilingServer:
         }
 
     def _op_status(self, message: dict) -> dict:
-        job_id = message.get("job_id")
+        job_id = _str_field(message, "job_id")
         if job_id is not None:
             job = self.jobs.get(job_id)
             if job is None:
@@ -453,9 +453,9 @@ class ProfilingServer:
         }
 
     def _op_fetch(self, message: dict) -> dict:
-        digest = message.get("digest")
+        digest = _str_field(message, "digest")
         if digest is None:
-            job_id = message.get("job_id")
+            job_id = _str_field(message, "job_id")
             job = self.jobs.get(job_id)
             if job is None:
                 # Allow fetching by archive digest through the same field
@@ -471,11 +471,15 @@ class ProfilingServer:
             else:
                 digest = job.digest
         view = message.get("view", "data-profile")
+        try:
+            top = int(message.get("top", 8))
+        except (TypeError, ValueError) as exc:
+            raise ServeError(f"field 'top' is not an integer: {exc}") from exc
         rendered = self.store.render_view(
             digest,
             view,
-            type_name=message.get("type"),
-            top=int(message.get("top", 8)),
+            type_name=_str_field(message, "type"),
+            top=top,
             tracer=self.tracer,
         )
         response = {"ok": True, "digest": digest, "view": view}
@@ -503,3 +507,13 @@ class ProfilingServer:
     def _op_shutdown(self, _message: dict) -> dict:
         self.request_drain()
         return {"ok": True, "draining": True}
+
+
+def _str_field(message: dict, name: str) -> str | None:
+    """A request's string field, or None when it is absent or null.
+
+    Any other type fails the request, not the connection."""
+    value = message.get(name)
+    if value is not None and not isinstance(value, str):
+        raise ServeError(f"field {name!r} must be a string, not {value!r}")
+    return value

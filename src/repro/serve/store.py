@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from pathlib import Path
 
 from repro.dprof.session_io import OfflineSession, atomic_write_text, load_session
@@ -50,6 +51,10 @@ ARCHIVE_SUFFIX = ".session.json"
 
 #: Prefix for in-flight temp files (swept by :meth:`SessionStore.sweep_tmp`).
 TMP_PREFIX = ".tmp-"
+
+#: An archive digest as :func:`content_digest` writes it: a name inside
+#: the store that cannot reach outside it.
+DIGEST_PATTERN = re.compile(r"[0-9a-f]{64}")
 
 #: Drained-but-unfinished jobs persist here so a restarted server (or an
 #: operator) can resubmit them; written atomically like archives.
@@ -197,10 +202,22 @@ class SessionStore:
     # ------------------------------------------------------------------
 
     def path_for(self, digest: str) -> Path:
+        """The archive file of *digest*.
+
+        Every read and write of an archive goes through here, so this is
+        where a digest is checked: anything but 64 lowercase hex digits
+        (``../x``, say) raises :class:`~repro.errors.ServeError`.
+        """
+        if not isinstance(digest, str) or DIGEST_PATTERN.fullmatch(digest) is None:
+            raise ServeError(f"not an archive digest: {digest!r}")
         return self.root / f"{digest}{ARCHIVE_SUFFIX}"
 
     def has(self, digest: str) -> bool:
-        return self.path_for(digest).exists()
+        """True when the store holds *digest* (False for a non-digest)."""
+        try:
+            return self.path_for(digest).exists()
+        except ServeError:
+            return False
 
     def read_text(self, digest: str) -> str:
         path = self.path_for(digest)
@@ -224,11 +241,11 @@ class SessionStore:
         return load_session(path)
 
     def digests(self) -> list[str]:
-        """All stored archive digests, sorted."""
-        return sorted(
-            p.name[: -len(ARCHIVE_SUFFIX)]
-            for p in self.root.glob(f"*{ARCHIVE_SUFFIX}")
+        """All stored archive digests, sorted (other files are skipped)."""
+        names = (
+            p.name[: -len(ARCHIVE_SUFFIX)] for p in self.root.glob(f"*{ARCHIVE_SUFFIX}")
         )
+        return sorted(name for name in names if DIGEST_PATTERN.fullmatch(name))
 
     def listing(self) -> list[dict]:
         """Digest + size for every archive (the ``list`` op's payload)."""
@@ -289,7 +306,7 @@ class SessionStore:
             tracer = NULL_TRACER
         if view == "archive":
             return self.read_text(digest)
-        if not self.has(digest):
+        if not self.path_for(digest).exists():
             raise ServeError(f"no archive {digest[:12]}... in store {self.root}")
         with tracer.span("view-render", view=view):
             key = self.views.key(digest, view, type_name, top)

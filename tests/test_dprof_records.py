@@ -1,12 +1,13 @@
 """Tests for DProf's raw data structures."""
 
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.dprof.records import (
     AccessSample,
     AccessStats,
     AddressSet,
+    AddressSetEntry,
     HistoryElement,
     ObjectAccessHistory,
 )
@@ -204,12 +205,26 @@ def recorded_address_sets(draw):
     return aset
 
 
+def _window_edges() -> AddressSet:
+    """Objects allocated before the window, freed after it, and one still
+    live when recording ended."""
+    aset = AddressSet()
+    aset.record_interval("a", 0x40, 48, 0, 5, 1, 300)
+    aset.record_interval("a", 0x80, 64, 0, 40, 1, None)
+    aset.record_interval("a", 0xC0, 100, 0, 60, 1, 90)
+    aset.record_alloc("a", 0x100, 24, 7, 0, 150)
+    return aset
+
+
 @given(
     recorded_address_sets(),
     st.integers(0, 600),
     st.integers(0, 600),
     st.sampled_from("abcd"),
 )
+@example(_window_edges(), 20, 200, "a")
+@example(_window_edges(), 200, 200, "a")
+@example(_window_edges(), 250, 30, "a")
 def test_per_type_index_matches_a_plain_scan(aset, start, end, type_name):
     entries = aset.entries
     assert aset.mean_live_bytes(type_name, start, end) == _scan_live(
@@ -217,6 +232,10 @@ def test_per_type_index_matches_a_plain_scan(aset, start, end, type_name):
     )
     assert aset.mean_live_objects(type_name, start, end) == _scan_live(
         entries, type_name, start, end, lambda e: 1
+    )
+    assert aset.live_means(type_name, start, end) == (
+        _scan_live(entries, type_name, start, end, lambda e: e.size),
+        _scan_live(entries, type_name, start, end, lambda e: 1),
     )
     assert aset.type_names() == sorted({e.type_name for e in entries})
     grouped: dict = {}
@@ -228,6 +247,32 @@ def test_per_type_index_matches_a_plain_scan(aset, start, end, type_name):
         [id(e) for e in by_type[name]] == [id(e) for e in group]
         for name, group in grouped.items()
     )
+
+
+def test_live_means_clips_each_interval_to_the_window():
+    aset = _window_edges()
+    # [20, 200): 48 bytes for 180 cycles, 64 for 160, 100 for 30, 24 for 50.
+    assert aset.live_means("a", 20, 200) == (
+        (48 * 180 + 64 * 160 + 100 * 30 + 24 * 50) / 180,
+        (180 + 160 + 30 + 50) / 180,
+    )
+    assert aset.live_means("a", 200, 200) == (0.0, 0.0)
+    assert aset.live_means("a", 250, 30) == (0.0, 0.0)
+    assert aset.live_means("missing", 0, 100) == (0.0, 0.0)
+
+
+def test_from_intervals_indexes_like_record_interval():
+    rows = [("b", 0x40, 8, 0, 5, 1, 9), ("a", 0x80, 16, 2, 6, None, None),
+            ("b", 0xC0, 32, 3, 7, 4, 12)]
+    recorded = AddressSet()
+    for name, base, size, cpu, cycle, free_cpu, free_cycle in rows:
+        recorded.record_interval(name, base, size, cpu, cycle, free_cpu, free_cycle)
+    built = AddressSet.from_intervals(
+        [AddressSetEntry(n, b, s, c, cpu, f, fc) for n, b, s, cpu, c, fc, f in rows]
+    )
+    assert built.entries == recorded.entries
+    assert built.by_type() == recorded.by_type()
+    assert built.type_names() == ["a", "b"]
 
 
 def test_record_interval_appends_one_closed_entry():

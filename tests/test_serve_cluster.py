@@ -349,3 +349,15 @@ def test_retry_jitter_uses_injected_rng_stream():
         rng=DeterministicRng(9, "retry-test"),
     )
     assert again.delays() == delays
+
+
+@pytest.mark.parametrize("duration", ["x", [1], None, -1])
+def test_stall_heartbeats_refuses_a_bad_duration(tmp_path, duration):
+    from repro.serve.cluster import ClusterServer
+
+    server = ClusterServer(tmp_path, ClusterConfig(node_id="n1"), workers=1)
+    reply = server._handle_line(
+        json.dumps({"op": "stall-heartbeats", "duration_s": duration})
+    )
+    assert reply["ok"] is False
+    assert server._handle_line(json.dumps({"op": "ping"}))["ok"] is True

@@ -202,8 +202,9 @@ def test_serve_worker_death_during_drain_still_requeues(tmp_path):
 
     proc, port = _start_server(tmp_path, workers=1, drain_grace=15.0)
     try:
-        # One long job (~3 s) so it is still in flight when drain starts.
-        job_id = _submit(port, "synthetic", seed=600, duration=3_000_000)
+        # One long job (several seconds) so it is still in flight when the
+        # workers are killed; a 3M-cycle job can finish in about 0.5 s.
+        job_id = _submit(port, "synthetic", seed=600, duration=30_000_000)
         deadline = time.monotonic() + 10.0
         while time.monotonic() < deadline:
             job = _rpc(port, {"op": "status", "job_id": job_id})["job"]
@@ -226,7 +227,7 @@ def test_serve_worker_death_during_drain_still_requeues(tmp_path):
     requeued = SessionStore(tmp_path / "store").read_requeue()
     assert len(requeued) == 1
     spec = JobSpec.from_wire(requeued[0])
-    assert spec.seed == 600 and spec.duration == 3_000_000
+    assert spec.seed == 600 and spec.duration == 30_000_000
 
 
 @pytest.mark.slow

@@ -19,6 +19,7 @@ from repro.dprof.session_io import (
     export_session,
     load_session,
     save_session,
+    section_checksum,
 )
 from repro.errors import DegradedDataWarning, ProfilingError, SessionFormatError
 from repro.faults import corrupt_section, flip_byte, tear_file
@@ -144,6 +145,43 @@ class TestPartialRecovery:
             # Loadable: views must still come back.
             session.data_profile()
             session.data_flow("skbuff")
+
+
+class TestRetypedAddressSet:
+    """Damage that keeps the JSON valid and the stored checksum as it was:
+    the canonical text changes, so the address set fails its checksum
+    exactly as the generic encoder would say, and every view renders."""
+
+    @pytest.mark.parametrize(
+        ("key", "value"),
+        [
+            ("size", lambda v: float(v)),
+            ("alloc", lambda v: True),
+            ("base", lambda v: str(v)),
+            ("extra", lambda v: 5),
+            ("free_cpu", lambda v: None if v is not None else 5),
+        ],
+        ids=["float", "bool", "numeric-string", "extra-key", "half-freed"],
+    )
+    def test_section_fails_and_views_render(self, copy, key, value):
+        blob = json.loads(copy.read_text())
+        row = blob["address_set"][len(blob["address_set"]) // 2]
+        row[key] = value(row.get(key, 5))
+        stored = blob["checksums"]["address_set"]
+        copy.write_text(json.dumps(blob))
+        assert json.loads(copy.read_text())["checksums"]["address_set"] == stored
+
+        session = load_session(copy)
+        assert session.data_quality.sections_failed == ("address_set",)
+        assert session.address_set.entries == []
+        # The generic encoder gives the same verdict.
+        assert section_checksum(blob["address_set"]) != stored
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegradedDataWarning)
+            assert session.data_profile().rows
+            assert session.working_set().rows == []
+            assert session.miss_classification("skbuff").type_name == "skbuff"
+            assert session.data_flow("skbuff").nodes
 
 
 class TestBackwardCompatibility:

@@ -269,3 +269,69 @@ class TestDamagedArchive:
         assert reply["ok"] is False
         assert "sim_geometry" in reply["error"]
         assert server._handle_line(json.dumps({"op": "ping"}))["ok"] is True
+
+
+class TestMalformedRequests:
+    """A request whose fields have the wrong type, or whose digest is not
+    one, answers ``ok: false``; the server keeps answering."""
+
+    @pytest.fixture
+    def server(self, tmp_path, archive_text):
+        from repro.serve.server import ProfilingServer
+
+        server = ProfilingServer(tmp_path / "store", workers=1)
+        return server, server.store.put_text(archive_text)
+
+    @pytest.mark.parametrize(
+        "request_for",
+        [
+            lambda digest: {"op": "status", "job_id": ["x"]},
+            lambda digest: {"op": "fetch", "job_id": ["x"]},
+            lambda digest: {"op": "fetch", "digest": 5},
+            lambda digest: {"op": "fetch", "job_id": digest, "top": "x"},
+            lambda digest: {"op": "fetch", "job_id": digest, "top": [8]},
+            lambda digest: {"op": "fetch", "digest": digest, "view": "miss-class",
+                            "type": ["skbuff"]},
+            lambda digest: {"op": "fetch", "digest": "../outside/x", "view": "archive"},
+            lambda digest: {"op": "fetch", "digest": "../outside/x"},
+            lambda digest: {"op": "fetch", "digest": digest.upper(), "view": "archive"},
+        ],
+        ids=["status-list-id", "fetch-list-id", "fetch-int-digest", "top-string",
+             "top-list", "type-list", "escape-archive", "escape-view", "upper-hex"],
+    )
+    def test_answers_not_ok_then_ping_succeeds(self, server, request_for):
+        server, digest = server
+        outside = server.store.root.parent / "outside"
+        outside.mkdir(exist_ok=True)
+        (outside / "x.session.json").write_text("secret")
+        reply = server._handle_line(json.dumps(request_for(digest)))
+        assert reply["ok"] is False
+        assert "secret" not in json.dumps(reply)
+        assert server._handle_line(json.dumps({"op": "ping"}))["ok"] is True
+
+    def test_well_formed_fetch_still_answers(self, server):
+        server, digest = server
+        reply = server._handle_line(
+            json.dumps({"op": "fetch", "job_id": digest, "top": "3"})
+        )
+        assert reply["ok"] is True
+        assert "Data profile view" in reply["rendered"]
+
+
+class TestDigestCheck:
+    @pytest.mark.parametrize(
+        "digest",
+        ["../x", "a" * 63, "a" * 65, "A" * 64, "g" * 64, "a" * 64 + "\n", "", 5, None],
+    )
+    def test_non_digests_are_refused(self, tmp_path, digest):
+        s = SessionStore(tmp_path / "store")
+        with pytest.raises(ServeError, match="not an archive digest"):
+            s.path_for(digest)
+        assert s.has(digest) is False
+
+    def test_listing_skips_files_that_are_not_archives(self, tmp_path, archive_text):
+        s = SessionStore(tmp_path / "store")
+        digest = s.put_text(archive_text)
+        (s.root / "notes.session.json").write_text("{}")
+        assert s.digests() == [digest]
+        assert [row["digest"] for row in s.listing()] == [digest]
