@@ -169,7 +169,6 @@ class TestRetypedAddressSet:
         row[key] = value(row.get(key, 5))
         stored = blob["checksums"]["address_set"]
         copy.write_text(json.dumps(blob))
-        assert json.loads(copy.read_text())["checksums"]["address_set"] == stored
 
         session = load_session(copy)
         assert session.data_quality.sections_failed == ("address_set",)
