@@ -26,6 +26,7 @@ from operator import itemgetter
 
 from repro.dprof.records import AddressSet, AddressSetEntry, PathTrace
 from repro.hw.cache import CacheGeometry
+from repro.util.collector import collector_paused
 from repro.util.rng import DeterministicRng
 
 
@@ -109,13 +110,22 @@ class DProfCacheSim:
         traces_by_type: dict[str, list[PathTrace]],
         max_objects: int = 4000,
     ) -> WorkingSetSimResult:
-        """Run the simulation and return the aggregated result."""
-        entries = address_set.entries
-        if len(entries) > max_objects:
-            entries = self.rng.sample(entries, max_objects)
-        events = self._build_events(entries, traces_by_type)
-        events.sort(key=itemgetter(0))
-        return self._replay(events)
+        """Run the simulation and return the aggregated result.
+
+        The cyclic collector is paused throughout: the events and the
+        model cache are acyclic, and freed by reference counting.  The
+        events are freed before the pause ends, or the first collection
+        after it would walk them all.
+        """
+        with collector_paused():
+            entries = address_set.entries
+            if len(entries) > max_objects:
+                entries = self.rng.sample(entries, max_objects)
+            events = self._build_events(entries, traces_by_type)
+            events.sort(key=itemgetter(0))
+            result = self._replay(events)
+            del events
+        return result
 
     # ------------------------------------------------------------------
     # Event construction

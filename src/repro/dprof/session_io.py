@@ -50,6 +50,7 @@ from repro.hw.cache import CacheGeometry
 from repro.hw.events import CacheLevel
 from repro.kernel.symbols import SymbolTable
 from repro.metrics import MetricsSummary, machine_counters
+from repro.util.collector import collector_paused
 from repro.util.rng import DeterministicRng
 
 #: v1 = no checksums (pre-robustness archives, still loadable);
@@ -61,12 +62,13 @@ FORMAT_VERSION = 2
 #: if it is corrupt the archive is unusable and loading raises.
 CHECKSUMMED_SECTIONS = ("stats", "histories", "address_set", "symbols")
 
-#: Empty replacement for each recoverable section that fails to verify.
+#: Builds the empty replacement for a recoverable section that fails to
+#: verify: a fresh object per decode, never shared between sessions.
 _EMPTY_SECTION = {
-    "stats": [],
-    "histories": [],
-    "address_set": [],
-    "symbols": {},
+    "stats": list,
+    "histories": list,
+    "address_set": list,
+    "symbols": dict,
 }
 
 
@@ -281,10 +283,10 @@ def save_session(dprof, path: str | Path) -> Path:
 class _OfflineSampler:
     """Just enough of AccessSampleCollector for the view builders."""
 
-    def __init__(self, blob: dict, chunk_size: int) -> None:
+    def __init__(self, rows: list, chunk_size: int) -> None:
         self.chunk_size = chunk_size
         self.stats: dict[tuple, AccessStats] = {}
-        for item in blob["stats"]:
+        for item in rows:
             stats = AccessStats()
             stats.count = item["count"]
             for name, n in item["levels"].items():
@@ -306,6 +308,11 @@ class OfflineSession:
     of the archive still loads, and every rebuilt view carries the
     quality report.  Corrupt core metadata raises
     :class:`~repro.errors.SessionFormatError` instead.
+
+    The session never writes into the blob it is given.  It keeps the
+    blob's metadata as :attr:`blob`, without the bulk sections
+    (:data:`CHECKSUMMED_SECTIONS`) whose rows it rebuilds into records,
+    so those rows are freed with the caller's blob.
     """
 
     def __init__(self, blob: dict, path: str | Path | None = None) -> None:
@@ -327,28 +334,32 @@ class OfflineSession:
                 blob.get("address_set"), address_entries
             )
         }
-        failed = self._validate_sections(blob, version, canonical)
-        self.blob = blob
+        sections, failed = self._validate_sections(blob, version, canonical)
+        self.blob = {
+            name: value
+            for name, value in blob.items()
+            if name not in CHECKSUMMED_SECTIONS
+        }
         self.data_quality = DataQuality.from_blob(blob.get("data_quality", {}))
 
-        with self._recover(blob, failed, "window", required=True):
+        with self._recover(failed, "window", required=True):
             start, end = blob["window"]
             self.window = (int(start), int(end))
-        with self._recover(blob, failed, "sim_geometry", required=True):
+        with self._recover(failed, "sim_geometry", required=True):
             size, ways, line = blob["sim_geometry"]
             self.sim_geometry = CacheGeometry(int(size), int(ways), int(line))
-        with self._recover(blob, failed, "symbols"):
+        with self._recover(failed, "symbols"):
             self.symbols = SymbolTable()
-            for ip, (fn, site) in blob["symbols"].items():
+            for ip, (fn, site) in sections["symbols"].items():
                 self.symbols._ip_to_sym[int(ip)] = (fn, site)
-        with self._recover(blob, failed, "stats"):
-            self.sampler = _OfflineSampler(blob, blob["chunk_size"])
-        with self._recover(blob, failed, "address_set"):
+        with self._recover(failed, "stats"):
+            self.sampler = _OfflineSampler(sections["stats"], blob["chunk_size"])
+        with self._recover(failed, "address_set"):
             if canonical["address_set"] is not None and "address_set" not in failed:
                 self.address_set = AddressSet.from_intervals(address_entries)
             else:
                 self.address_set = AddressSet()
-                for e in blob["address_set"]:
+                for e in sections["address_set"]:
                     self.address_set.record_interval(
                         e["type"],
                         e["base"],
@@ -358,8 +369,8 @@ class OfflineSession:
                         e["free_cpu"],
                         e["free"],
                     )
-        with self._recover(blob, failed, "histories"):
-            self.histories = [self._history_from(h) for h in blob["histories"]]
+        with self._recover(failed, "histories"):
+            self.histories = [self._history_from(h) for h in sections["histories"]]
 
         self.data_quality.sections_failed = tuple(sorted(set(failed)))
         self._traces_cache: dict[str, list] = {}
@@ -372,15 +383,16 @@ class OfflineSession:
 
     def _validate_sections(
         self, blob: dict, version: int, canonical: dict[str, bytearray | None]
-    ) -> list[str]:
-        """Checksum-validate bulk sections; returns the failed ones.
+    ) -> tuple[dict, list[str]]:
+        """Checksum-validate bulk sections: (sections to rebuild, failed).
 
         *canonical* maps a section name to its canonical encoding when
-        that is already formatted.  Failed or missing sections are replaced
-        with empty data so the rest of the constructor can proceed; v1
-        archives have no checksums, so only structural parsing protects
-        them.
+        that is already formatted.  Failed or missing sections are
+        replaced with fresh empty data so the rest of the constructor
+        can proceed; *blob* itself is left as it is.  v1 archives have
+        no checksums, so only structural parsing protects them.
         """
+        sections: dict = {}
         failed: list[str] = []
         checksums = blob.get("checksums", {}) if version >= 2 else {}
         if version >= 2 and not isinstance(checksums, dict):
@@ -389,20 +401,18 @@ class OfflineSession:
             )
         for name in CHECKSUMMED_SECTIONS:
             section = blob.get(name)
-            if section is None:
-                failed.append(name)
-                blob[name] = _EMPTY_SECTION[name]
-                continue
-            if version >= 2 and checksums.get(name) != section_checksum(
-                section, canonical.get(name)
+            if section is None or (
+                version >= 2
+                and checksums.get(name) != section_checksum(section, canonical.get(name))
             ):
                 failed.append(name)
-                blob[name] = _EMPTY_SECTION[name]
-        return failed
+                section = _EMPTY_SECTION[name]()
+            sections[name] = section
+        return sections, failed
 
-    def _recover(self, blob, failed, section, required=False):
+    def _recover(self, failed, section, required=False):
         """Context manager: demote section parse errors to recovery notes."""
-        return _SectionRecovery(self, blob, failed, section, required)
+        return _SectionRecovery(self, failed, section, required)
 
     @staticmethod
     def _history_from(blob: dict) -> ObjectAccessHistory:
@@ -567,9 +577,8 @@ class _SectionRecovery:
     #: cache geometry whose size is not a multiple of ways * line size.
     _PARSE_ERRORS = (KeyError, TypeError, ValueError, IndexError, ConfigError)
 
-    def __init__(self, session, blob, failed, section, required) -> None:
+    def __init__(self, session, failed, section, required) -> None:
         self.session = session
-        self.blob = blob
         self.failed = failed
         self.section = section
         self.required = required
@@ -593,9 +602,7 @@ class _SectionRecovery:
         # Leave the session attribute in its pristine-empty state.
         defaults = {
             "symbols": SymbolTable(),
-            "stats": _OfflineSampler(
-                {"stats": []}, self.blob.get("chunk_size", 8) or 8
-            ),
+            "stats": _OfflineSampler([], self.session.blob.get("chunk_size", 8) or 8),
             "address_set": AddressSet(),
             "histories": [],
         }
@@ -610,6 +617,11 @@ def load_session(path: str | Path) -> OfflineSession:
     Raises :class:`~repro.errors.SessionFormatError` (never a bare
     ``json.JSONDecodeError``/``KeyError``) for torn or malformed files,
     naming the path; recoverable section damage loads partially instead.
+
+    The cyclic collector is paused while the JSON is parsed, checksummed
+    and rebuilt into records: that work allocates only acyclic data, all
+    of it freed by reference counting.  The parsed rows are freed before
+    the pause ends, or the first collection after it would walk them all.
     """
     path = Path(path)
     try:
@@ -620,12 +632,15 @@ def load_session(path: str | Path) -> OfflineSession:
         raise SessionFormatError(
             f"archive is not valid UTF-8 (flipped byte?): {exc}", path=path
         ) from exc
-    try:
-        blob = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SessionFormatError(
-            f"archive is not valid JSON (torn write?): {exc}", path=path
-        ) from exc
-    if not isinstance(blob, dict):
-        raise SessionFormatError("archive root is not an object", path=path)
-    return OfflineSession(blob, path=path)
+    with collector_paused():
+        try:
+            blob = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise SessionFormatError(
+                f"archive is not valid JSON (torn write?): {exc}", path=path
+            ) from exc
+        if not isinstance(blob, dict):
+            raise SessionFormatError("archive root is not an object", path=path)
+        session = OfflineSession(blob, path=path)
+        del blob
+    return session

@@ -1,5 +1,7 @@
-"""Small shared utilities: deterministic RNG, statistics, text tables."""
+"""Small shared utilities: deterministic RNG, statistics, text tables,
+and a pause of the cyclic garbage collector."""
 
+from repro.util.collector import collector_paused
 from repro.util.rng import DeterministicRng
 from repro.util.stats import OnlineStats, Histogram
 from repro.util.tables import TextTable, format_bytes, format_percent
@@ -11,4 +13,5 @@ __all__ = [
     "TextTable",
     "format_bytes",
     "format_percent",
+    "collector_paused",
 ]

@@ -5,9 +5,11 @@ in the session's DataQuality) or raise SessionFormatError naming the
 path -- never leak a bare JSONDecodeError/KeyError traceback.
 """
 
+import gc
 import json
 import shutil
 import warnings
+from copy import deepcopy
 
 import pytest
 
@@ -23,6 +25,7 @@ from repro.dprof.session_io import (
 )
 from repro.errors import DegradedDataWarning, ProfilingError, SessionFormatError
 from repro.faults import corrupt_section, flip_byte, tear_file
+from repro.serve.store import SessionStore
 from repro.util.rng import DeterministicRng
 
 from tests.test_dprof_profiler import build_udp_machine
@@ -83,6 +86,21 @@ class TestUnusableArchives:
         with pytest.raises(SessionFormatError) as exc_info:
             load_session(copy)
         assert exc_info.value.section == "window"
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda text: text.replace('"window": [', '"window": [-1, '),
+            lambda text: text[: len(text) // 2],
+        ],
+        ids=["window", "torn"],
+    )
+    def test_collector_enabled_again_after_decode_raises(self, copy, damage):
+        copy.write_text(damage(copy.read_text()))
+        assert gc.isenabled()
+        with pytest.raises(SessionFormatError):
+            load_session(copy)
+        assert gc.isenabled()
 
     @pytest.mark.parametrize("geometry", [[1000, 8, 64], [65536, 8], "l2"])
     def test_bad_sim_geometry_raises(self, copy, geometry):
@@ -145,6 +163,65 @@ class TestPartialRecovery:
             # Loadable: views must still come back.
             session.data_profile()
             session.data_flow("skbuff")
+
+
+#: Every view of a stored archive, as (view, type) render requests.
+ALL_VIEWS = (
+    ("data-profile", None),
+    ("working-set", None),
+    ("miss-class", "skbuff"),
+    ("data-flow", "skbuff"),
+    ("quality", None),
+    ("metrics", None),
+)
+
+
+def _render_all(store, digest):
+    return [
+        store.render_view(digest, view, type_name=type_name, use_cache=False)
+        for view, type_name in ALL_VIEWS
+    ]
+
+
+class TestDecodeKeepsNoRows:
+    """Decode reads the caller's blob and keeps only its metadata."""
+
+    def test_damaged_decode_leaves_the_callers_blob_unchanged(self, copy):
+        blob = json.loads(copy.read_text())
+        blob["checksums"]["stats"] = "0" * 64
+        before = deepcopy(blob)
+        first = OfflineSession(blob)
+        assert first.data_quality.sections_failed == ("stats",)
+        assert blob == before
+        # Rows added to the caller's blob reach no later decode.
+        blob["stats"].append(before["stats"][0])
+        damaged = json.loads(copy.read_text())
+        damaged["checksums"]["stats"] = "0" * 64
+        second = OfflineSession(damaged)
+        assert second.data_quality.sections_failed == ("stats",)
+        assert second.sampler.stats == {}
+
+    def test_decoded_session_keeps_no_bulk_rows(self, copy, tmp_path):
+        session = load_session(copy)
+        assert set(session.blob) & set(CHECKSUMMED_SECTIONS) == set()
+        assert session.sampler.stats and session.histories
+        assert session.address_set.entries and session.symbols._ip_to_sym
+        store = SessionStore(tmp_path / "store")
+        digest = store.put_text(copy.read_text())
+        assert all(_render_all(store, digest))
+
+    def test_decode_and_views_create_no_reference_cycles(self, copy, tmp_path):
+        # Decode and the cache replay run with the collector paused; that
+        # is only safe while they leave nothing for it to find.
+        store = SessionStore(tmp_path / "store")
+        digest = store.put_text(copy.read_text())
+        gc.collect()
+        session = load_session(copy)
+        assert session.working_set_sim().objects_simulated
+        texts = _render_all(store, digest)
+        del session
+        assert all(texts)
+        assert gc.collect() == 0
 
 
 class TestRetypedAddressSet:
