@@ -12,6 +12,11 @@ stay the same.
 ``miss-class`` and ``data-flow`` are rendered for ``skbuff``, as the
 benchmark and the case studies do; the job archives carry no
 histories, so those two views are the same empty rendering for each.
+
+The four views a detached ``DProf`` builds itself are pinned as well,
+from the same history-collecting sessions before they are exported:
+what the in-process user reads is held fixed just like what a served
+archive renders.
 """
 
 import hashlib
@@ -140,12 +145,39 @@ HISTORY_VIEWS = {
 }
 
 
+#: The live ``DProf`` renders of the history sessions: the data profile
+#: and working set at their top 10, the two per-type views for skbuff.
+LIVE_VIEWS = {
+    "memcached": {
+        "data-profile": "1e2833b7a0783690e40cb6d326b55f4bb0995fc4c4a965ea077a34eb88601914",
+        "working-set": "093ec5d3372e6f83ff84722053acb2e449fd4dfaf68bb9a8528743dc819efa93",
+        "miss-class": "ab2c8b3fb38cab13d92f73eda16f0acf21829ce2e48381f42b154b578e9321cf",
+        "data-flow": "aef97eb37e9aa88a21bdae879ceb6f2ebed7c78625865de5a7aba9414c28d363",
+    },
+    "apache": {
+        "data-profile": "789c46568b972faec3656f103e4368603e99f884824928fe275ca3533a10d1e0",
+        "working-set": "e1d24b203105871910f73b0717a69fc3333b210998dab38e2af913b58d2cc833",
+        "miss-class": "9a306e0429026b45513aea4276a721f5ba1a0f478d30af88df8309f38fb662a1",
+        "data-flow": "16bbe88c58c864dda1cf62aa3c9295c4ae8eb30c4c759b2de1105809ba6c0cb5",
+    },
+}
+
+
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
 @pytest.fixture(scope="module")
-def golden_store(tmp_path_factory):
+def history_sessions():
+    """The detached history-collecting profilers: scenario -> DProf."""
+    return {
+        scenario: collect_history_session(scenario, ncores=4, seed=SEED)
+        for scenario in HISTORY_VIEWS
+    }
+
+
+@pytest.fixture(scope="module")
+def golden_store(tmp_path_factory, history_sessions):
     """Every golden archive in one store: label -> digest."""
     store = SessionStore(tmp_path_factory.mktemp("golden-views"))
     digests = {}
@@ -153,12 +185,20 @@ def golden_store(tmp_path_factory):
         spec = JobSpec.create(scenario=scenario, seed=SEED, duration=DURATION)
         _status, archive_text, _info = execute_job(spec)
         digests[f"job:{scenario}"] = store.put_text(archive_text)
-    for scenario in HISTORY_VIEWS:
-        dprof = collect_history_session(scenario, ncores=4, seed=SEED)
+    for scenario, dprof in history_sessions.items():
         digests[f"history:{scenario}"] = store.put_text(
             json.dumps(export_session(dprof))
         )
     return store, digests
+
+
+def _render_live(dprof) -> dict[str, str]:
+    return {
+        "data-profile": _sha256(dprof.data_profile().render(10)),
+        "working-set": _sha256(dprof.working_set().render(10)),
+        "miss-class": _sha256(dprof.miss_classification("skbuff").render()),
+        "data-flow": _sha256(dprof.data_flow("skbuff").render_text()),
+    }
 
 
 def _render(store, digest, views=VIEWS) -> dict[str, str]:
@@ -173,6 +213,7 @@ def _render(store, digest, views=VIEWS) -> dict[str, str]:
 def test_every_golden_archive_has_pinned_views():
     assert set(JOB_VIEWS) == set(JOB_ARCHIVES)
     assert set(HISTORY_VIEWS) == set(HISTORY_ARCHIVES)
+    assert set(LIVE_VIEWS) == set(HISTORY_ARCHIVES)
 
 
 @pytest.mark.parametrize("scenario", sorted(JOB_VIEWS))
@@ -194,3 +235,8 @@ def test_history_views_do_not_depend_on_render_order(golden_store, scenario):
     store, digests = golden_store
     rendered = _render(store, digests[f"history:{scenario}"], VIEWS[::-1])
     assert rendered == HISTORY_VIEWS[scenario]
+
+
+@pytest.mark.parametrize("scenario", sorted(LIVE_VIEWS))
+def test_live_views_match_golden(history_sessions, scenario):
+    assert _render_live(history_sessions[scenario]) == LIVE_VIEWS[scenario]
