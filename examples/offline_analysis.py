@@ -4,8 +4,8 @@
 The paper notes DProf keeps raw samples in RAM and that DCPI's
 spill-to-disk techniques apply.  This example profiles a small memcached
 run, saves the session to JSON, then rebuilds every view *from the file
-alone* -- no machine, no kernel, no workload -- and verifies the offline
-views agree with the live ones.
+alone* -- no machine, no kernel, no workload -- and verifies that the
+offline miss shares and path traces agree with the live ones.
 
 Run:  python examples/offline_analysis.py
 """
@@ -60,7 +60,7 @@ def main():
         print("=" * 72)
         print(offline.data_flow("skbuff").render_text())
 
-        # The offline views agree with the live session exactly.
+        # The miss shares and path traces agree with the live session.
         live_profile = live.data_profile()
         for row in live_profile.rows:
             other = restored.row_for(row.type_name)
@@ -70,8 +70,11 @@ def main():
         offline_keys = [t.path_key() for t in offline.path_traces("skbuff")]
         assert live_keys == offline_keys
         print()
-        print("Offline views match the live session exactly: profile on the")
-        print("test machine, analyze on your laptop.")
+        print("Offline miss shares and path traces match the live session:")
+        print("profile on the test machine, analyze on your laptop.  Two things")
+        print("differ: the archive carries no static-object descriptions, and")
+        print("the offline cache simulation draws from its own seed, so the")
+        print("working set's resident lines and conflict sets can differ.")
 
 
 if __name__ == "__main__":

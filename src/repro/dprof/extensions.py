@@ -64,23 +64,6 @@ def _whole_object_job(type_name: str, size: int, set_index: int):
     return HistoryJob(type_name=type_name, chunks=((0, size),), set_index=set_index)
 
 
-@dataclass
-class CollectionCost:
-    """Comparable cost summary for a history-collection strategy."""
-
-    strategy: str
-    jobs: int
-    cycles: int
-    elements: int
-
-    @property
-    def cycles_per_full_history(self) -> float:
-        """Setup+lifetime cycles amortized per completed job."""
-        if self.jobs == 0:
-            return 0.0
-        return self.cycles / self.jobs
-
-
 def pairwise_job_count(size: int, chunk: int = 4) -> int:
     """Jobs needed to cover a type once with pairwise sampling."""
     chunks = (size + chunk - 1) // chunk

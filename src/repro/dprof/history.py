@@ -170,14 +170,6 @@ class HistoryCollector:
         return jobs
 
     @property
-    def histories_per_set(self) -> int | None:
-        """Histories in one set of the most recently scheduled batch."""
-        if not self.jobs:
-            return None
-        first_set = self.jobs[0].set_index
-        return sum(1 for j in self.jobs if j.set_index == first_set)
-
-    @property
     def done(self) -> bool:
         """True once every scheduled job has completed (retries included)."""
         return (

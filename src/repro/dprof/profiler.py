@@ -13,6 +13,15 @@ Typical session, mirroring how the paper's case studies use the tool::
     ws      = dprof.working_set()       # live sizes + assoc histogram
     classes = dprof.miss_classification("skbuff")
     flow    = dprof.data_flow("skbuff") # Figure 6-1-style graph
+
+``DProf`` collects: the address set, IBS access samples and object
+access histories.  It builds no view itself.  Once detached, each view
+method delegates to an
+:class:`~repro.dprof.session_io.OfflineSession` over the profiler's
+in-memory records -- the class that also rebuilds views from a stored
+archive -- built at the first view and dropped at the next
+:meth:`DProf.detach`.  A view asked of a still-attached profiler raises
+:class:`~repro.errors.ProfilingError`.
 """
 
 from __future__ import annotations
@@ -20,27 +29,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.dprof.access_sampler import AccessSampleCollector
-from repro.dprof.cachesim import DProfCacheSim, WorkingSetSimResult
+from repro.dprof.cachesim import WorkingSetSimResult
 from repro.dprof.history import DEFAULT_CHUNK_SIZE, HistoryCollector
-from repro.dprof.pathtrace import PathTraceBuilder, analyze_histories
 from repro.dprof.quality import DataQuality
 from repro.dprof.records import AddressSet, PathTrace
 from repro.dprof.resolver import TypeResolver
+from repro.dprof.session_io import OfflineSession
 from repro.dprof.views import (
     DataFlowView,
-    DataProfileRow,
     DataProfileView,
     MissClassification,
-    MissClassifier,
-    WorkingSetRow,
     WorkingSetView,
 )
 from repro.errors import ProfilingError
 from repro.faults import FaultPlan
-from repro.hw.cache import CacheGeometry
 from repro.kernel.kernel import Kernel
 from repro.kernel.layout import KObject
-from repro.util.rng import DeterministicRng
 
 #: Foreign-cache share of a type's samples above which the profiler marks
 #: the type as bouncing even without collected histories.
@@ -53,16 +57,14 @@ class DProfConfig:
 
     ``ibs_interval`` is instructions between IBS tags (lower = more
     samples = more overhead, Figure 6-2).  ``chunk_size`` is the debug
-    register width used for histories (the paper uses 4 bytes).  The
-    cache-sim geometry defaults to the machine's private L2, which is
-    where the paper's conflict/capacity phenomena live.
+    register width used for histories (the paper uses 4 bytes).
+    ``seed`` seeds the working-set view's cache simulation, which models
+    the machine's private L2, where the paper's conflict/capacity
+    phenomena live.
     """
 
     ibs_interval: int = 1000
     chunk_size: int = DEFAULT_CHUNK_SIZE
-    sim_cache_size: int | None = None
-    sim_cache_ways: int | None = None
-    sim_max_objects: int = 4000
     #: Raw access samples kept in memory; None = unbounded (the paper's
     #: prototype), a cap = DCPI-style spilling (aggregates keep counting).
     max_resident_samples: int | None = None
@@ -109,15 +111,15 @@ class DProf:
         self.fault_plan = faults
         self.fault_injector = faults.build() if faults is not None else None
         self.address_set = AddressSet()
-        self.rng = DeterministicRng(self.config.seed, "dprof")
         self.attached = False
         self.profile_start_cycle = 0
         self.profile_end_cycle = 0
         self._ibs_base = (0, 0, 0)
         self._type_descriptions: dict[str, str] = {}
         self._type_sizes: dict[str, int] = {}
-        self._traces_cache: dict[str, list[PathTrace]] = {}
-        self._sim_cache: WorkingSetSimResult | None = None
+        #: The views' analysis session; built at the first view after
+        #: a detach.
+        self._analysis: OfflineSession | None = None
 
     # ------------------------------------------------------------------
     # Session control
@@ -168,8 +170,7 @@ class DProf:
             self.history.faults = None
         self.kernel.slab.remove_alloc_listener(self._on_alloc)
         self.kernel.slab.remove_free_listener(self._on_free)
-        self._traces_cache.clear()
-        self._sim_cache = None
+        self._analysis = None
         if self._collection_span is not None:
             self.tracer.end(
                 self._collection_span,
@@ -242,60 +243,6 @@ class DProf:
         return self.history.done
 
     # ------------------------------------------------------------------
-    # Derived data
-    # ------------------------------------------------------------------
-
-    def path_traces(self, type_name: str) -> list[PathTrace]:
-        """Path traces for one type (built lazily, cached)."""
-        cached = self._traces_cache.get(type_name)
-        if cached is None:
-            builder = PathTraceBuilder(self.kernel.symbols, self.sampler)
-            cached = builder.build(type_name, self.history.histories_for(type_name))
-            self._traces_cache[type_name] = cached
-        return cached
-
-    def _window(self) -> tuple[int, int]:
-        end = (
-            self.profile_end_cycle
-            if self.profile_end_cycle > self.profile_start_cycle
-            else self.machine.elapsed_cycles()
-        )
-        return self.profile_start_cycle, end
-
-    def _sim_geometry(self) -> CacheGeometry:
-        cfg = self.machine.config
-        size = self.config.sim_cache_size or cfg.l2_size
-        ways = self.config.sim_cache_ways or cfg.l2_ways
-        return CacheGeometry(size, ways, cfg.line_size)
-
-    def working_set_sim(self) -> WorkingSetSimResult:
-        """DProf's offline cache simulation result (cached)."""
-        if self._sim_cache is None:
-            # Build every type's traces in one analysis pass; types a
-            # caller already built individually keep their cached result.
-            by_type = self.history.histories_by_type()
-            pending = {
-                name: hists
-                for name, hists in by_type.items()
-                if name not in self._traces_cache
-            }
-            if pending:
-                self._traces_cache.update(
-                    analyze_histories(
-                        self.kernel.symbols,
-                        self.sampler,
-                        pending,
-                        tracer=self.tracer,
-                    )
-                )
-            traces = {name: self.path_traces(name) for name in by_type}
-            sim = DProfCacheSim(self._sim_geometry(), self.rng.child("cachesim"))
-            self._sim_cache = sim.simulate(
-                self.address_set, traces, max_objects=self.config.sim_max_objects
-            )
-        return self._sim_cache
-
-    # ------------------------------------------------------------------
     # Data quality
     # ------------------------------------------------------------------
 
@@ -330,13 +277,6 @@ class DProf:
             quality.notes = (self.fault_plan.describe(),)
         return quality
 
-    def _attach_quality(self, view, name: str):
-        """Stamp a view with the session's quality report; warn if partial."""
-        quality = self.data_quality()
-        view.quality = quality
-        quality.warn_if_degraded(f"{name} view")
-        return view
-
     # ------------------------------------------------------------------
     # The four views
     # ------------------------------------------------------------------
@@ -360,69 +300,34 @@ class DProf:
         )
         return foreign / samples > BOUNCE_FOREIGN_SHARE
 
+    def _session(self) -> OfflineSession:
+        """The analysis session over this profiler's records."""
+        if self.attached:
+            raise ProfilingError("DProf still attached: detach() before building views")
+        if self._analysis is None:
+            self._analysis = OfflineSession.from_profiler(self)
+        return self._analysis
+
+    def path_traces(self, type_name: str) -> list[PathTrace]:
+        """Path traces for one type (built lazily, cached)."""
+        return self._session().path_traces(type_name)
+
+    def working_set_sim(self) -> WorkingSetSimResult:
+        """DProf's offline cache simulation result (cached)."""
+        return self._session().working_set_sim()
+
     def data_profile(self) -> DataProfileView:
         """The ranked data profile (Tables 6.1/6.4/6.5)."""
-        start, end = self._window()
-        rows = []
-        for type_name, _misses in self.sampler.popular_types():
-            rows.append(
-                DataProfileRow(
-                    type_name=type_name,
-                    description=self._description(type_name),
-                    working_set_bytes=self.address_set.mean_live_bytes(
-                        type_name, start, end
-                    )
-                    or self._static_bytes(type_name),
-                    miss_share=self.sampler.miss_share(type_name),
-                    bounce=self.bounce_flag(type_name),
-                    sample_count=self.sampler.type_samples.count(type_name),
-                )
-            )
-        view = DataProfileView(rows, self.sampler.total_l1_misses)
-        return self._attach_quality(view, "data profile")
-
-    def _static_bytes(self, type_name: str) -> float:
-        """Footprint for types never slab-allocated (static objects)."""
-        static = self.kernel.slab.static_bytes(type_name)
-        if static:
-            return float(static)
-        size = self._type_sizes.get(type_name)
-        return float(size) if size is not None else 0.0
-
-    def _description(self, type_name: str) -> str:
-        desc = self._type_descriptions.get(type_name)
-        if desc:
-            return desc
-        statics = self.kernel.slab.static_objects_by_type().get(type_name)
-        if statics:
-            return statics[0].otype.description
-        return ""
+        return self._session().data_profile()
 
     def working_set(self) -> WorkingSetView:
         """The working set view (Section 4.2)."""
-        start, end = self._window()
-        sim = self.working_set_sim()
-        rows = []
-        for type_name in self.address_set.type_names():
-            live_bytes, live_objects = self.address_set.live_means(type_name, start, end)
-            rows.append(
-                WorkingSetRow(
-                    type_name=type_name,
-                    mean_live_bytes=live_bytes,
-                    mean_live_objects=live_objects,
-                    mean_resident_lines=sim.mean_resident_lines.get(type_name, 0.0),
-                )
-            )
-        view = WorkingSetView(rows, sim, window_cycles=end - start)
-        return self._attach_quality(view, "working set")
+        return self._session().working_set()
 
     def miss_classification(self, type_name: str) -> MissClassification:
         """The miss classification view for one type (Section 4.3)."""
-        classifier = MissClassifier(self.working_set_sim())
-        view = classifier.classify(type_name, self.path_traces(type_name))
-        return self._attach_quality(view, "miss classification")
+        return self._session().miss_classification(type_name)
 
     def data_flow(self, type_name: str) -> DataFlowView:
         """The data flow view for one type (Section 4.4 / Figure 6-1)."""
-        view = DataFlowView(type_name, self.path_traces(type_name))
-        return self._attach_quality(view, "data flow")
+        return self._session().data_flow(type_name)

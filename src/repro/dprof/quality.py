@@ -79,16 +79,6 @@ class DataQuality:
         return 1.0 - self.sample_delivery_rate
 
     @property
-    def history_completion_rate(self) -> float:
-        """Fraction of finished history jobs that recorded a full lifetime."""
-        finished = (
-            self.histories_complete + self.histories_partial + self.histories_abandoned
-        )
-        if finished == 0:
-            return 1.0
-        return self.histories_complete / finished
-
-    @property
     def history_truncation_rate(self) -> float:
         """Observed per-attempt truncation rate (compare against injected)."""
         if self.history_attempts == 0:

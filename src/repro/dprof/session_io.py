@@ -6,7 +6,10 @@ while profiling."  This module provides the disk half: a profiling
 session's raw data (aggregated sample statistics, object access
 histories, the address set, and the symbol map) serializes to JSON, and
 an :class:`OfflineSession` rebuilds every DProf view from the file alone
--- profile on one machine, analyze anywhere.
+-- profile on one machine, analyze anywhere.  :class:`OfflineSession`
+is also the only code that builds views: a detached
+:class:`~repro.dprof.profiler.DProf` analyses its in-memory records
+through :meth:`OfflineSession.from_profiler`.
 
 Because archives cross machine boundaries they also see storage faults:
 torn writes and flipped bytes.  Format version 2 therefore carries a
@@ -163,6 +166,33 @@ def _canonical_address_rows(rows, entries: list | None = None) -> bytearray | No
 # ----------------------------------------------------------------------
 
 
+def _profile_metadata(dprof) -> dict:
+    """A DProf session's per-type metadata, keys in archive order.
+
+    The miss and sample counts, bounce flags, descriptions and static
+    footprints that the data profile reads.  :func:`export_session`
+    archives them and :meth:`OfflineSession.from_profiler` analyses
+    them in place.
+    """
+    sampler = dprof.sampler
+    slab = dprof.kernel.slab
+    return {
+        "total_l1_misses": sampler.total_l1_misses,
+        "type_misses": {str(k): v for k, v in sampler.type_misses.items()},
+        "type_samples": {str(k): v for k, v in sampler.type_samples.items()},
+        # Bounce combines history evidence with the foreign-sample
+        # fallback, which needs the raw samples -- compute it here.
+        "bounce": {
+            str(name): dprof.bounce_flag(str(name))
+            for name, _count in sampler.type_misses.items()
+        },
+        "descriptions": dict(dprof._type_descriptions),
+        "static_bytes": {
+            name: slab.static_bytes(name) for name in slab.static_objects_by_type()
+        },
+    }
+
+
 def export_session(dprof) -> dict:
     """Serialize a (detached) DProf session to a JSON-compatible dict."""
     sampler = dprof.sampler
@@ -218,20 +248,7 @@ def export_session(dprof) -> dict:
     blob = {
         "version": FORMAT_VERSION,
         "window": [dprof.profile_start_cycle, dprof.profile_end_cycle],
-        "total_l1_misses": sampler.total_l1_misses,
-        "type_misses": {str(k): v for k, v in sampler.type_misses.items()},
-        "type_samples": {str(k): v for k, v in sampler.type_samples.items()},
-        # Bounce combines history evidence with the foreign-sample
-        # fallback, which needs the raw samples -- compute it at export.
-        "bounce": {
-            str(name): dprof.bounce_flag(str(name))
-            for name, _count in sampler.type_misses.items()
-        },
-        "descriptions": dict(dprof._type_descriptions),
-        "static_bytes": {
-            name: dprof.kernel.slab.static_bytes(name)
-            for name in dprof.kernel.slab.static_objects_by_type()
-        },
+        **_profile_metadata(dprof),
         "stats": stats_blob,
         "histories": histories_blob,
         "address_set": address_blob,
@@ -313,6 +330,9 @@ class OfflineSession:
     blob's metadata as :attr:`blob`, without the bulk sections
     (:data:`CHECKSUMMED_SECTIONS`) whose rows it rebuilds into records,
     so those rows are freed with the caller's blob.
+
+    :meth:`from_profiler` builds the same session over a detached
+    profiler's records instead; every view is built by this class.
     """
 
     def __init__(self, blob: dict, path: str | Path | None = None) -> None:
@@ -373,6 +393,60 @@ class OfflineSession:
             self.histories = [self._history_from(h) for h in sections["histories"]]
 
         self.data_quality.sections_failed = tuple(sorted(set(failed)))
+        self._start_analysis(DeterministicRng(3, "offline"))
+
+    @classmethod
+    def from_profiler(cls, dprof) -> "OfflineSession":
+        """The session of a detached :class:`~repro.dprof.profiler.DProf`.
+
+        It analyses the profiler's own sampler, histories, address set,
+        symbols and window, with nothing encoded or decoded.  Four
+        inputs differ from a served session of the same run, so that
+        the live views stay as they were:
+
+        - the cache simulation draws from the profiler's seed,
+          ``DeterministicRng(seed, "dprof").child("cachesim")``, where
+          a served session draws from ``DeterministicRng(3, "offline")``;
+        - a type without a description takes its static objects' one;
+        - a type with no live bytes shows its static bytes, else its
+          type size, where a served session shows its static bytes or 0;
+        - path-trace analysis records its ``analysis`` span on the
+          profiler's tracer.
+        """
+        meta = _profile_metadata(dprof)
+        slab = dprof.kernel.slab
+        descriptions = meta["descriptions"]
+        for name, statics in slab.static_objects_by_type().items():
+            if not descriptions.get(name):
+                descriptions[name] = statics[0].otype.description
+        footprints = meta["static_bytes"]
+        for name, size in dprof._type_sizes.items():
+            if not footprints.get(name):
+                footprints[name] = size
+        cfg = dprof.machine.config
+        session = cls.__new__(cls)
+        session.path = None
+        session.blob = meta
+        session.data_quality = dprof.data_quality()
+        session.window = (dprof.profile_start_cycle, dprof.profile_end_cycle)
+        session.sim_geometry = CacheGeometry(cfg.l2_size, cfg.l2_ways, cfg.line_size)
+        session.symbols = dprof.kernel.symbols
+        session.sampler = dprof.sampler
+        session.address_set = dprof.address_set
+        session.histories = dprof.history.histories
+        session._start_analysis(
+            DeterministicRng(dprof.config.seed, "dprof").child("cachesim"),
+            tracer=dprof.tracer,
+            view_context="",
+        )
+        return session
+
+    def _start_analysis(self, sim_rng, tracer=None, view_context="offline ") -> None:
+        """Empty the analysis caches and set the inputs a live session
+        chooses: the cache-sim stream, the tracer, the warning context."""
+        self.sim_rng = sim_rng
+        self.tracer = tracer
+        self._view_context = view_context
         self._traces_cache: dict[str, list] = {}
         self._sim_cache: WorkingSetSimResult | None = None
         self._live_means_cache: dict[str, tuple[float, float]] = {}
@@ -436,11 +510,11 @@ class OfflineSession:
 
     def _attach_quality(self, view, name: str):
         view.quality = self.data_quality
-        self.data_quality.warn_if_degraded(f"offline {name} view")
+        self.data_quality.warn_if_degraded(f"{self._view_context}{name} view")
         return view
 
     # ------------------------------------------------------------------
-    # Views (mirror the live DProf facade)
+    # Views (the live DProf facade delegates here)
     # ------------------------------------------------------------------
 
     def path_traces(self, type_name: str):
@@ -467,7 +541,7 @@ class OfflineSession:
 
     def working_set_sim(self) -> WorkingSetSimResult:
         if self._sim_cache is None:
-            sim = DProfCacheSim(self.sim_geometry, DeterministicRng(3, "offline"))
+            sim = DProfCacheSim(self.sim_geometry, self.sim_rng)
             # One batch analysis pass for every type not already built
             # individually.
             by_type: dict[str, list[ObjectAccessHistory]] = {}
@@ -480,7 +554,9 @@ class OfflineSession:
             }
             if pending:
                 self._traces_cache.update(
-                    analyze_histories(self.symbols, self.sampler, pending)
+                    analyze_histories(
+                        self.symbols, self.sampler, pending, tracer=self.tracer
+                    )
                 )
             traces = {name: self.path_traces(name) for name in by_type}
             self._sim_cache = sim.simulate(self.address_set, traces)
@@ -517,7 +593,7 @@ class OfflineSession:
         return self._attach_quality(view, "data profile")
 
     def working_set(self) -> WorkingSetView:
-        """The working set view, rebuilt offline like the live one.
+        """The working set view (Section 4.2).
 
         Completes the view quartet: every view a live
         :class:`~repro.dprof.profiler.DProf` offers can be re-rendered

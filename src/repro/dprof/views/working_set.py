@@ -47,10 +47,6 @@ class WorkingSetView:
                 return row
         return None
 
-    def total_live_bytes(self) -> float:
-        """Sum of mean live bytes across all types."""
-        return sum(r.mean_live_bytes for r in self.rows)
-
     def conflict_sets(self, factor: float = 2.0) -> list[int]:
         """Associativity sets suspected of conflict misses."""
         return self.sim.conflict_sets(factor)

@@ -63,17 +63,6 @@ class FaultCounters:
     history_truncations: int = 0
     history_truncation_decisions: int = 0
 
-    @property
-    def total_faults(self) -> int:
-        """Every fault the injector fired, across all models."""
-        return (
-            self.ibs_drops
-            + self.ibs_corruptions
-            + self.debug_slot_steals
-            + self.watch_trap_misses
-            + self.history_truncations
-        )
-
 
 @dataclass(frozen=True)
 class FaultPlan:

@@ -24,10 +24,6 @@ class Core:
         self.overhead_cycles = 0
         self.ibs = IbsUnit(cpu, rng.child(f"ibs{cpu}"))
 
-    def tsc(self) -> int:
-        """Read the timestamp counter (RDTSC): the core's cycle clock."""
-        return self.cycle
-
     def charge(self, cycles: int, overhead: bool = False) -> None:
         """Advance the clock by *cycles*; optionally book it as overhead."""
         self.cycle += cycles

@@ -21,11 +21,6 @@ class CacheLevel(IntEnum):
     FOREIGN = 4
     DRAM = 5
 
-    @property
-    def is_local_hit(self) -> bool:
-        """True when the access hit a cache private to the issuing core."""
-        return self in (CacheLevel.L1, CacheLevel.L2)
-
 
 class MissKind(Enum):
     """Ground-truth cause of an L1/L2 miss, known only to the simulator.

@@ -72,16 +72,6 @@ class Latencies:
     dram: int = 250
     upgrade: int = 60
 
-    def for_level(self, level: CacheLevel) -> int:
-        """Base latency for a given serve level (dirty-foreign for FOREIGN)."""
-        return {
-            CacheLevel.L1: self.l1,
-            CacheLevel.L2: self.l2,
-            CacheLevel.L3: self.l3,
-            CacheLevel.FOREIGN: self.foreign,
-            CacheLevel.DRAM: self.dram,
-        }[level]
-
 
 @dataclass(frozen=True)
 class HierarchyConfig:

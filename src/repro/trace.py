@@ -406,11 +406,6 @@ class NullTracer:
 NULL_TRACER = NullTracer()
 
 
-def tracer_or_null(trace: bool, seed: int = 0) -> Tracer | NullTracer:
-    """A live :class:`Tracer` when *trace* is set, else :data:`NULL_TRACER`."""
-    return Tracer(seed=seed) if trace else NULL_TRACER
-
-
 def config_fingerprint(blob: dict) -> str:
     """SHA-256 prefix over a canonical JSON encoding of a config dict."""
     canonical = json.dumps(blob, sort_keys=True, separators=(",", ":"), default=str)

@@ -51,11 +51,6 @@ class OnlineStats:
             return 0.0
         return self._m2 / self.count
 
-    @property
-    def stddev(self) -> float:
-        """Population standard deviation."""
-        return self.variance ** 0.5
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"OnlineStats(count={self.count}, mean={self.mean:.3f}, "

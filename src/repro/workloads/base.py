@@ -43,10 +43,3 @@ class RequestCounter:
         """Count one completed request on *cpu*."""
         self.per_core[cpu] = self.per_core.get(cpu, 0) + 1
         self.total += 1
-
-
-def run_setup(kernel: Kernel, generators: list[tuple[str, int, object]]) -> None:
-    """Run setup generators to completion before measurement starts."""
-    for name, cpu, gen in generators:
-        kernel.spawn(name, cpu, gen)
-    kernel.run()

@@ -161,3 +161,43 @@ class TestDProfSession:
             return k.machine.total_overhead_cycles()
 
         assert overhead(100) > 2 * overhead(1000)
+
+    def test_views_need_a_detached_profiler(self):
+        k, _stack = build_udp_machine()
+        dprof = DProf(k, DProfConfig(ibs_interval=300))
+        dprof.attach()
+        k.run(until_cycle=100_000)
+        views = (
+            dprof.data_profile,
+            dprof.working_set,
+            dprof.working_set_sim,
+            lambda: dprof.path_traces("skbuff"),
+            lambda: dprof.miss_classification("skbuff"),
+            lambda: dprof.data_flow("skbuff"),
+        )
+        for view in views:
+            with pytest.raises(ProfilingError, match="detach"):
+                view()
+        dprof.detach()
+        assert dprof.data_profile().rows
+
+    def test_each_detach_rebuilds_the_views(self):
+        k, _stack = build_udp_machine()
+        dprof = DProf(k, DProfConfig(ibs_interval=300))
+        dprof.attach()
+        k.run(until_cycle=100_000)
+        dprof.detach()
+        first = dprof.working_set()
+        first_window = dprof.profile_end_cycle - dprof.profile_start_cycle
+        assert first.window_cycles == first_window
+        # Built once per detach: later views share the simulation.
+        assert dprof.working_set_sim() is first.sim
+
+        dprof.attach()
+        k.run(until_cycle=400_000)
+        dprof.detach()
+        second = dprof.working_set()
+        second_window = dprof.profile_end_cycle - dprof.profile_start_cycle
+        assert second_window > first_window
+        assert second.window_cycles == second_window
+        assert second.sim is not first.sim

@@ -1,6 +1,7 @@
 """Tests for session serialization and offline view reconstruction."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -81,27 +82,67 @@ def test_archive_is_valid_json(profiled_session):
 
 
 def test_offline_data_profile_matches_live(profiled_session):
+    """Live and served views of one session agree field by field.
+
+    Both are built by ``OfflineSession``, from inputs that differ in two
+    ways a view shows:
+
+    - the archive carries no static-object descriptions, so a
+      static-only type's description is blank when served;
+    - the cache simulation draws from another seed when served, so the
+      working set's resident lines and conflict-suspect sets are not
+      compared.
+    """
     dprof, path = profiled_session
-    offline = load_session(path)
     live = dprof.data_profile()
-    restored = offline.data_profile()
-    live_shares = {r.type_name: round(r.miss_share, 6) for r in live.rows}
-    restored_shares = {r.type_name: round(r.miss_share, 6) for r in restored.rows}
-    assert live_shares == restored_shares
-    for row in live.rows:
-        other = restored.row_for(row.type_name)
-        assert other is not None
-        assert abs(other.working_set_bytes - row.working_set_bytes) < 1.0
-        assert other.bounce == row.bounce
+    restored = load_session(path).data_profile()
+    assert live.total_l1_misses == restored.total_l1_misses
+    assert [r.type_name for r in live.rows] == [r.type_name for r in restored.rows]
+    statics = dprof.kernel.slab.static_objects_by_type()
+    static_only = set(statics) - set(dprof._type_descriptions)
+    described = 0
+    for row, other in zip(live.rows, restored.rows):
+        if row.type_name in static_only:
+            assert other.description == ""
+            assert row.description == statics[row.type_name][0].otype.description
+            described += bool(row.description)
+            other = replace(other, description=row.description)
+        assert row == other
+    assert described, "no static-only type in the profile"
 
 
 def test_offline_path_traces_match_live(profiled_session):
     dprof, path = profiled_session
     offline = load_session(path)
-    live = dprof.path_traces("skbuff")
-    restored = offline.path_traces("skbuff")
-    assert [t.path_key() for t in live] == [t.path_key() for t in restored]
-    assert [t.frequency for t in live] == [t.frequency for t in restored]
+    types = {h.type_name for h in offline.histories}
+    assert types
+    for type_name in sorted(types):
+        assert dprof.path_traces(type_name) == offline.path_traces(type_name)
+
+
+def test_offline_working_set_live_sizes_match_live(profiled_session):
+    dprof, path = profiled_session
+    live = dprof.working_set()
+    restored = load_session(path).working_set()
+    assert live.window_cycles == restored.window_cycles
+
+    def sizes(view):
+        return [(r.type_name, r.mean_live_bytes, r.mean_live_objects) for r in view.rows]
+
+    assert sizes(live) == sizes(restored)
+
+
+def test_offline_per_type_renders_match_live(profiled_session):
+    dprof, path = profiled_session
+    offline = load_session(path)
+    assert (
+        dprof.miss_classification("skbuff").render()
+        == offline.miss_classification("skbuff").render()
+    )
+    assert (
+        dprof.data_flow("skbuff").render_text()
+        == offline.data_flow("skbuff").render_text()
+    )
 
 
 def test_offline_data_flow_and_classification(profiled_session):
