@@ -31,9 +31,11 @@ the pipeline over deterministically lossy hardware; one-shot runs then
 print a data-quality report and exit 0/3/4 (full/degraded/poor), while
 service jobs report status ok/degraded/failed instead.
 
-Import rule: a command imports the subsystem it drives (the profiler,
-diagnosis, baselines, fixes, the server's ``asyncio`` stack) inside its
-own function, so a command pays only for what it runs.
+Import rule: a command imports the subsystem it drives (the simulated
+machine, kernel and workloads, the profiler, diagnosis, baselines, fixes,
+the server's ``asyncio`` stack) inside its own function, so a command
+pays only for what it runs.  Scenario defaults come from
+:mod:`repro.config`, which imports no simulator.
 """
 
 from __future__ import annotations
@@ -45,17 +47,10 @@ import time
 from typing import TYPE_CHECKING
 
 from repro import __version__
-from repro.config import RunConfig
+from repro.config import SCENARIO_DEFAULTS, RunConfig
 from repro.dprof.quality import DataQuality
 from repro.errors import FaultInjectionError, ProtocolError, ServeError, TraceError
 from repro.faults import FaultPlan
-from repro.kernel import Kernel
-from repro.workloads import (
-    SCENARIO_DEFAULTS,
-    ApacheConfig,
-    ApacheWorkload,
-    MemcachedWorkload,
-)
 
 if TYPE_CHECKING:
     from repro.dprof.profiler import DProf
@@ -91,6 +86,8 @@ def _profiled_memcached(
 ):
     from repro.dprof.profiler import DProf
     from repro.fixes import install_local_queue_selection
+    from repro.kernel import Kernel
+    from repro.workloads import MemcachedWorkload
 
     run = run or RunConfig(seed=11)
     kernel = Kernel(run.machine_config(ncores=cores))
@@ -134,6 +131,8 @@ def cmd_memcached(args: argparse.Namespace) -> int:
 def cmd_apache(args: argparse.Namespace) -> int:
     from repro.dprof.profiler import DProf
     from repro.fixes import apply_admission_control
+    from repro.kernel import Kernel
+    from repro.workloads import ApacheConfig, ApacheWorkload
 
     plan = _fault_plan(args)
     run = RunConfig(seed=11)
@@ -167,6 +166,8 @@ def cmd_apache(args: argparse.Namespace) -> int:
 def cmd_diagnose(args: argparse.Namespace) -> int:
     from repro.dprof.diagnosis import Diagnosis
     from repro.dprof.profiler import DProf
+    from repro.kernel import Kernel
+    from repro.workloads import MemcachedWorkload
 
     plan = _fault_plan(args)
     run = RunConfig(seed=52)

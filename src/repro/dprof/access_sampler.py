@@ -124,10 +124,6 @@ class AccessSampleCollector:
         """
         return self.type_misses.share(type_name)
 
-    def popular_types(self, n: int | None = None) -> list[tuple[str, int]]:
-        """Types ranked by sampled L1 misses (most interesting first)."""
-        return [(str(k), v) for k, v in self.type_misses.top(n)]
-
     def popular_chunks(self, type_name: str, n: int | None = None) -> list[int]:
         """Most-accessed offset chunks of a type, by sample count.
 

@@ -218,10 +218,12 @@ class DProfCacheSim:
 
         Each set is a dict from resident line to its owner type, in
         recency order: a hit moves the line to the end and a full set
-        evicts its first line, exactly the decisions of
-        :class:`~repro.hw.cache.CacheArray`.  Resident lines per type
-        are counted as lines come and go, so an occupancy snapshot adds
-        up the types rather than the lines.
+        evicts its first line, exactly the decisions of the machine's
+        :class:`~repro.hw.cache.CacheArray` and of the ``OrderedDict``
+        oracle array in ``tests/hierarchy_oracle.py``, which
+        ``tests/cachesim_oracle.py`` replays through.  Resident lines per
+        type are counted as lines come and go, so an occupancy snapshot
+        adds up the types rather than the lines.
 
         Snapshots fall every ``SNAPSHOT_EVERY`` line accesses; ``left``
         counts the accesses before the next one.  A single-line touch

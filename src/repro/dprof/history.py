@@ -419,15 +419,3 @@ class HistoryCollector:
     def histories_for(self, type_name: str) -> list[ObjectAccessHistory]:
         """All completed histories of one type."""
         return [h for h in self.histories if h.type_name == type_name]
-
-    def histories_by_type(self) -> dict[str, list[ObjectAccessHistory]]:
-        """All histories grouped by type, in collection order.
-
-        One pass instead of one :meth:`histories_for` scan per type; the
-        analysis driver (:func:`~repro.dprof.pathtrace.analyze_histories`)
-        consumes this grouping directly.
-        """
-        grouped: dict[str, list[ObjectAccessHistory]] = {}
-        for history in self.histories:
-            grouped.setdefault(history.type_name, []).append(history)
-        return grouped

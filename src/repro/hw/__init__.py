@@ -14,17 +14,17 @@ directory arbitrates line ownership between cores.  Unlike real hardware,
 the simulation also records the *ground-truth cause* of every miss
 (cold / invalidation / eviction), which the test suite uses to validate
 DProf's statistical inference.
+
+There is one hierarchy, :class:`MemoryHierarchy`, on one cache array and
+one directory.  The independent oracle the differential tests check it
+against is test code (``tests/hierarchy_oracle.py``), not part of this
+package.
 """
 
 from repro.hw.events import AccessResult, CacheLevel, Instr, MissKind, Pause
-from repro.hw.cache import CacheArray, CacheGeometry, FastCacheArray
-from repro.hw.coherence import Directory, FastDirectory
-from repro.hw.hierarchy import (
-    HierarchyConfig,
-    Latencies,
-    MemoryHierarchy,
-    ReferenceHierarchy,
-)
+from repro.hw.cache import CacheArray, CacheGeometry
+from repro.hw.coherence import Directory
+from repro.hw.hierarchy import HierarchyConfig, Latencies, MemoryHierarchy
 from repro.hw.machine import Machine, MachineConfig, Thread
 
 __all__ = [
@@ -36,12 +36,9 @@ __all__ = [
     "CacheArray",
     "CacheGeometry",
     "Directory",
-    "FastCacheArray",
-    "FastDirectory",
     "HierarchyConfig",
     "Latencies",
     "MemoryHierarchy",
-    "ReferenceHierarchy",
     "Machine",
     "MachineConfig",
     "Thread",

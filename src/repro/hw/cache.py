@@ -7,20 +7,15 @@ pressure.  Coherence state lives in the directory
 associativity, the two properties behind the paper's conflict- and
 capacity-miss classes.
 
-Two arrays make the same replacement decisions:
-
-- :class:`FastCacheArray`, which the machine's
-  :class:`~repro.hw.hierarchy.MemoryHierarchy` builds: each set is a
-  plain dict kept in LRU order by insertion, so a hit deletes and
-  re-inserts one key and the victim is the first key;
-- :class:`CacheArray`, the readable oracle the
-  :class:`~repro.hw.hierarchy.ReferenceHierarchy` builds: each set is an
-  ``OrderedDict`` used as an LRU queue.
+:class:`CacheArray` keeps each set as a plain dict in LRU order by
+insertion, so a hit deletes and re-inserts one key and the victim is the
+first key.  The test suite checks it against an independent
+``OrderedDict`` array (``tests/hierarchy_oracle.py``) that must make the
+same replacement decisions.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.errors import ConfigError
@@ -61,99 +56,12 @@ class CacheGeometry:
 class CacheArray:
     """One level of cache for one core (or a shared level).
 
-    Lines are identified by their global line index.  Each set is an
-    ordered dict used as an LRU queue: most recently used at the end.
-    """
-
-    def __init__(self, geometry: CacheGeometry, name: str = "cache") -> None:
-        self.geometry = geometry
-        self.name = name
-        self._sets: list[OrderedDict[int, None]] = [
-            OrderedDict() for _ in range(geometry.num_sets)
-        ]
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def lookup(self, line: int) -> bool:
-        """Probe for *line*; refresh its LRU position on a hit."""
-        bucket = self._sets[self.geometry.set_of(line)]
-        if line in bucket:
-            bucket.move_to_end(line)
-            self.hits += 1
-            return True
-        self.misses += 1
-        return False
-
-    def contains(self, line: int) -> bool:
-        """Probe without disturbing LRU order or counters."""
-        return line in self._sets[self.geometry.set_of(line)]
-
-    def insert(self, line: int) -> int | None:
-        """Insert *line*, returning the evicted victim line if the set was full."""
-        bucket = self._sets[self.geometry.set_of(line)]
-        if line in bucket:
-            bucket.move_to_end(line)
-            return None
-        victim = None
-        if len(bucket) >= self.geometry.ways:
-            victim, _ = bucket.popitem(last=False)
-            self.evictions += 1
-        bucket[line] = None
-        return victim
-
-    def remove(self, line: int) -> bool:
-        """Drop *line* if present (invalidation); returns whether it was there."""
-        bucket = self._sets[self.geometry.set_of(line)]
-        if line in bucket:
-            del bucket[line]
-            return True
-        return False
-
-    def occupancy(self) -> int:
-        """Number of lines currently resident."""
-        return sum(len(bucket) for bucket in self._sets)
-
-    def set_occupancy(self, set_index: int) -> int:
-        """Number of lines resident in one associativity set."""
-        return len(self._sets[set_index])
-
-    def lines(self):
-        """Iterate over every resident line index."""
-        for bucket in self._sets:
-            yield from bucket.keys()
-
-    def lru_snapshot(self) -> tuple[tuple[int, ...], ...]:
-        """Per-set lines in replacement order (next victim first).
-
-        :class:`FastCacheArray` produces the same shape from its dict
-        order, so the differential tests can compare full replacement
-        state against this oracle.
-        """
-        return tuple(tuple(bucket.keys()) for bucket in self._sets)
-
-    def clear(self) -> None:
-        """Empty the cache (used between profiling runs)."""
-        for bucket in self._sets:
-            bucket.clear()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"CacheArray({self.name}, {self.geometry.size}B, "
-            f"{self.geometry.ways}-way, occ={self.occupancy()})"
-        )
-
-
-class FastCacheArray:
-    """The machine's cache array: per-set insertion-ordered dicts.
-
-    Each set is a plain dict whose insertion order is the LRU order, least
-    recent first: a hit or a re-insert deletes the line and re-inserts it
-    at the end, and the victim on a full-set insert is the first key.
-    That is the order :class:`CacheArray` keeps with ``move_to_end``, so
-    both arrays evict the same lines.  The machine's hierarchy probes
-    ``_sets`` and ``_nsets`` inline on its L1-hit path; every other
-    caller goes through the methods.
+    Lines are identified by their global line index.  Each set is a plain
+    dict whose insertion order is the LRU order, least recent first: a
+    hit or a re-insert deletes the line and re-inserts it at the end, and
+    the victim on a full-set insert is the first key.  The machine's
+    hierarchy probes ``_sets`` and ``_nsets`` inline on its L1-hit path;
+    every other caller goes through the methods.
     """
 
     def __init__(self, geometry: CacheGeometry, name: str = "cache") -> None:
@@ -228,6 +136,6 @@ class FastCacheArray:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"FastCacheArray({self.name}, {self.geometry.size}B, "
+            f"CacheArray({self.name}, {self.geometry.size}B, "
             f"{self.geometry.ways}-way, occ={self.occupancy()})"
         )

@@ -4,35 +4,30 @@ Models an AMD-style *exclusive* private hierarchy, matching the paper's
 16-core AMD testbed: each core owns an L1 and an L2 (a line lives in one or
 the other, and promotion/demotion moves it between them), backed by a
 shared L3 that acts as a victim cache for private evictions, backed by
-DRAM.  A :class:`~repro.hw.coherence.Directory` arbitrates ownership: a
-write invalidates every other core's copy, and a read that hits a line
-dirty in another core's private cache is served by a cache-to-cache
-("foreign") transfer -- the ~200-cycle case DProf's data flow view exists
-to expose.
+DRAM.  A MESI directory arbitrates ownership: a write invalidates every
+other core's copy, and a read that hits a line dirty in another core's
+private cache is served by a cache-to-cache ("foreign") transfer -- the
+~200-cycle case DProf's data flow view exists to expose.
 
 Every access returns an :class:`~repro.hw.events.AccessResult` carrying the
 level served, the latency charged, and -- for local misses -- the
 ground-truth cause (cold / invalidation / eviction) that real hardware
 cannot report.
 
-Two independent implementations make exactly the same decisions:
+:class:`MemoryHierarchy` is the hierarchy every
+:class:`~repro.hw.machine.Machine` builds, on
+:class:`~repro.hw.cache.CacheArray` and
+:class:`~repro.hw.coherence.Directory`.  Its :meth:`~MemoryHierarchy.access`
+is fused: a single-line L1 hit is probed, counted and (for a write with no
+other holder) marked dirty inline, without a per-line call, and returns
+one of two shared, preallocated results.
 
-- :class:`MemoryHierarchy` is the hierarchy every
-  :class:`~repro.hw.machine.Machine` builds.  It runs on
-  :class:`~repro.hw.cache.FastCacheArray` and
-  :class:`~repro.hw.coherence.FastDirectory`, and its :meth:`access` is
-  fused: a single-line L1 hit is probed, counted and (for a write with no
-  other holder) marked dirty inline, without a per-line call, and
-  returns one of two shared, preallocated results.
-- :class:`ReferenceHierarchy` is the readable oracle, on
-  :class:`~repro.hw.cache.CacheArray` and
-  :class:`~repro.hw.coherence.Directory`, with its own per-line
-  :meth:`~ReferenceHierarchy.access`.
-
-They share construction and introspection, never access code, so the
-differential tests (``tests/test_fastpath_equivalence.py``,
-``tests/test_coherence_property.py``) compare two implementations of the
-split-line, write-upgrade and statistics logic, not one.
+The test suite keeps an independent, readable oracle of the same
+hierarchy (``tests/hierarchy_oracle.py``) that shares no code with this
+module's access path; the differential tests
+(``tests/test_fastpath_equivalence.py``,
+``tests/test_coherence_property.py``) check the two agree access by
+access.
 """
 
 from __future__ import annotations
@@ -40,8 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigError
-from repro.hw.cache import CacheArray, CacheGeometry, FastCacheArray
-from repro.hw.coherence import Directory, FastDirectory
+from repro.hw.cache import CacheArray, CacheGeometry
+from repro.hw.coherence import Directory
 from repro.hw.events import AccessResult, CacheLevel, MissKind
 
 _L1 = CacheLevel.L1
@@ -117,10 +112,10 @@ class HierarchyStats:
     the stats also accumulate per-level latency sums and a per-line
     accessor bitmask -- the raw inputs :mod:`repro.metrics` derives MPKI,
     average miss latency, and the sharing ratio from.
-    :class:`ReferenceHierarchy` folds each access in through
-    :meth:`record`; :class:`MemoryHierarchy` updates the same counters
-    inline on its fused path, and the differential tests compare the two
-    key for key.
+    :class:`MemoryHierarchy` updates the counters inline on its fused
+    path; the test suite's oracle hierarchy (``tests/hierarchy_oracle.py``)
+    folds each access into its own instance, and the differential tests
+    compare the two key for key.
     """
 
     def __init__(self) -> None:
@@ -135,25 +130,6 @@ class HierarchyStats:
         }
         #: line index -> bitmask of cpus that ever touched the line.
         self._line_users: dict[int, int] = {}
-
-    def record(
-        self,
-        result: AccessResult,
-        cpu: int | None = None,
-        first_line: int | None = None,
-        last_line: int | None = None,
-    ) -> None:
-        """Fold one access outcome into the counters."""
-        self.accesses += 1
-        self.level_counts[result.level] += 1
-        self.latency_by_level[result.level] += result.latency
-        if result.miss_kind is not None:
-            self.miss_kind_counts[result.miss_kind] += 1
-        if cpu is not None and first_line is not None:
-            bit = 1 << cpu
-            users = self._line_users
-            for line in range(first_line, (last_line or first_line) + 1):
-                users[line] = users.get(line, 0) | bit
 
     @property
     def l1_miss_rate(self) -> float:
@@ -196,81 +172,14 @@ class HierarchyStats:
         return counters
 
 
-class _Hierarchy:
-    """Construction and introspection shared by both hierarchies.
+class MemoryHierarchy:
+    """Per-core L1/L2 (exclusive), shared victim L3, MESI directory, with
+    a fused per-access path.
 
-    Per-core L1/L2 (exclusive), shared victim L3, MESI directory.  A
-    subclass names its cache and directory types and brings its own
-    access path.
-    """
-
-    cache_type: type
-    directory_type: type
-
-    def __init__(self, config: HierarchyConfig) -> None:
-        self.config = config
-        self.line_size = config.line_size
-        self.l1 = [
-            self.cache_type(config.l1_geometry(), f"L1.{i}")
-            for i in range(config.ncores)
-        ]
-        self.l2 = [
-            self.cache_type(config.l2_geometry(), f"L2.{i}")
-            for i in range(config.ncores)
-        ]
-        self.l3 = self.cache_type(config.l3_geometry(), "L3")
-        self.directory = self.directory_type(config.ncores)
-        self.latencies = config.latencies
-        self.stats = HierarchyStats()
-
-    def cache_counters(self) -> dict[str, tuple[int, int, int]]:
-        """Per-cache (hits, misses, evictions), keyed by cache name."""
-        counters: dict[str, tuple[int, int, int]] = {}
-        for cache in [*self.l1, *self.l2, self.l3]:
-            counters[cache.name] = (cache.hits, cache.misses, cache.evictions)
-        return counters
-
-    def replacement_snapshot(self) -> dict[str, tuple]:
-        """Full LRU state of every cache array, keyed by cache name.
-
-        Two hierarchies that agree on this after a run agree on every future
-        eviction decision -- the strongest equivalence short of diffing
-        each access.
-        """
-        return {
-            cache.name: cache.lru_snapshot()
-            for cache in [*self.l1, *self.l2, self.l3]
-        }
-
-    def core_holds(self, cpu: int, addr: int) -> bool:
-        """True when the line containing *addr* sits in cpu's L1 or L2."""
-        line = addr // self.line_size
-        return self.l1[cpu].contains(line) or self.l2[cpu].contains(line)
-
-    def private_occupancy(self, cpu: int) -> int:
-        """Lines resident across the core's private L1+L2."""
-        return self.l1[cpu].occupancy() + self.l2[cpu].occupancy()
-
-    def flush_all(self) -> None:
-        """Empty every cache and forget coherence state (run boundary)."""
-        for cache in self.l1:
-            cache.clear()
-        for cache in self.l2:
-            cache.clear()
-        self.l3.clear()
-        self.directory = self.directory_type(self.config.ncores)
-
-
-class MemoryHierarchy(_Hierarchy):
-    """The machine's hierarchy, with a fused per-access path.
-
-    Bit-identical to :class:`ReferenceHierarchy` -- same levels,
-    latencies, miss classifications, loss records, LRU state, and counter
-    values -- but a single-line access probes its L1 inline, the stats
-    are updated inline, and a write hit on a line no other core holds
-    only marks the line dirty (no losers list, no ``record_write``).
-    Misses, split-line accesses and invalidating writes take the per-line
-    helpers below.
+    A single-line access probes its L1 inline, the stats are updated
+    inline, and a write hit on a line no other core holds only marks the
+    line dirty (no losers list, no ``record_write``).  Misses, split-line
+    accesses and invalidating writes take the per-line helpers below.
 
     A single-line L1 hit returns one of two results preallocated per
     hierarchy, ``(L1, l1)`` or ``(L1, l1 + upgrade)``, instead of a new
@@ -288,16 +197,42 @@ class MemoryHierarchy(_Hierarchy):
     access already set cpu's bit, which nothing ever clears.
     """
 
-    cache_type = FastCacheArray
-    directory_type = FastDirectory
-
     def __init__(self, config: HierarchyConfig) -> None:
-        super().__init__(config)
+        self.config = config
+        self.line_size = config.line_size
+        self.l1 = [
+            CacheArray(config.l1_geometry(), f"L1.{i}") for i in range(config.ncores)
+        ]
+        self.l2 = [
+            CacheArray(config.l2_geometry(), f"L2.{i}") for i in range(config.ncores)
+        ]
+        self.l3 = CacheArray(config.l3_geometry(), "L3")
+        self.directory = Directory(config.ncores)
+        self.latencies = config.latencies
+        self.stats = HierarchyStats()
         self._l1_latency = config.latencies.l1
         self._l1_hit = AccessResult(_L1, config.latencies.l1)
         self._l1_upgrade_hit = AccessResult(
             _L1, config.latencies.l1 + config.latencies.upgrade
         )
+
+    def core_holds(self, cpu: int, addr: int) -> bool:
+        """True when the line containing *addr* sits in cpu's L1 or L2."""
+        line = addr // self.line_size
+        return self.l1[cpu].contains(line) or self.l2[cpu].contains(line)
+
+    def private_occupancy(self, cpu: int) -> int:
+        """Lines resident across the core's private L1+L2."""
+        return self.l1[cpu].occupancy() + self.l2[cpu].occupancy()
+
+    def flush_all(self) -> None:
+        """Empty every cache and forget coherence state (run boundary)."""
+        for cache in self.l1:
+            cache.clear()
+        for cache in self.l2:
+            cache.clear()
+        self.l3.clear()
+        self.directory = Directory(self.config.ncores)
 
     def access(
         self,
@@ -476,145 +411,4 @@ class MemoryHierarchy(_Hierarchy):
         # pressure), drop it into the shared victim L3, and release the
         # directory holder bit.
         self.directory.record_eviction(cpu, victim2, victim2 % l2._nsets, cycle)
-        self.l3.insert(victim2)
-
-
-class ReferenceHierarchy(_Hierarchy):
-    """The readable oracle: the same hierarchy, one line at a time.
-
-    Built from :class:`~repro.hw.cache.CacheArray` and
-    :class:`~repro.hw.coherence.Directory`, with every access going
-    through :meth:`_access_line` per line and :meth:`HierarchyStats.record`
-    per access.  No machine builds it; the differential tests compare
-    :class:`MemoryHierarchy` against it.
-    """
-
-    cache_type = CacheArray
-    directory_type = Directory
-
-    def access(
-        self,
-        cpu: int,
-        addr: int,
-        size: int,
-        is_write: bool,
-        ip: int,
-        cycle: int,
-    ) -> AccessResult:
-        """Run one access through the hierarchy and return its outcome.
-
-        Accesses spanning multiple lines touch each line in turn; the
-        reported level is the worst one encountered and latencies add up.
-        """
-        first = addr // self.line_size
-        last = (addr + max(size, 1) - 1) // self.line_size
-        result = self._access_line(cpu, first, is_write, ip, addr, size, cycle)
-        for line in range(first + 1, last + 1):
-            extra = self._access_line(cpu, line, is_write, ip, addr, size, cycle)
-            result.latency += extra.latency
-            if extra.level > result.level:
-                result.level = extra.level
-                result.miss_kind = extra.miss_kind
-                result.invalidation = extra.invalidation
-                result.eviction = extra.eviction
-        self.stats.record(result, cpu=cpu, first_line=first, last_line=last)
-        return result
-
-    def _access_line(
-        self,
-        cpu: int,
-        line: int,
-        is_write: bool,
-        ip: int,
-        addr: int,
-        size: int,
-        cycle: int,
-    ) -> AccessResult:
-        lat = self.latencies
-        l1 = self.l1[cpu]
-        l2 = self.l2[cpu]
-
-        if l1.lookup(line):
-            latency = lat.l1
-            if is_write:
-                latency += self._write_upgrade(cpu, line, ip, addr, size, cycle)
-            return AccessResult(level=CacheLevel.L1, latency=latency)
-
-        if l2.lookup(line):
-            # Exclusive hierarchy: promote to L1, demoting an L1 victim.
-            l2.remove(line)
-            self._insert_private(cpu, line, cycle)
-            latency = lat.l2
-            if is_write:
-                latency += self._write_upgrade(cpu, line, ip, addr, size, cycle)
-            return AccessResult(level=CacheLevel.L2, latency=latency)
-
-        # Local miss: recover the ground-truth cause before the directory
-        # state is mutated by the fill below.
-        inv, ev = self.directory.take_loss_record(cpu, line)
-        if inv is not None:
-            miss_kind = MissKind.INVALIDATION
-        elif ev is not None:
-            miss_kind = MissKind.EVICTION
-        else:
-            miss_kind = MissKind.COLD
-
-        dirty_owner = self.directory.dirty_elsewhere(cpu, line)
-        if dirty_owner is not None:
-            level = CacheLevel.FOREIGN
-            latency = lat.foreign
-            # Serving a dirty line writes it back into the shared L3.
-            self.l3.insert(line)
-        elif self.l3.lookup(line):
-            level = CacheLevel.L3
-            latency = lat.l3
-        elif self.directory.holders_of(line) - {cpu}:
-            # Clean copy exists only in another core's private cache.
-            level = CacheLevel.FOREIGN
-            latency = lat.foreign_clean
-        else:
-            level = CacheLevel.DRAM
-            latency = lat.dram
-
-        if is_write:
-            losers = self.directory.record_write(cpu, line, ip, addr, size, cycle)
-            for loser in losers:
-                self.l1[loser].remove(line)
-                self.l2[loser].remove(line)
-        else:
-            self.directory.record_read(cpu, line)
-
-        self._insert_private(cpu, line, cycle)
-        return AccessResult(
-            level=level,
-            latency=latency,
-            miss_kind=miss_kind,
-            invalidation=inv,
-            eviction=ev,
-        )
-
-    def _write_upgrade(
-        self, cpu: int, line: int, ip: int, addr: int, size: int, cycle: int
-    ) -> int:
-        """Invalidate other holders on a write hit; return the extra cost."""
-        other = self.directory.holders_of(line) - {cpu}
-        losers = self.directory.record_write(cpu, line, ip, addr, size, cycle)
-        for loser in losers:
-            self.l1[loser].remove(line)
-            self.l2[loser].remove(line)
-        return self.latencies.upgrade if other else 0
-
-    def _insert_private(self, cpu: int, line: int, cycle: int) -> None:
-        """Insert *line* into the core's L1, cascading evictions downward."""
-        victim = self.l1[cpu].insert(line)
-        if victim is None or victim == line:
-            return
-        victim2 = self.l2[cpu].insert(victim)
-        if victim2 is None:
-            return
-        # The line leaves the private domain entirely: record why (set
-        # pressure), drop it into the shared victim L3, and release the
-        # directory holder bit.
-        set_index = self.l2[cpu].geometry.set_of(victim2)
-        self.directory.record_eviction(cpu, victim2, set_index, cycle)
         self.l3.insert(victim2)

@@ -27,10 +27,11 @@ import json
 import time
 from dataclasses import asdict, dataclass, field
 
+from repro.config import SCENARIO_DEFAULTS
 from repro.dprof.quality import EXIT_DEGRADED, EXIT_OK
 from repro.errors import FaultInjectionError, QueueFullError, ServeError
 from repro.faults import FaultPlan
-from repro.workloads import SCENARIO_DEFAULTS, SCENARIOS
+from repro.workloads import SCENARIOS
 
 
 # ----------------------------------------------------------------------

@@ -12,8 +12,7 @@
   closed-form expected-metrics models (the ground-truth families).
 """
 
-from dataclasses import dataclass
-
+from repro.config import SCENARIO_DEFAULTS, ScenarioDefaults
 from repro.workloads.base import WorkloadResult, build_kernel
 from repro.workloads.memcached import MemcachedConfig, MemcachedWorkload
 from repro.workloads.apache import ApacheConfig, ApacheWorkload
@@ -32,50 +31,6 @@ SCENARIOS = {
     "synthetic": _synthetic.drive,
 }
 SCENARIOS.update(_kernels.scenario_entries())
-
-
-@dataclass(frozen=True)
-class ScenarioDefaults:
-    """Per-scenario defaults used when a job or CLI omits a knob."""
-
-    cores: int
-    duration: int
-    interval: int
-    description: str
-    #: One-line parameter schema shown by ``repro list-scenarios``.
-    params: str = "cores duration interval seed"
-
-
-#: Defaults per registered scenario, consumed by ``repro.serve`` job
-#: validation and the CLI's ``list-scenarios`` subcommand.  Keys must
-#: match :data:`SCENARIOS` exactly (enforced by tests/test_workloads.py).
-SCENARIO_DEFAULTS = {
-    "memcached": ScenarioDefaults(
-        cores=4,
-        duration=150_000,
-        interval=400,
-        description="pinned UDP memcached instances, closed-loop clients (Section 6.1)",
-    ),
-    "apache": ScenarioDefaults(
-        cores=4,
-        duration=150_000,
-        interval=400,
-        description="pinned Apache instances over TCP, open-loop arrivals (Section 6.2)",
-    ),
-    "synthetic": ScenarioDefaults(
-        cores=4,
-        duration=200_000,
-        interval=400,
-        description="all four miss-class microworkloads running together",
-    ),
-}
-SCENARIO_DEFAULTS.update(
-    {
-        name: ScenarioDefaults(**raw)
-        for name, raw in _kernels.scenario_defaults().items()
-    }
-)
-
 
 
 def collect_history_session(name: str, *, ncores: int, seed: int):

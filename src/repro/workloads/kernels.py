@@ -32,6 +32,7 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
+from repro.config import KERNEL_DEFAULT_DURATION
 from repro.errors import ConfigError
 from repro.hw.machine import MachineConfig
 from repro.kernel.kernel import Kernel
@@ -50,16 +51,9 @@ __all__ = [
     "expected_metrics",
     "kernel_access_stream",
     "metric_value",
-    "scenario_defaults",
     "scenario_entries",
     "spec_for_duration",
 ]
-
-#: The scenario duration that maps to each family's default iteration
-#: count.  Kernel scenarios treat ``duration_cycles`` as a work budget
-#: (iterations scale linearly with it) and always run to completion, so
-#: their metrics stay analytically exact under every entry point.
-KERNEL_DEFAULT_DURATION = 100_000
 
 
 @dataclass(frozen=True)
@@ -495,11 +489,13 @@ def _expect_counters(spec: KernelSpec, cfg: MachineConfig) -> dict[str, Expectat
 
 @dataclass(frozen=True)
 class KernelFamily:
-    """One generated-kernel family: builder, model, and scenario defaults."""
+    """One generated-kernel family: builder, model, and default spec.
+
+    Its ``repro list-scenarios`` row (description, parameter schema) is in
+    :data:`repro.config.SCENARIO_DEFAULTS`.
+    """
 
     name: str
-    description: str
-    params: str
     default_spec: KernelSpec
     build: Callable[[Kernel, KernelSpec], None]
     expected: Callable[[KernelSpec, MachineConfig], dict[str, Expectation]]
@@ -517,8 +513,6 @@ KERNEL_FAMILIES: dict[str, KernelFamily] = {
     for fam in (
         KernelFamily(
             name="kernel-strided",
-            description="single-core strided walk, L2-steady after one cold pass",
-            params="footprint=32768 stride=64 iterations=4",
             default_spec=KernelSpec(
                 family="kernel-strided", footprint=32 * 1024, stride=64,
                 cores=1, iterations=4,
@@ -528,8 +522,6 @@ KERNEL_FAMILIES: dict[str, KernelFamily] = {
         ),
         KernelFamily(
             name="kernel-stream",
-            description="single-core streaming walk past every cache level",
-            params="footprint=1048576 stride=64 iterations=2",
             default_spec=KernelSpec(
                 family="kernel-stream", footprint=1024 * 1024, stride=64,
                 cores=1, iterations=2,
@@ -539,8 +531,6 @@ KERNEL_FAMILIES: dict[str, KernelFamily] = {
         ),
         KernelFamily(
             name="kernel-chase",
-            description="pointer chase over a seeded L1-resident permutation cycle",
-            params="footprint=8192 iterations=8",
             default_spec=KernelSpec(
                 family="kernel-chase", footprint=8 * 1024, cores=1, iterations=8,
             ),
@@ -550,8 +540,6 @@ KERNEL_FAMILIES: dict[str, KernelFamily] = {
         ),
         KernelFamily(
             name="kernel-pingpong",
-            description="per-core slots falsely sharing one cache line",
-            params="cores=4 iterations=200",
             default_spec=KernelSpec(
                 family="kernel-pingpong", cores=4, iterations=200,
             ),
@@ -560,8 +548,6 @@ KERNEL_FAMILIES: dict[str, KernelFamily] = {
         ),
         KernelFamily(
             name="kernel-ring",
-            description="producer/consumer ring, one line per slot",
-            params="ring_slots=16 cores=2 iterations=50",
             default_spec=KernelSpec(
                 family="kernel-ring", cores=2, iterations=50, ring_slots=16,
             ),
@@ -570,8 +556,6 @@ KERNEL_FAMILIES: dict[str, KernelFamily] = {
         ),
         KernelFamily(
             name="kernel-counters",
-            description="per-core counters at configurable padding (64B = private)",
-            params="cores=4 padding=64 iterations=200",
             default_spec=KernelSpec(
                 family="kernel-counters", cores=4, padding=64, iterations=200,
             ),
@@ -636,20 +620,6 @@ def _scenario_drive(name: str):
 def scenario_entries() -> dict:
     """``SCENARIOS`` entries: family name -> drive(kernel, duration)."""
     return {name: _scenario_drive(name) for name in KERNEL_FAMILIES}
-
-
-def scenario_defaults() -> dict:
-    """``SCENARIO_DEFAULTS`` raw entries (kwargs for ScenarioDefaults)."""
-    return {
-        name: {
-            "cores": max(2, fam.default_spec.cores),
-            "duration": KERNEL_DEFAULT_DURATION,
-            "interval": 400,
-            "description": fam.description,
-            "params": fam.params,
-        }
-        for name, fam in KERNEL_FAMILIES.items()
-    }
 
 
 def kernel_access_stream(spec: KernelSpec, seed: int = 11) -> bytes:

@@ -3,7 +3,7 @@
 :class:`OracleCacheSim` is :class:`~repro.dprof.cachesim.DProfCacheSim`
 with its event construction and replay swapped for the plain readable
 versions: whole-line lists per event, and the replay driving a
-:class:`~repro.hw.cache.CacheArray` and recounting every resident line's
+:class:`~tests.hierarchy_oracle.ReferenceCacheArray` and recounting every resident line's
 type at each occupancy snapshot.  Trace picking is the plain linear
 walk over running frequency totals, with the same single draw per pick,
 so for equal seeds both simulations draw the same objects and traces;
@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 
 from repro.dprof.cachesim import DProfCacheSim, WorkingSetSimResult
-from repro.hw.cache import CacheArray
+from tests.hierarchy_oracle import ReferenceCacheArray
 
 
 class OracleCacheSim(DProfCacheSim):
@@ -40,7 +40,7 @@ class OracleCacheSim(DProfCacheSim):
         return events
 
     def _replay(self, events: list[tuple]) -> WorkingSetSimResult:
-        cache = CacheArray(self.geometry, "dprof-sim")
+        cache = ReferenceCacheArray(self.geometry, "dprof-sim")
         result = WorkingSetSimResult(geometry=self.geometry)
         distinct: dict[int, set[int]] = defaultdict(set)
         set_instances: dict[int, dict[str, set[int]]] = defaultdict(

@@ -5,8 +5,9 @@ deliberately tiny hierarchy (2-way 1 KiB L1s, 2-way 2 KiB L2s, 4-way
 4 KiB L3) so that evictions, invalidations, and dirty-serve paths all
 fire within a few dozen accesses.  After every access both the
 machine's :class:`MemoryHierarchy` and the :class:`ReferenceHierarchy`
-oracle must satisfy the MESI invariants, and the machine's hierarchy must
-produce exactly the reference's outcome.
+oracle (``tests/hierarchy_oracle.py``) must satisfy the MESI invariants,
+and the machine's hierarchy must produce exactly the reference's
+outcome.
 
 Invariants (the ISSUE's contract, spelled out):
 
@@ -24,8 +25,13 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from repro.hw.hierarchy import HierarchyConfig, MemoryHierarchy, ReferenceHierarchy
-from tests.hierarchy_oracle import outcome_of
+from repro.hw.hierarchy import HierarchyConfig, MemoryHierarchy
+from tests.hierarchy_oracle import (
+    ReferenceHierarchy,
+    cache_counters,
+    outcome_of,
+    replacement_snapshot,
+)
 
 NCORES = 4
 LINE_SIZE = 64
@@ -51,7 +57,7 @@ def tiny_config() -> HierarchyConfig:
 def dirty_owner_of(directory, line: int) -> int | None:
     """The line's Modified owner, regardless of directory implementation."""
     dirty = getattr(directory, "_dirty", None)
-    if dirty is not None:  # FastDirectory
+    if dirty is not None:  # the machine's bitmask Directory
         return dirty.get(line)
     ent = directory.peek(line)
     return ent.dirty_owner if ent else None
@@ -124,8 +130,8 @@ def test_invariants_hold_on_both_engines(ops) -> None:
         check_invariants(fast)
     # End states line up completely, LRU order included.
     assert fast.stats.snapshot() == reference.stats.snapshot()
-    assert fast.cache_counters() == reference.cache_counters()
-    assert fast.replacement_snapshot() == reference.replacement_snapshot()
+    assert cache_counters(fast) == cache_counters(reference)
+    assert replacement_snapshot(fast) == replacement_snapshot(reference)
     assert (
         fast.directory.invalidation_count
         == reference.directory.invalidation_count

@@ -1,8 +1,9 @@
 """Differential tests: the machine's hierarchy must match the reference.
 
 Every machine runs the fused :class:`~repro.hw.hierarchy.MemoryHierarchy`;
-the readable :class:`~repro.hw.hierarchy.ReferenceHierarchy`, which shares
-no access code with it, is kept as the oracle.  Two layers of comparison:
+the readable :class:`~tests.hierarchy_oracle.ReferenceHierarchy`, a
+test-only module that shares no access code with it, is the oracle.  Two
+layers of comparison:
 
 1. *Live machines*: a full workload run (5 seeds x every scenario) on
    each hierarchy must agree on every per-access outcome (level, miss
@@ -26,10 +27,16 @@ import pytest
 from repro.api import DProf, DProfConfig
 from repro.hw.debugreg import DEFAULT_TRAP_CYCLES
 from repro.hw.events import Instr
-from repro.hw.hierarchy import HierarchyConfig, MemoryHierarchy, ReferenceHierarchy
+from repro.hw.hierarchy import HierarchyConfig, MemoryHierarchy
 from repro.hw.machine import Machine, MachineConfig
 from repro.workloads import SCENARIOS, build_kernel
-from tests.hierarchy_oracle import outcome_of, use_hierarchy
+from tests.hierarchy_oracle import (
+    ReferenceHierarchy,
+    cache_counters,
+    outcome_of,
+    replacement_snapshot,
+    use_hierarchy,
+)
 
 SEEDS = (3, 7, 11, 23, 42)
 DURATION = 60_000
@@ -55,8 +62,8 @@ def end_state(hierarchy) -> dict:
         # metrics_counters() is snapshot() plus the per-level latency
         # sums and the accessor-mask line counts.
         "stats": hierarchy.stats.metrics_counters(),
-        "counters": hierarchy.cache_counters(),
-        "lru": hierarchy.replacement_snapshot(),
+        "counters": cache_counters(hierarchy),
+        "lru": replacement_snapshot(hierarchy),
         "loss_records": loss_records(hierarchy),
         "invalidations": hierarchy.directory.invalidation_count,
     }
@@ -204,7 +211,7 @@ def test_fused_shortcuts_lockstep(seed: int) -> None:
             reference.access(*access)
         ), (case, access)
         assert fast.stats.metrics_counters() == reference.stats.metrics_counters()
-        assert fast.replacement_snapshot() == reference.replacement_snapshot()
+        assert replacement_snapshot(fast) == replacement_snapshot(reference)
     assert end_state(fast) == end_state(reference)
     for case in ("straddle", "write-miss", "write-hit-private", "write-hit-shared"):
         assert cases.get(case, 0) >= 20, cases

@@ -1,9 +1,10 @@
 """Tests for set-associative cache arrays and geometry.
 
-The unit tests run on both arrays in turn: :class:`CacheArray`, the
-reference oracle, and :class:`FastCacheArray`, the one the machine
-builds.  A Hypothesis test drives both with the same random operation
-sequence and compares them after every step.
+The unit tests run on both arrays in turn: the test suite's
+:class:`~tests.hierarchy_oracle.ReferenceCacheArray` oracle, and
+:class:`CacheArray`, the one the machine builds.  A Hypothesis test
+drives both with the same random operation sequence and compares them
+after every step.
 """
 
 import pytest
@@ -11,10 +12,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import ConfigError
-from repro.hw.cache import CacheArray, CacheGeometry, FastCacheArray
+from repro.hw.cache import CacheArray, CacheGeometry
+from tests.hierarchy_oracle import ReferenceCacheArray
 
 #: Every cache array; each unit test below runs on all of them.
-ARRAYS = (CacheArray, FastCacheArray)
+ARRAYS = (ReferenceCacheArray, CacheArray)
 
 
 def test_geometry_derives_sets_and_lines():
@@ -150,7 +152,7 @@ def test_fast_array_matches_reference(ops):
     """Same operations, same answers: return values, counters, LRU order
     and ``lines()`` order agree after every step."""
     g = CacheGeometry(size=3 * 64 * 2, ways=3, line_size=64)
-    reference, fast = CacheArray(g), FastCacheArray(g)
+    reference, fast = ReferenceCacheArray(g), CacheArray(g)
     for op, line in ops:
         args = () if op == "clear" else (line,)
         assert getattr(fast, op)(*args) == getattr(reference, op)(*args), (op, line)

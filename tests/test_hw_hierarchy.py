@@ -117,7 +117,7 @@ def test_clean_shared_line_served_from_l3_not_foreign():
 
 
 def test_read_of_dirty_line_demotes_owner_and_fills_l3():
-    h = make_hierarchy()
+    h = make_hierarchy(ncores=3)
     h.access(0, 0x4000, 8, True, ip=1, cycle=0)  # core 0 owns dirty
     r = h.access(1, 0x4000, 8, False, ip=2, cycle=1)
     assert r.level == CacheLevel.FOREIGN
@@ -125,7 +125,10 @@ def test_read_of_dirty_line_demotes_owner_and_fills_l3():
     # either is a local hit.
     r0 = h.access(0, 0x4000, 8, False, ip=3, cycle=2)
     assert r0.level == CacheLevel.L1
-    assert h.directory.dirty_elsewhere(1, 0x4000 // 64) is None
+    # Core 0 no longer owns it dirty: a third core is served the
+    # written-back copy from L3, not a foreign transfer.
+    r2 = h.access(2, 0x4000, 8, False, ip=4, cycle=3)
+    assert r2.level == CacheLevel.L3
 
 
 def test_straddling_access_sums_latency():

@@ -35,6 +35,10 @@ CLI_DEFERRED = (
 )
 
 
+#: The simulator: ``repro.cli`` imports none of it at load time.
+SIMULATOR_PACKAGES = (["repro", "hw"], ["repro", "kernel"], ["repro", "workloads"])
+
+
 def _modules_after(code: str) -> set[str]:
     """``sys.modules`` of a fresh interpreter after running *code*."""
     out = run_fresh(
@@ -71,3 +75,9 @@ def test_service_name_loads_its_stack_on_first_use():
 def test_cli_import_defers_command_subsystems():
     loaded = _modules_after("import repro.cli")
     assert not loaded & set(CLI_DEFERRED), sorted(loaded & set(CLI_DEFERRED))
+    # Listing or submitting scenarios builds no machine: the simulator
+    # packages load only in the commands that run one.
+    simulator = sorted(
+        name for name in loaded if name.split(".")[:2] in SIMULATOR_PACKAGES
+    )
+    assert not simulator, simulator

@@ -16,6 +16,7 @@ from repro.hw.events import Instr
 from repro.hw.machine import Machine, MachineConfig
 from repro.kernel.kenv import KernelEnv
 from repro.workloads import collect_history_session
+from tests.hierarchy_oracle import replacement_snapshot
 
 NCORES = 2
 SHARED = 0x200000  # a few lines every core reads and writes
@@ -68,7 +69,7 @@ def machine_run(make):
         "cycles": [core.cycle for core in machine.cores],
         "overhead": machine.total_overhead_cycles(),
         "counters": hierarchy.stats.metrics_counters(),
-        "lru": hierarchy.replacement_snapshot(),
+        "lru": replacement_snapshot(hierarchy),
         "samples": samples,
         "elements": elements,
         "observed": observed,
@@ -103,7 +104,7 @@ def history_run():
     return {
         "cycles": [core.cycle for core in machine.cores],
         "counters": machine.hierarchy.stats.metrics_counters(),
-        "lru": machine.hierarchy.replacement_snapshot(),
+        "lru": replacement_snapshot(machine.hierarchy),
         "samples": dprof.sampler.samples,
         "histories": dprof.history.histories_for("skbuff"),
         "archive": export_session(dprof),

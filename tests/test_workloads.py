@@ -154,11 +154,18 @@ class TestScenarioRegistry:
             assert defaults.params, name
 
     def test_kernel_families_are_registered(self):
-        from repro.workloads import SCENARIOS
-        from repro.workloads.kernels import KERNEL_FAMILIES
+        from repro.workloads import SCENARIO_DEFAULTS, SCENARIOS
+        from repro.workloads.kernels import KERNEL_DEFAULT_DURATION, KERNEL_FAMILIES
 
         assert set(KERNEL_FAMILIES) <= set(SCENARIOS)
         assert len(KERNEL_FAMILIES) >= 5
+        # A family's defaults run its default spec: every core it uses
+        # (at least two) over the budget that maps to its default
+        # iteration count.
+        for name, family in KERNEL_FAMILIES.items():
+            defaults = SCENARIO_DEFAULTS[name]
+            assert defaults.cores == max(2, family.default_spec.cores), name
+            assert defaults.duration == KERNEL_DEFAULT_DURATION, name
 
     @pytest.mark.parametrize(
         "name",
