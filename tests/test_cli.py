@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import hashlib
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -76,6 +78,27 @@ def test_cli_faulted_run_reports_quality_and_degraded_exit(capsys):
     assert "Data quality report" in out
     assert "FaultPlan(seed=7" in out
     assert "confidence:" in out
+
+
+#: stdout SHA-256 and exit code of ``repro diagnose`` at its default
+#: flags and under heavy injected faults (exit 4: poor data).
+DIAGNOSE_PINS = {
+    (): ("a147653fe9fd5891960ecb0e5b4e7387f4ec60608f96f10769fa1b42d25a2b31", 0),
+    ("--inject-faults", "ibs_drop=0.6,trap_miss=0.6,history_truncation=0.6"): (
+        "1345e4e57c1fda4757fc7b6ed7d44eaeb70998c496b6730cbf97b248816aebd6",
+        4,
+    ),
+}
+
+
+@pytest.mark.slow
+@pytest.mark.filterwarnings("ignore::repro.errors.DegradedDataWarning")
+@pytest.mark.parametrize("flags", sorted(DIAGNOSE_PINS), ids=["default", "faulted"])
+def test_cli_diagnose_output_is_pinned(capsys, flags):
+    rc = main(["diagnose", *flags])
+    out = capsys.readouterr().out
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert (digest, rc) == DIAGNOSE_PINS[flags]
 
 
 @pytest.mark.slow
