@@ -116,18 +116,10 @@ class CacheArray:
         """Number of lines currently resident."""
         return sum(len(bucket) for bucket in self._sets)
 
-    def set_occupancy(self, set_index: int) -> int:
-        """Number of lines resident in one associativity set."""
-        return len(self._sets[set_index])
-
     def lines(self):
         """Iterate over resident lines, least recent first per set."""
         for bucket in self._sets:
             yield from bucket
-
-    def lru_snapshot(self) -> tuple[tuple[int, ...], ...]:
-        """Per-set lines in replacement order (next victim first)."""
-        return tuple(tuple(bucket) for bucket in self._sets)
 
     def clear(self) -> None:
         """Empty the cache (used between profiling runs)."""

@@ -216,15 +216,6 @@ class MemoryHierarchy:
             _L1, config.latencies.l1 + config.latencies.upgrade
         )
 
-    def core_holds(self, cpu: int, addr: int) -> bool:
-        """True when the line containing *addr* sits in cpu's L1 or L2."""
-        line = addr // self.line_size
-        return self.l1[cpu].contains(line) or self.l2[cpu].contains(line)
-
-    def private_occupancy(self, cpu: int) -> int:
-        """Lines resident across the core's private L1+L2."""
-        return self.l1[cpu].occupancy() + self.l2[cpu].occupancy()
-
     def flush_all(self) -> None:
         """Empty every cache and forget coherence state (run boundary)."""
         for cache in self.l1:

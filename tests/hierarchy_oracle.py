@@ -14,7 +14,9 @@ the other.
 :func:`use_hierarchy` substitutes the reference for the machines built
 inside its block; :func:`outcome_of`, :func:`cache_counters` and
 :func:`replacement_snapshot` make two hierarchies' results and state
-comparable.
+comparable.  :func:`lru_snapshot`, :func:`set_occupancy`,
+:func:`core_holds` and :func:`private_occupancy` inspect the state of
+either implementation's arrays and hierarchies.
 """
 
 from __future__ import annotations
@@ -94,18 +96,10 @@ class ReferenceCacheArray:
         """Number of lines currently resident."""
         return sum(len(bucket) for bucket in self._sets)
 
-    def set_occupancy(self, set_index: int) -> int:
-        """Number of lines resident in one associativity set."""
-        return len(self._sets[set_index])
-
     def lines(self):
         """Iterate over every resident line index."""
         for bucket in self._sets:
             yield from bucket.keys()
-
-    def lru_snapshot(self) -> tuple[tuple[int, ...], ...]:
-        """Per-set lines in replacement order (next victim first)."""
-        return tuple(tuple(bucket.keys()) for bucket in self._sets)
 
     def clear(self) -> None:
         """Empty the cache."""
@@ -407,6 +401,29 @@ def cache_counters(hierarchy) -> dict[str, tuple[int, int, int]]:
     }
 
 
+def lru_snapshot(cache) -> tuple[tuple[int, ...], ...]:
+    """Per-set lines of either cache array in replacement order (next
+    victim first)."""
+    return tuple(tuple(bucket) for bucket in cache._sets)
+
+
+def set_occupancy(cache, set_index: int) -> int:
+    """Number of lines resident in one associativity set of either
+    cache array."""
+    return len(cache._sets[set_index])
+
+
+def core_holds(hierarchy, cpu: int, addr: int) -> bool:
+    """True when the line containing *addr* sits in cpu's L1 or L2."""
+    line = addr // hierarchy.line_size
+    return hierarchy.l1[cpu].contains(line) or hierarchy.l2[cpu].contains(line)
+
+
+def private_occupancy(hierarchy, cpu: int) -> int:
+    """Lines resident across the core's private L1+L2."""
+    return hierarchy.l1[cpu].occupancy() + hierarchy.l2[cpu].occupancy()
+
+
 def replacement_snapshot(hierarchy) -> dict[str, tuple]:
     """Full LRU state of every cache array, keyed by cache name.
 
@@ -414,7 +431,7 @@ def replacement_snapshot(hierarchy) -> dict[str, tuple]:
     eviction decision -- the strongest equivalence short of diffing each
     access.
     """
-    return {cache.name: cache.lru_snapshot() for cache in _caches(hierarchy)}
+    return {cache.name: lru_snapshot(cache) for cache in _caches(hierarchy)}
 
 
 @contextmanager

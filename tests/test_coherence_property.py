@@ -31,6 +31,7 @@ from tests.hierarchy_oracle import (
     cache_counters,
     outcome_of,
     replacement_snapshot,
+    set_occupancy,
 )
 
 NCORES = 4
@@ -79,7 +80,7 @@ def check_invariants(hierarchy) -> None:
             geometry = cache.geometry
             assert cache.occupancy() <= geometry.num_lines
             for set_index in range(geometry.num_sets):
-                assert cache.set_occupancy(set_index) <= geometry.ways
+                assert set_occupancy(cache, set_index) <= geometry.ways
     assert hierarchy.l3.occupancy() <= hierarchy.l3.geometry.num_lines
 
     # Directory membership must equal actual private-cache residency, and

@@ -2,6 +2,7 @@
 
 from repro.hw.events import CacheLevel, MissKind
 from repro.hw.hierarchy import HierarchyConfig, HierarchyStats, MemoryHierarchy
+from tests.hierarchy_oracle import core_holds, private_occupancy
 
 
 def test_stats_level_counts_partition_accesses():
@@ -35,7 +36,7 @@ def test_l1_miss_rate():
 def test_core_holds_and_occupancy_helpers():
     h = MemoryHierarchy(HierarchyConfig(ncores=2))
     h.access(0, 0x4000, 8, False, ip=1, cycle=0)
-    assert h.core_holds(0, 0x4000)
-    assert not h.core_holds(1, 0x4000)
-    assert h.private_occupancy(0) == 1
-    assert h.private_occupancy(1) == 0
+    assert core_holds(h, 0, 0x4000)
+    assert not core_holds(h, 1, 0x4000)
+    assert private_occupancy(h, 0) == 1
+    assert private_occupancy(h, 1) == 0

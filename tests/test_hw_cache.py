@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigError
 from repro.hw.cache import CacheArray, CacheGeometry
-from tests.hierarchy_oracle import ReferenceCacheArray
+from tests.hierarchy_oracle import ReferenceCacheArray, lru_snapshot, set_occupancy
 
 #: Every cache array; each unit test below runs on all of them.
 ARRAYS = (ReferenceCacheArray, CacheArray)
@@ -101,8 +101,8 @@ def test_set_occupancy_tracks_per_set():
         c.insert(0)
         c.insert(8)
         c.insert(1)
-        assert c.set_occupancy(0) == 2
-        assert c.set_occupancy(1) == 1
+        assert set_occupancy(c, 0) == 2
+        assert set_occupancy(c, 1) == 1
 
 
 @given(st.lists(st.integers(min_value=0, max_value=1023), min_size=1, max_size=500))
@@ -114,7 +114,7 @@ def test_occupancy_never_exceeds_capacity(lines):
             c.insert(line)
             assert c.occupancy() <= g.num_lines
             for s in range(g.num_sets):
-                assert c.set_occupancy(s) <= g.ways
+                assert set_occupancy(c, s) <= g.ways
 
 
 @given(st.lists(st.integers(min_value=0, max_value=255), min_size=1, max_size=300))
@@ -144,7 +144,7 @@ _OPS = st.lists(
 
 
 def _array_state(c) -> tuple:
-    return (c.hits, c.misses, c.evictions, c.lru_snapshot(), tuple(c.lines()))
+    return (c.hits, c.misses, c.evictions, lru_snapshot(c), tuple(c.lines()))
 
 
 @given(_OPS)
