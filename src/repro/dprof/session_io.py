@@ -30,6 +30,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from repro.dprof.cachesim import DProfCacheSim, WorkingSetSimResult
+from repro.dprof.history import DEFAULT_CHUNK_SIZE
 from repro.dprof.pathtrace import PathTraceBuilder, analyze_histories
 from repro.dprof.quality import DataQuality
 from repro.dprof.records import (
@@ -50,6 +51,7 @@ from repro.dprof.views import (
 )
 from repro.errors import ConfigError, SessionFormatError
 from repro.hw.cache import CacheGeometry
+from repro.hw.debugreg import MAX_WATCH_BYTES
 from repro.hw.events import CacheLevel
 from repro.kernel.symbols import SymbolTable
 from repro.metrics import MetricsSummary, machine_counters
@@ -373,7 +375,10 @@ class OfflineSession:
             for ip, (fn, site) in sections["symbols"].items():
                 self.symbols._ip_to_sym[int(ip)] = (fn, site)
         with self._recover(failed, "stats"):
-            self.sampler = _OfflineSampler(sections["stats"], blob["chunk_size"])
+            chunk_size = blob["chunk_size"]
+            if type(chunk_size) is not int or not 1 <= chunk_size <= MAX_WATCH_BYTES:
+                raise ValueError(f"chunk_size {chunk_size!r} is not 1-{MAX_WATCH_BYTES}")
+            self.sampler = _OfflineSampler(sections["stats"], chunk_size)
         with self._recover(failed, "address_set"):
             if canonical["address_set"] is not None and "address_set" not in failed:
                 self.address_set = AddressSet.from_intervals(address_entries)
@@ -678,7 +683,7 @@ class _SectionRecovery:
         # Leave the session attribute in its pristine-empty state.
         defaults = {
             "symbols": SymbolTable(),
-            "stats": _OfflineSampler([], self.session.blob.get("chunk_size", 8) or 8),
+            "stats": _OfflineSampler([], DEFAULT_CHUNK_SIZE),
             "address_set": AddressSet(),
             "histories": [],
         }

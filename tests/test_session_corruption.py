@@ -224,6 +224,25 @@ class TestDecodeKeepsNoRows:
         assert gc.collect() == 0
 
 
+class TestBadChunkSize:
+    """A ``chunk_size`` that is not a debug-register width loses the
+    ``stats`` section, as a missing one does, and every view renders."""
+
+    @pytest.mark.parametrize("chunk_size", [0, -4, "4", None], ids=repr)
+    def test_stats_fail_and_every_view_renders(self, copy, tmp_path, chunk_size):
+        blob = json.loads(copy.read_text())
+        blob["chunk_size"] = chunk_size
+        text = json.dumps(blob)
+        session = OfflineSession(json.loads(text))
+        assert session.data_quality.sections_failed == ("stats",)
+        assert session.sampler.stats == {}
+        store = SessionStore(tmp_path / "store")
+        digest = store.put_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegradedDataWarning)
+            assert all(_render_all(store, digest))
+
+
 class TestRetypedAddressSet:
     """Damage that keeps the JSON valid and the stored checksum as it was:
     the canonical text changes, so the address set fails its checksum
