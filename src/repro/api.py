@@ -18,7 +18,6 @@ Groups:
   :func:`execute_job_to_store`, :class:`SessionStore`;
 - **federation**: :class:`ClusterConfig`, :class:`ClusterServer`,
   :class:`RetryPolicy`, :class:`RetryExhaustedError`;
-- **configuration**: :class:`RunConfig`;
 - **tracing**: :class:`Tracer`, ``NULL_TRACER``, :class:`SimProbe`,
   :func:`load_trace`, :func:`render_tree`, :func:`stage_totals`,
   :func:`critical_path`, :func:`reconcile_serve`;
@@ -42,7 +41,6 @@ from __future__ import annotations
 
 import importlib
 
-from repro.config import RunConfig
 from repro.dprof.diagnosis import Diagnosis, Finding
 from repro.dprof.pathtrace import analyze_histories
 from repro.dprof.profiler import DProf, DProfConfig
@@ -82,7 +80,6 @@ __all__ = (
     "ProfilingServer",
     "RetryExhaustedError",
     "RetryPolicy",
-    "RunConfig",
     "SCENARIOS",
     "ServeClient",
     "SessionStore",

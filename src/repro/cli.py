@@ -47,7 +47,7 @@ import time
 from typing import TYPE_CHECKING
 
 from repro import __version__
-from repro.config import SCENARIO_DEFAULTS, RunConfig
+from repro.config import SCENARIO_DEFAULTS
 from repro.dprof.quality import DataQuality
 from repro.errors import FaultInjectionError, ProtocolError, ServeError, TraceError
 from repro.faults import FaultPlan
@@ -76,48 +76,22 @@ def _report_quality(dprof: DProf, plan: FaultPlan | None) -> int:
     return quality.exit_code()
 
 
-def _profiled_memcached(
-    cores: int,
-    fixed: bool,
-    duration: int,
-    interval: int,
-    faults: FaultPlan | None = None,
-    run: RunConfig | None = None,
-):
-    from repro.dprof.profiler import DProf
-    from repro.fixes import install_local_queue_selection
-    from repro.kernel import Kernel
-    from repro.workloads import MemcachedWorkload
-
-    run = run or RunConfig(seed=11)
-    kernel = Kernel(run.machine_config(ncores=cores))
-    workload = MemcachedWorkload(kernel)
-    workload.setup()
-    if fixed:
-        install_local_queue_selection(workload.stack.dev)
-    dprof = DProf(
-        kernel,
-        run.dprof_config(ibs_interval=interval),
-        faults=faults,
-    )
-    dprof.attach()
-    result = workload.run(duration, warmup_cycles=duration // 5)
-    dprof.detach()
-    return kernel, workload, dprof, result
-
-
 def cmd_memcached(args: argparse.Namespace) -> int:
     from repro.baselines import LockStatReport
+    from repro.dprof.profiler import DProf, DProfConfig
+    from repro.fixes import install_local_queue_selection
+    from repro.workloads import MemcachedWorkload, build_kernel
 
     plan = _fault_plan(args)
-    kernel, _workload, dprof, result = _profiled_memcached(
-        args.cores,
-        args.fixed,
-        args.duration,
-        args.interval,
-        faults=plan,
-        run=RunConfig(seed=11),
-    )
+    kernel = build_kernel(args.cores, seed=11)
+    workload = MemcachedWorkload(kernel)
+    workload.setup()
+    if args.fixed:
+        install_local_queue_selection(workload.stack.dev)
+    dprof = DProf(kernel, DProfConfig(ibs_interval=args.interval), faults=plan)
+    dprof.attach()
+    result = workload.run(args.duration, warmup_cycles=args.duration // 5)
+    dprof.detach()
     label = "fixed (local TX queues)" if args.fixed else "stock (skb_tx_hash)"
     print(f"memcached on {args.cores} cores, {label}")
     print(f"throughput: {result.throughput:.1f} requests/Mcycle")
@@ -129,25 +103,19 @@ def cmd_memcached(args: argparse.Namespace) -> int:
 
 
 def cmd_apache(args: argparse.Namespace) -> int:
-    from repro.dprof.profiler import DProf
+    from repro.dprof.profiler import DProf, DProfConfig
     from repro.fixes import apply_admission_control
-    from repro.kernel import Kernel
-    from repro.workloads import ApacheConfig, ApacheWorkload
+    from repro.workloads import ApacheConfig, ApacheWorkload, build_kernel
 
     plan = _fault_plan(args)
-    run = RunConfig(seed=11)
-    kernel = Kernel(run.machine_config(ncores=args.cores))
+    kernel = build_kernel(args.cores, seed=11)
     workload = ApacheWorkload(
         kernel, config=ApacheConfig(arrival_period=args.period)
     )
     workload.setup()
     if args.admission:
         apply_admission_control(workload.listeners.values(), args.admission)
-    dprof = DProf(
-        kernel,
-        run.dprof_config(ibs_interval=args.interval),
-        faults=plan,
-    )
+    dprof = DProf(kernel, DProfConfig(ibs_interval=args.interval), faults=plan)
     dprof.attach()
     result = workload.run(args.duration, warmup_cycles=args.duration)
     dprof.detach()
@@ -165,32 +133,16 @@ def cmd_apache(args: argparse.Namespace) -> int:
 
 def cmd_diagnose(args: argparse.Namespace) -> int:
     from repro.dprof.diagnosis import Diagnosis
-    from repro.dprof.profiler import DProf
-    from repro.kernel import Kernel
-    from repro.workloads import MemcachedWorkload
+    from repro.workloads import collect_history_session
 
     plan = _fault_plan(args)
-    run = RunConfig(seed=52)
-    kernel = Kernel(run.machine_config(ncores=args.cores))
-    workload = MemcachedWorkload(kernel)
-    workload.setup()
-    workload.start()
-    kernel.run(until_cycle=150_000)
-    dprof = DProf(
-        kernel,
-        run.dprof_config(ibs_interval=args.interval),
+    dprof = collect_history_session(
+        "memcached",
+        ncores=args.cores,
+        seed=52,
+        ibs_interval=args.interval,
         faults=plan,
     )
-    dprof.attach()
-    kernel.run(until_cycle=kernel.elapsed_cycles() + 600_000)
-    dprof.collect_histories(
-        "skbuff", sets=3, hot_chunks=4, member_offsets=[0], pair=True
-    )
-    kernel.run(
-        until_cycle=kernel.elapsed_cycles() + 15_000_000,
-        stop_when=lambda: dprof.histories_done,
-    )
-    dprof.detach()
     print(Diagnosis(dprof).render(args.top))
     return _report_quality(dprof, plan)
 
@@ -224,16 +176,16 @@ def _spec_from_args(args: argparse.Namespace):
     """A validated JobSpec from submit/run-once flags (SystemExit on junk)."""
     from repro.serve.jobs import JobSpec
 
-    run = RunConfig(seed=args.seed, trace=bool(getattr(args, "trace", False)))
     try:
         return JobSpec.create(
             scenario=args.scenario,
             cores=args.cores,
+            seed=args.seed,
             duration=args.duration,
             interval=args.interval,
             fault_spec=args.inject_faults,
             priority=getattr(args, "priority", 0),
-            run=run,
+            trace=bool(getattr(args, "trace", False)),
         )
     except ServeError as exc:
         raise SystemExit(f"bad job spec: {exc}")

@@ -56,19 +56,11 @@ class DProfConfig:
     """Profiler knobs.
 
     ``ibs_interval`` is instructions between IBS tags (lower = more
-    samples = more overhead, Figure 6-2).  ``chunk_size`` is the debug
-    register width used for histories (the paper uses 4 bytes).
-    ``seed`` seeds the working-set view's cache simulation, which models
-    the machine's private L2, where the paper's conflict/capacity
-    phenomena live.
+    samples = more overhead, Figure 6-2).  Histories watch
+    :data:`~repro.dprof.history.DEFAULT_CHUNK_SIZE`-byte chunks.
     """
 
     ibs_interval: int = 1000
-    chunk_size: int = DEFAULT_CHUNK_SIZE
-    #: Raw access samples kept in memory; None = unbounded (the paper's
-    #: prototype), a cap = DCPI-style spilling (aggregates keep counting).
-    max_resident_samples: int | None = None
-    seed: int = 99
 
 
 class DProf:
@@ -77,16 +69,11 @@ class DProf:
     def __init__(
         self,
         kernel: Kernel,
-        config: "DProfConfig | RunConfig | None" = None,
+        config: DProfConfig | None = None,
         faults: FaultPlan | None = None,
         tracer=None,
     ) -> None:
         self.kernel = kernel
-        if config is not None and not isinstance(config, DProfConfig):
-            # A unified RunConfig (repro.config): adapt it to the
-            # profiler's own knobs; machine-side knobs were consumed when
-            # the kernel's Machine was built.
-            config = config.dprof_config()
         self.config = config or DProfConfig()
         #: Span tracer (repro.trace); NULL_TRACER when tracing is off.
         if tracer is None:
@@ -98,14 +85,9 @@ class DProf:
         self.machine = kernel.machine
         self.resolver = TypeResolver(kernel.slab)
         self.sampler = AccessSampleCollector(
-            self.machine,
-            self.resolver,
-            chunk_size=self.config.chunk_size,
-            max_resident_samples=self.config.max_resident_samples,
+            self.machine, self.resolver, chunk_size=DEFAULT_CHUNK_SIZE
         )
-        self.history = HistoryCollector(
-            self.machine, kernel.slab, chunk_size=self.config.chunk_size
-        )
+        self.history = HistoryCollector(self.machine, kernel.slab)
         #: Active fault plan (None = perfect hardware).  The injector is
         #: built once per profiler so its counters cover the whole session.
         self.fault_plan = faults
@@ -210,16 +192,16 @@ class DProf:
         size = self._type_sizes.get(type_name)
         if size is None:
             size = self._lookup_type_size(type_name)
+        chunk = DEFAULT_CHUNK_SIZE
         offsets: set[int] = set()
         if hot_chunks is not None:
             offsets.update(self.sampler.popular_chunks(type_name, hot_chunks))
         if member_offsets is not None:
-            chunk = self.config.chunk_size
             offsets.update((off // chunk) * chunk for off in member_offsets)
         chunks = None
         if offsets:
             chunks = [
-                (off, min(self.config.chunk_size, size - off))
+                (off, min(chunk, size - off))
                 for off in sorted(offsets)
                 if off < size
             ]

@@ -256,7 +256,7 @@ def export_session(dprof) -> dict:
         "address_set": address_blob,
         "symbols": symbols_blob,
         "sim_geometry": [cfg.l2_size, cfg.l2_ways, cfg.line_size],
-        "chunk_size": dprof.config.chunk_size,
+        "chunk_size": DEFAULT_CHUNK_SIZE,
         "data_quality": dprof.data_quality().to_blob(),
         # Raw hierarchy/instruction counters for the top-down metrics
         # summary (repro.metrics).  Not checksummed: plain ints, and old
@@ -398,36 +398,25 @@ class OfflineSession:
             self.histories = [self._history_from(h) for h in sections["histories"]]
 
         self.data_quality.sections_failed = tuple(sorted(set(failed)))
-        self._start_analysis(DeterministicRng(3, "offline"))
+        self._start_analysis()
 
     @classmethod
     def from_profiler(cls, dprof) -> "OfflineSession":
         """The session of a detached :class:`~repro.dprof.profiler.DProf`.
 
         It analyses the profiler's own sampler, histories, address set,
-        symbols and window, with nothing encoded or decoded.  Four
-        inputs differ from a served session of the same run, so that
-        the live views stay as they were:
+        symbols and window, with nothing encoded or decoded.  Two inputs
+        differ from a served session of the same run:
 
-        - the cache simulation draws from the profiler's seed,
-          ``DeterministicRng(seed, "dprof").child("cachesim")``, where
-          a served session draws from ``DeterministicRng(3, "offline")``;
         - a type without a description takes its static objects' one;
-        - a type with no live bytes shows its static bytes, else its
-          type size, where a served session shows its static bytes or 0;
         - path-trace analysis records its ``analysis`` span on the
           profiler's tracer.
         """
         meta = _profile_metadata(dprof)
-        slab = dprof.kernel.slab
         descriptions = meta["descriptions"]
-        for name, statics in slab.static_objects_by_type().items():
+        for name, statics in dprof.kernel.slab.static_objects_by_type().items():
             if not descriptions.get(name):
                 descriptions[name] = statics[0].otype.description
-        footprints = meta["static_bytes"]
-        for name, size in dprof._type_sizes.items():
-            if not footprints.get(name):
-                footprints[name] = size
         cfg = dprof.machine.config
         session = cls.__new__(cls)
         session.path = None
@@ -439,17 +428,12 @@ class OfflineSession:
         session.sampler = dprof.sampler
         session.address_set = dprof.address_set
         session.histories = dprof.history.histories
-        session._start_analysis(
-            DeterministicRng(dprof.config.seed, "dprof").child("cachesim"),
-            tracer=dprof.tracer,
-            view_context="",
-        )
+        session._start_analysis(tracer=dprof.tracer, view_context="")
         return session
 
-    def _start_analysis(self, sim_rng, tracer=None, view_context="offline ") -> None:
+    def _start_analysis(self, tracer=None, view_context="offline ") -> None:
         """Empty the analysis caches and set the inputs a live session
-        chooses: the cache-sim stream, the tracer, the warning context."""
-        self.sim_rng = sim_rng
+        chooses: the tracer and the warning context."""
         self.tracer = tracer
         self._view_context = view_context
         self._traces_cache: dict[str, list] = {}
@@ -546,7 +530,7 @@ class OfflineSession:
 
     def working_set_sim(self) -> WorkingSetSimResult:
         if self._sim_cache is None:
-            sim = DProfCacheSim(self.sim_geometry, self.sim_rng)
+            sim = DProfCacheSim(self.sim_geometry, DeterministicRng(3, "offline"))
             # One batch analysis pass for every type not already built
             # individually.
             by_type: dict[str, list[ObjectAccessHistory]] = {}

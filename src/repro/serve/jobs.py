@@ -156,15 +156,7 @@ class JobSpec:
         Raises :class:`ServeError` naming the offending field; this is
         the one place submit-side validation happens, shared by the
         server, the CLI's one-shot ``run-once``, and the benchmark.
-
-        ``run=RunConfig(...)`` (see :mod:`repro.config`) expands to the
-        shared ``seed``/``trace`` knobs; explicit kwargs win over the
-        RunConfig's values.
         """
-        run = kwargs.pop("run", None)
-        if run is not None:
-            for name, value in run.job_kwargs().items():
-                kwargs.setdefault(name, value)
         kwargs = {k: v for k, v in kwargs.items() if v is not None}
         scenario = kwargs.get("scenario")
         if scenario not in SCENARIOS:

@@ -33,12 +33,21 @@ SCENARIOS = {
 SCENARIOS.update(_kernels.scenario_entries())
 
 
-def collect_history_session(name: str, *, ncores: int, seed: int):
+def collect_history_session(
+    name: str,
+    *,
+    ncores: int,
+    seed: int,
+    ibs_interval: int | None = None,
+    faults=None,
+):
     """Run one case-study workload under DProf and collect pairwise
-    skbuff histories (the same attach/collect pattern the ``diagnose``
-    command uses); returns the detached profiler.
+    skbuff histories; returns the detached profiler.  The ``diagnose``
+    command runs its session through here.
 
-    *name* is ``"memcached"`` or ``"apache"``.
+    *name* is ``"memcached"`` or ``"apache"``.  *ibs_interval* defaults
+    to the scenario's (400 for memcached, 200 for Apache); *faults* is
+    an optional :class:`~repro.faults.FaultPlan` for the profiler.
     """
     from repro.dprof.profiler import DProf, DProfConfig
 
@@ -57,10 +66,11 @@ def collect_history_session(name: str, *, ncores: int, seed: int):
         workload.schedule_arrivals(
             30_000_000, start_cycle=kernel.elapsed_cycles()
         )
-    ibs_interval = 200 if name == "apache" else 400
+    if ibs_interval is None:
+        ibs_interval = 200 if name == "apache" else 400
     warmup = 1_200_000 if name == "apache" else 600_000
     kernel.run(until_cycle=150_000)
-    dprof = DProf(kernel, DProfConfig(ibs_interval=ibs_interval))
+    dprof = DProf(kernel, DProfConfig(ibs_interval=ibs_interval), faults=faults)
     dprof.attach()
     kernel.run(until_cycle=kernel.elapsed_cycles() + warmup)
     dprof.collect_histories(

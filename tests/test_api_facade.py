@@ -1,17 +1,12 @@
-"""repro.api facade: pinned surface, clean import, RunConfig adapters."""
+"""repro.api facade: pinned surface, clean import, lazy service names."""
 
 import importlib
-import json
 
 import pytest
 
-from repro.config import RunConfig
-from repro.dprof.profiler import DProf, DProfConfig
-from repro.dprof.session_io import export_session
-from repro.errors import ConfigError
-from repro.hw.machine import MachineConfig
+from repro.dprof.profiler import DProf
 from repro.serve.jobs import JobSpec
-from repro.workloads import SCENARIOS, build_kernel
+from repro.workloads import SCENARIOS
 from tests.process_helpers import run_fresh
 
 #: The public API contract.  Additions belong at the right spot in
@@ -34,7 +29,6 @@ EXPECTED_ALL = (
     "ProfilingServer",
     "RetryExhaustedError",
     "RetryPolicy",
-    "RunConfig",
     "SCENARIOS",
     "ServeClient",
     "SessionStore",
@@ -72,7 +66,6 @@ def test_api_names_resolve_and_match_defining_modules():
     # Facade names are re-exports, not copies.
     assert repro.api.DProf is DProf
     assert repro.api.JobSpec is JobSpec
-    assert repro.api.RunConfig is RunConfig
     assert repro.api.SCENARIOS is SCENARIOS
 
 
@@ -171,69 +164,3 @@ def test_shim_unknown_name_raises_attribute_error():
         repro.dprof.no_such_name
     with pytest.raises(AttributeError):
         repro.serve.no_such_name
-
-
-# ----------------------------------------------------------------------
-# RunConfig: validation and bit-identical adapters
-# ----------------------------------------------------------------------
-
-
-def test_run_config_validates_eagerly():
-    with pytest.raises(ConfigError):
-        RunConfig(seed="seven")
-
-
-def test_run_config_adapters_match_legacy_configs():
-    run = RunConfig(seed=7)
-    assert run.machine_config(ncores=2) == MachineConfig(ncores=2, seed=7)
-    assert run.dprof_config(ibs_interval=97) == DProfConfig(ibs_interval=97)
-    # The profiler seed stays DProfConfig's own default (it is an
-    # independent knob), unless overridden explicitly.
-    assert run.dprof_config().seed == DProfConfig().seed
-    assert run.dprof_config(seed=1).seed == 1
-
-
-def test_job_spec_from_run_config_matches_legacy_kwargs():
-    run = RunConfig(seed=21, trace=True)
-    via_run = JobSpec.create(scenario="synthetic", duration=30_000, run=run)
-    legacy = JobSpec.create(
-        scenario="synthetic", duration=30_000, seed=21, trace=True
-    )
-    assert via_run == legacy
-    assert via_run.digest() == legacy.digest()
-    # Explicit kwargs win over the RunConfig values.
-    override = JobSpec.create(
-        scenario="synthetic", duration=30_000, run=run, seed=5
-    )
-    assert override.seed == 5
-
-
-def _session_via(config_builder):
-    kernel = build_kernel(2, seed=17)
-    machine_config, dprof_config = config_builder()
-    assert kernel.machine.config.line_size == machine_config.line_size
-    dprof = DProf(kernel, dprof_config)
-    dprof.attach()
-    try:
-        SCENARIOS["synthetic"](kernel, 30_000)
-    finally:
-        dprof.detach()
-    return json.dumps(export_session(dprof), sort_keys=True)
-
-
-def test_run_config_sessions_bit_identical_to_legacy():
-    run = RunConfig(seed=17)
-    via_run = _session_via(
-        lambda: (run.machine_config(ncores=2), run.dprof_config())
-    )
-    via_legacy = _session_via(
-        lambda: (MachineConfig(ncores=2, seed=17), DProfConfig())
-    )
-    assert via_run == via_legacy
-
-
-def test_dprof_accepts_run_config_directly():
-    kernel = build_kernel(2, seed=17)
-    dprof = DProf(kernel, RunConfig(seed=17))
-    assert isinstance(dprof.config, DProfConfig)
-    assert dprof.config == DProfConfig()

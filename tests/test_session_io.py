@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.api import DProf, DProfConfig
+from repro.api import DProf, DProfConfig, collect_history_session
 from repro.dprof.session_io import (
     FORMAT_VERSION,
     OfflineSession,
@@ -84,14 +84,9 @@ def test_archive_is_valid_json(profiled_session):
 def test_offline_data_profile_matches_live(profiled_session):
     """Live and served views of one session agree field by field.
 
-    Both are built by ``OfflineSession``, from inputs that differ in two
-    ways a view shows:
-
-    - the archive carries no static-object descriptions, so a
-      static-only type's description is blank when served;
-    - the cache simulation draws from another seed when served, so the
-      working set's resident lines and conflict-suspect sets are not
-      compared.
+    Both are built by ``OfflineSession``, from inputs that differ in one
+    way a view shows: the archive carries no static-object descriptions,
+    so a static-only type's description is blank when served.
     """
     dprof, path = profiled_session
     live = dprof.data_profile()
@@ -142,6 +137,21 @@ def test_offline_per_type_renders_match_live(profiled_session):
     assert (
         dprof.data_flow("skbuff").render_text()
         == offline.data_flow("skbuff").render_text()
+    )
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("scenario", ["memcached", "apache"])
+def test_live_and_served_cache_views_are_byte_equal(scenario):
+    """The working set and the miss classification read the offline
+    cache simulation, which draws from one stream live and served."""
+    dprof = collect_history_session(scenario, ncores=8, seed=1)
+    served = OfflineSession(export_session(dprof))
+    rows = len(served.working_set().rows)
+    assert dprof.working_set().render(rows) == served.working_set().render(rows)
+    assert (
+        dprof.miss_classification("skbuff").render()
+        == served.miss_classification("skbuff").render()
     )
 
 
