@@ -147,16 +147,18 @@ HISTORY_VIEWS = {
 
 #: The live ``DProf`` renders of the history sessions: the data profile
 #: and working set at their top 10, the two per-type views for skbuff.
+#: The working-set, miss-class and data-flow digests equal the served
+#: ones: live and served analysis replay one cache-simulation stream.
 LIVE_VIEWS = {
     "memcached": {
         "data-profile": "1e2833b7a0783690e40cb6d326b55f4bb0995fc4c4a965ea077a34eb88601914",
-        "working-set": "093ec5d3372e6f83ff84722053acb2e449fd4dfaf68bb9a8528743dc819efa93",
+        "working-set": "5abb915d9cac4742f7c951caea850021a7f4e803055d08f419e16dfb5b8dc62b",
         "miss-class": "ab2c8b3fb38cab13d92f73eda16f0acf21829ce2e48381f42b154b578e9321cf",
         "data-flow": "aef97eb37e9aa88a21bdae879ceb6f2ebed7c78625865de5a7aba9414c28d363",
     },
     "apache": {
         "data-profile": "789c46568b972faec3656f103e4368603e99f884824928fe275ca3533a10d1e0",
-        "working-set": "e1d24b203105871910f73b0717a69fc3333b210998dab38e2af913b58d2cc833",
+        "working-set": "6e9b772f0aa144ff669aa196fa3dc0ae63924e8419b28ce847e736e71dd0ac56",
         "miss-class": "9a306e0429026b45513aea4276a721f5ba1a0f478d30af88df8309f38fb662a1",
         "data-flow": "16bbe88c58c864dda1cf62aa3c9295c4ae8eb30c4c759b2de1105809ba6c0cb5",
     },
