@@ -13,6 +13,7 @@ all access samples that have the same type, offset, and ip values").
 
 from __future__ import annotations
 
+from repro.dprof.history import DEFAULT_CHUNK_SIZE
 from repro.dprof.records import AccessSample, AccessStats
 from repro.dprof.resolver import TypeResolver
 from repro.hw.ibs import IbsSample
@@ -32,7 +33,7 @@ class AccessSampleCollector:
         self,
         machine: Machine,
         resolver: TypeResolver,
-        chunk_size: int = 8,
+        chunk_size: int = DEFAULT_CHUNK_SIZE,
         max_resident_samples: int | None = None,
     ) -> None:
         self.machine = machine

@@ -84,9 +84,7 @@ class DProf:
         self._collection_span = None
         self.machine = kernel.machine
         self.resolver = TypeResolver(kernel.slab)
-        self.sampler = AccessSampleCollector(
-            self.machine, self.resolver, chunk_size=DEFAULT_CHUNK_SIZE
-        )
+        self.sampler = AccessSampleCollector(self.machine, self.resolver)
         self.history = HistoryCollector(self.machine, kernel.slab)
         #: Active fault plan (None = perfect hardware).  The injector is
         #: built once per profiler so its counters cover the whole session.

@@ -237,9 +237,7 @@ class Job:
     digest: str | None = None  # archive digest in the session store
     error: str | None = None
     attempts: int = 0
-    worker: int | None = None
     submitted_s: float = field(default_factory=time.time)
-    started_s: float | None = None
     finished_s: float | None = None
     wall_s: float | None = None
     throughput: float | None = None

@@ -2,27 +2,26 @@ r"""The asyncio profiling server: transports, scheduling, drain.
 
 Architecture (one process, one event loop)::
 
-    TCP clients --\                        /-- worker 0 (process)
-    stdio client ---> ProfilingServer ----+--- worker 1
-                      | JobQueue (prio)    \-- worker N-1
-                      | SessionStore            |
-                      | ServeMetrics       result queue
-                      \--- result pump thread <-/
+    TCP clients --\                        /-- pipe -- worker 0 (process)
+    stdio client ---> ProfilingServer ----+--- pipe -- worker 1
+                      | JobQueue (prio)    \-- pipe -- worker N-1
+                      | SessionStore
+                      | ServeMetrics
 
-The server owns all scheduling state on the event loop thread: jobs wait
-in a bounded priority queue and are dispatched to the multiprocessing
-pool only when a worker slot is free, so the mp task queue never buffers
-more than one job per worker and priorities hold.  A small pump thread
-blocks on the pool's result queue and trampolines events onto the loop
-with ``call_soon_threadsafe``; a monitor task polls worker liveness and
-requeues orphaned jobs from crashed workers (restart counted in
-metrics).
+The server owns all scheduling state on the event loop: jobs wait in a
+bounded priority queue, and a job is sent down a worker's pipe only when
+that worker is idle, so each worker holds at most one job and priorities
+hold.  ``running`` maps each job to its worker from the moment of
+dispatch.  The loop reads every worker's pipe; a worker answers a job
+with one message, and EOF on its pipe means it died: its job is requeued
+and a replacement forked (restart counted in metrics).
 
 Shutdown (SIGTERM, SIGINT, or the ``shutdown`` op) drains: new submits
 are rejected, queued jobs are handed back (state ``requeued``, persisted
 to ``requeue.json`` in the store), running jobs get ``drain_grace_s`` to
-finish, stragglers are terminated and requeued too.  After a drain the
-metrics reconcile exactly: submitted == done + failed + requeued.
+finish, stragglers are terminated and requeued too.  A worker that dies
+during the drain is not replaced.  After a drain the metrics reconcile
+exactly: submitted == done + failed + requeued.
 """
 
 from __future__ import annotations
@@ -30,10 +29,8 @@ from __future__ import annotations
 import asyncio
 import inspect
 import json
-import queue as queue_mod
 import signal
 import sys
-import threading
 import time
 from dataclasses import replace
 
@@ -52,9 +49,6 @@ from repro.serve.store import SessionStore
 from repro.serve.workers import WorkerPool
 from repro.trace import NULL_TRACER, Tracer
 from repro.workloads import SCENARIOS
-
-#: How often the monitor task checks worker liveness (seconds).
-MONITOR_INTERVAL_S = 0.2
 
 
 class ProfilingServer:
@@ -82,8 +76,8 @@ class ProfilingServer:
         self.queue = JobQueue(queue_size)
         self.pool = WorkerPool(workers, store_root)
         self.jobs: dict[str, Job] = {}
-        #: job_id -> worker_id (None until the worker's 'started' event).
-        self.running: dict[str, int | None] = {}
+        #: job_id -> the worker it was sent to.
+        self.running: dict[str, int] = {}
         self.host = host
         self.port = port
         self.drain_grace_s = drain_grace_s
@@ -92,9 +86,8 @@ class ProfilingServer:
         self._seq = 0
         self._loop: asyncio.AbstractEventLoop | None = None
         self._tcp_server: asyncio.AbstractServer | None = None
-        self._monitor_task: asyncio.Task | None = None
-        self._pump_thread: threading.Thread | None = None
-        self._pump_stop = threading.Event()
+        #: Open client connections: handler task -> its writer.
+        self._connections: dict[asyncio.Task, asyncio.StreamWriter] = {}
         self._drain_task: asyncio.Task | None = None
 
     # ------------------------------------------------------------------
@@ -102,19 +95,14 @@ class ProfilingServer:
     # ------------------------------------------------------------------
 
     async def start(self) -> None:
-        """Boot workers, the result pump, and the TCP listener."""
+        """Boot the workers and the TCP listener."""
         self._loop = asyncio.get_running_loop()
         self.store.sweep_tmp()
-        self.pool.start()
-        self._pump_thread = threading.Thread(
-            target=self._pump_results, name="repro-serve-pump", daemon=True
-        )
-        self._pump_thread.start()
+        self.pool.start(self._loop, self._on_worker_message)
         self._tcp_server = await asyncio.start_server(
             self._on_connection, self.host, self.port, limit=MAX_LINE_BYTES
         )
         self.port = self._tcp_server.sockets[0].getsockname()[1]
-        self._monitor_task = asyncio.ensure_future(self._monitor_workers())
 
     def install_signal_handlers(self) -> None:
         """SIGTERM/SIGINT -> graceful drain (call after :meth:`start`)."""
@@ -146,8 +134,7 @@ class ProfilingServer:
             await asyncio.sleep(0.05)
         # Stragglers past the grace period: terminate and hand back.
         for job_id, worker_id in list(self.running.items()):
-            if worker_id is not None:
-                self.pool.terminate_worker(worker_id)
+            self.pool.retire(worker_id, terminate=True)
             if self.tracer.enabled:
                 execute = self._exec_spans.pop(job_id, None)
                 if execute is not None:
@@ -155,8 +142,8 @@ class ProfilingServer:
             requeued.append(self.jobs[job_id])
             del self.running[job_id]
         # A worker that died *during* the grace wait had its job
-        # force_pushed back onto the (already drained) queue by the
-        # monitor; drain again so those jobs reach requeue.json too.
+        # force_pushed back onto the (already drained) queue by its EOF;
+        # drain again so those jobs reach requeue.json too.
         requeued.extend(self.queue.drain())
         for job in requeued:
             job.state = "requeued"
@@ -176,12 +163,17 @@ class ProfilingServer:
                     counters=self.metrics.counters(depth, running)
                 ),
             )
-        if self._monitor_task is not None:
-            self._monitor_task.cancel()
         self.pool.stop(grace_s=2.0)
-        self._pump_stop.set()
         if self._tcp_server is not None:
             self._tcp_server.close()
+        # Close client connections and let their handlers return before
+        # the loop stops: a handler still running would be cancelled at
+        # shutdown, which Python 3.11 logs as a traceback.
+        while self._connections:
+            for writer in self._connections.values():
+                writer.transport.abort()
+            await asyncio.wait(list(self._connections))
+        if self._tcp_server is not None:
             await self._tcp_server.wait_closed()
         self.finished.set()
 
@@ -189,18 +181,20 @@ class ProfilingServer:
     # Worker-pool plumbing
     # ------------------------------------------------------------------
 
-    def _free_slots(self) -> int:
-        return self.pool.nworkers - len(self.running)
-
     def _dispatch(self) -> None:
-        """Hand queued jobs to the pool while slots are free."""
-        while not self.draining and self._free_slots() > 0:
+        """Send queued jobs to idle workers."""
+        if self.draining:
+            return
+        busy = set(self.running.values())
+        for worker_id in self.pool.conns:
+            if worker_id in busy:
+                continue
             job = self.queue.pop()
             if job is None:
                 return
             job.state = "running"
             job.attempts += 1
-            self.running[job.job_id] = None
+            self.running[job.job_id] = worker_id
             if self.tracer.enabled:
                 wait = self._wait_spans.pop(job.job_id, None)
                 if wait is not None:
@@ -208,33 +202,14 @@ class ProfilingServer:
                 self._exec_spans[job.job_id] = self.tracer.begin(
                     "worker-execute", job_id=job.job_id, scenario=job.spec.scenario
                 )
-            self.pool.submit(job.job_id, job.spec)
+            self.pool.send(worker_id, job.job_id, job.spec)
 
-    def _pump_results(self) -> None:
-        """(thread) Forward pool events onto the event loop."""
-        while not self._pump_stop.is_set():
-            try:
-                event = self.pool.result_q.get(timeout=0.2)
-            except queue_mod.Empty:
-                continue
-            if self._loop is not None and not self._loop.is_closed():
-                self._loop.call_soon_threadsafe(self._on_worker_event, event)
-
-    def _on_worker_event(self, event: tuple) -> None:
-        kind, worker_id, payload = event
-        if kind == "exit":
+    def _on_worker_message(self, worker_id: int, message: tuple | None) -> None:
+        if message is None:
+            self._on_worker_death(worker_id)
             return
-        if kind == "started":
-            job = self.jobs.get(payload)
-            if job is not None and payload in self.running:
-                self.running[payload] = worker_id
-                job.worker = worker_id
-                job.started_s = time.time()
-            return
-        job_id, detail = payload
-        job = self.jobs.get(job_id)
-        if job is None or job_id not in self.running:
-            return  # stale event from a terminated/requeued job
+        kind, job_id, detail = message
+        job = self.jobs[job_id]
         del self.running[job_id]
         if self.tracer.enabled:
             execute = self._exec_spans.pop(job_id, None)
@@ -272,30 +247,27 @@ class ProfilingServer:
         """Hook for terminal transitions; cluster mode commits the
         result record and releases the job's lease here."""
 
-    async def _monitor_workers(self) -> None:
-        """Requeue jobs orphaned by worker deaths; respawn workers."""
-        while True:
-            await asyncio.sleep(MONITOR_INTERVAL_S)
-            for worker_id in self.pool.dead_workers():
-                self.metrics.worker_restarts += 1
-                self.pool.restart(worker_id)
-                for job_id, assigned in list(self.running.items()):
-                    if assigned == worker_id:
-                        del self.running[job_id]
-                        job = self.jobs[job_id]
-                        job.state = "queued"
-                        job.worker = None
-                        self.metrics.job_retries += 1
-                        if self.tracer.enabled:
-                            execute = self._exec_spans.pop(job_id, None)
-                            if execute is not None:
-                                self.tracer.end(
-                                    execute, terminal=False, result="worker-crash"
-                                )
-                            self._wait_spans[job_id] = self.tracer.begin(
-                                "queue-wait", job_id=job_id, retry=True
-                            )
-                        self.queue.force_push(job)
+    def _on_worker_death(self, worker_id: int) -> None:
+        """EOF on a worker's pipe: requeue the job it held and, unless
+        draining, fork its replacement."""
+        for job_id, assigned in list(self.running.items()):
+            if assigned != worker_id:
+                continue
+            del self.running[job_id]
+            job = self.jobs[job_id]
+            job.state = "queued"
+            self.metrics.job_retries += 1
+            if self.tracer.enabled:
+                execute = self._exec_spans.pop(job_id, None)
+                if execute is not None:
+                    self.tracer.end(execute, terminal=False, result="worker-crash")
+                self._wait_spans[job_id] = self.tracer.begin(
+                    "queue-wait", job_id=job_id, retry=True
+                )
+            self.queue.force_push(job)
+        if not self.draining:
+            self.metrics.worker_restarts += 1
+            self.pool.spawn()
             self._dispatch()
 
     # ------------------------------------------------------------------
@@ -303,6 +275,8 @@ class ProfilingServer:
     # ------------------------------------------------------------------
 
     async def _on_connection(self, reader, writer) -> None:
+        task = asyncio.current_task()
+        self._connections[task] = writer
         try:
             while True:
                 try:
@@ -324,6 +298,7 @@ class ProfilingServer:
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError):
                 pass
+            del self._connections[task]
 
     async def serve_stdio(self) -> None:
         """JSON-lines on stdin/stdout (for pipelines and supervisors).

@@ -8,14 +8,12 @@ that runs jobs -- pool workers, the CLI's one-shot ``run-once``, and the
 benchmark's service-throughput scenario -- goes through this function,
 which is what makes service results bit-identical to one-shot runs.
 
-The pool itself is deliberately simple: N long-lived processes pulling
-``(job_id, spec)`` tuples from a shared task queue and pushing
-``(kind, worker_id, payload)`` events to a shared result queue.  The
-*server* owns scheduling (it holds jobs in a priority queue and only
-dispatches when a worker slot is free), so the mp queues never hold more
-than one task per worker and priority inversion cannot occur.  Workers
-that die mid-job are detected by liveness polling; the server requeues
-the orphaned job and calls :meth:`WorkerPool.restart`.
+The pool is N long-lived forked processes with one pipe each.  The
+server owns scheduling: it sends a ``(job_id, spec)`` tuple only to an
+idle worker, which answers with one ``(kind, job_id, payload)`` message.
+EOF is the only lifecycle signal: on the server's end it means the
+worker died (its job is requeued and a replacement forked), and on the
+worker's end that the server closed the pipe or died.
 """
 
 from __future__ import annotations
@@ -37,10 +35,6 @@ from repro.trace import (
     config_fingerprint,
 )
 from repro.workloads import SCENARIOS, build_kernel
-
-#: Poison pill telling a worker to exit its loop.
-_STOP = None
-
 
 def execute_job(spec: JobSpec, tracer=None) -> tuple[str, str, dict]:
     """Run one profiling session; returns (status, archive_text, info).
@@ -132,29 +126,33 @@ def execute_job_to_store(spec: JobSpec, store_root) -> dict:
     return outcome
 
 
-def worker_main(worker_id: int, task_q, result_q, store_root: str) -> None:
-    """One pool worker's loop (runs in a child process).
+def worker_main(conn, store_root: str, inherited) -> None:
+    """One pool worker's loop (runs in a forked child process).
 
-    SIGINT is ignored (Ctrl-C belongs to the server, which drains);
-    SIGTERM keeps its default so the server can terminate a stuck worker
-    during drain and requeue its job.
+    SIGTERM gets its default back, even in a worker forked after the
+    server installed its handlers, so drain can terminate a stuck worker;
+    SIGINT is ignored (Ctrl-C belongs to the server, which drains).  The
+    *inherited* server-side pipe ends are closed, so a dead worker reads
+    as EOF on the server and a dead server as EOF here.
+    ``execute_job_to_store`` is looked up per job, so a wrapper patched
+    in before the pool forks runs here.
     """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    while True:
-        item = task_q.get()
-        if item is _STOP:
-            result_q.put(("exit", worker_id, None))
-            return
-        job_id, spec_wire = item
-        result_q.put(("started", worker_id, job_id))
-        try:
-            spec = JobSpec.from_wire(spec_wire)
-            outcome = execute_job_to_store(spec, store_root)
-            result_q.put(("done", worker_id, (job_id, outcome)))
-        except Exception as exc:  # noqa: BLE001 - report, don't die
-            result_q.put(
-                ("failed", worker_id, (job_id, f"{type(exc).__name__}: {exc}"))
-            )
+    signal.set_wakeup_fd(-1)
+    for pool_end in inherited:
+        pool_end.close()
+    try:
+        while True:
+            job_id, spec_wire = conn.recv()
+            try:
+                spec = JobSpec.from_wire(spec_wire)
+                message = ("done", job_id, execute_job_to_store(spec, store_root))
+            except Exception as exc:  # noqa: BLE001 - report, don't die
+                message = ("failed", job_id, f"{type(exc).__name__}: {exc}")
+            conn.send(message)
+    except (EOFError, OSError):
+        return  # the server closed this pipe, or died
 
 
 def _mp_context():
@@ -167,64 +165,85 @@ def _mp_context():
 
 
 class WorkerPool:
-    """N worker processes around shared task/result queues."""
+    """N worker processes, one pipe each, read on an event loop.
+
+    Each message a worker sends is passed to ``on_message(worker_id,
+    message)``; its death (EOF) to ``on_message(worker_id, None)``, after
+    its pipe is closed and its process reaped.
+    """
 
     def __init__(self, nworkers: int, store_root) -> None:
         self.nworkers = nworkers
         self.store_root = str(store_root)
         self._ctx = _mp_context()
-        self.task_q = self._ctx.Queue()
-        self.result_q = self._ctx.Queue()
         self.procs: dict[int, multiprocessing.Process] = {}
+        #: worker_id -> the server's end of that worker's pipe.
+        self.conns: dict = {}
         self._next_id = 0
+        self._loop = None
+        self._on_message = None
 
-    def start(self) -> None:
+    def start(self, loop, on_message) -> None:
+        self._loop = loop
+        self._on_message = on_message
         for _ in range(self.nworkers):
-            self._spawn()
+            self.spawn()
 
-    def _spawn(self) -> int:
+    def spawn(self) -> int:
+        """Fork one worker and watch its pipe; returns its id."""
         worker_id = self._next_id
         self._next_id += 1
+        conn, child_conn = self._ctx.Pipe()
         proc = self._ctx.Process(
             target=worker_main,
-            args=(worker_id, self.task_q, self.result_q, self.store_root),
+            args=(child_conn, self.store_root, [conn, *self.conns.values()]),
             daemon=True,
             name=f"repro-serve-worker-{worker_id}",
         )
         proc.start()
+        child_conn.close()
         self.procs[worker_id] = proc
+        self.conns[worker_id] = conn
+        self._loop.add_reader(conn.fileno(), self._on_readable, worker_id)
         return worker_id
 
-    def submit(self, job_id: str, spec: JobSpec) -> None:
-        self.task_q.put((job_id, spec.to_wire()))
+    def send(self, worker_id: int, job_id: str, spec: JobSpec) -> None:
+        """Hand one job to an idle worker.  A worker that died before
+        this send is reported by its EOF, which requeues the job."""
+        try:
+            self.conns[worker_id].send((job_id, spec.to_wire()))
+        except (BrokenPipeError, ConnectionResetError):
+            pass
 
-    def dead_workers(self) -> list[int]:
-        """Workers whose process has exited without being stopped."""
-        return [wid for wid, proc in self.procs.items() if not proc.is_alive()]
+    def _on_readable(self, worker_id: int) -> None:
+        try:
+            message = self.conns[worker_id].recv()
+        except (EOFError, OSError):
+            self.retire(worker_id)
+            message = None
+        self._on_message(worker_id, message)
 
-    def restart(self, worker_id: int) -> int:
-        """Reap a dead worker and spawn its replacement."""
-        proc = self.procs.pop(worker_id, None)
-        if proc is not None:
-            proc.join(timeout=0.1)
-        return self._spawn()
+    def _close(self, worker_id: int) -> multiprocessing.Process:
+        conn = self.conns.pop(worker_id)
+        self._loop.remove_reader(conn.fileno())
+        conn.close()
+        return self.procs.pop(worker_id)
 
-    def terminate_worker(self, worker_id: int) -> None:
-        """Forcibly stop one worker (drain-timeout path)."""
-        proc = self.procs.pop(worker_id, None)
-        if proc is not None:
+    def retire(self, worker_id: int, terminate: bool = False) -> None:
+        """Close a worker's pipe and reap it; *terminate* (SIGTERM) first
+        for a worker that is still busy (the drain-timeout path)."""
+        proc = self._close(worker_id)
+        if terminate:
             proc.terminate()
-            proc.join(timeout=2.0)
+        proc.join(timeout=2.0)
 
     def stop(self, grace_s: float = 5.0) -> None:
-        """Poison-pill every worker, then terminate stragglers."""
-        for _ in self.procs:
-            self.task_q.put(_STOP)
+        """Close every pipe (an idle worker exits on EOF), then terminate
+        stragglers."""
+        procs = [self._close(worker_id) for worker_id in list(self.conns)]
         deadline = time.monotonic() + grace_s
-        for proc in list(self.procs.values()):
+        for proc in procs:
             proc.join(timeout=max(0.0, deadline - time.monotonic()))
-        for wid, proc in list(self.procs.items()):
             if proc.is_alive():
                 proc.terminate()
                 proc.join(timeout=2.0)
-            self.procs.pop(wid, None)

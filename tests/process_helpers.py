@@ -3,10 +3,11 @@
 :func:`run_fresh` runs a snippet in a new interpreter, so modules that
 earlier tests imported cannot hide what an import loads or warns.
 
-``repro.cli serve``/``cluster`` fork a worker pool.  SIGKILLing only the
-server process orphans those workers, which then sit idle after the test
-suite ends, so every test that stops a server goes through
-:func:`stop_server`.
+``repro.cli serve``/``cluster`` fork a worker pool.  A worker exits when
+it reads EOF on its pipe, so SIGKILLing the server ends its idle workers
+as well; a worker still busy with a job lives until that job is done.
+Every test that stops a server goes through :func:`stop_server`, which
+kills the workers it finds, so no test leaves one running.
 """
 
 from __future__ import annotations

@@ -2,11 +2,12 @@
 
 These are the acceptance tests for ``repro.serve``: concurrent mixed
 bursts with zero lost/duplicated jobs, results bit-identical to one-shot
-runs, and a clean SIGTERM drain that requeues or finishes everything
-in flight.
+runs, a clean SIGTERM drain that requeues or finishes everything in
+flight, and a pool that survives killed workers and dies with its server.
 """
 
 import json
+import os
 import signal
 import subprocess
 import sys
@@ -18,7 +19,7 @@ import pytest
 from repro.api import JobSpec, request_once
 from repro.serve.store import SessionStore
 from repro.serve.workers import execute_job
-from tests.process_helpers import child_pids, stop_server
+from tests.process_helpers import child_pids, kill_quietly, stop_server
 
 HOST = "127.0.0.1"
 BOOT_TIMEOUT_S = 20.0
@@ -80,6 +81,44 @@ def _wait_all(port, job_ids, timeout_s=60.0):
     raise AssertionError(f"jobs did not settle: { {i: jobs.get(i, {}).get('state') for i in job_ids} }")
 
 
+def _counters(port):
+    return _rpc(port, {"op": "metrics"})["counters"]
+
+
+def _wait_restarts(port, count, timeout_s=20.0):
+    """Poll until the server has counted *count* worker restarts."""
+    deadline = time.monotonic() + timeout_s
+    while time.monotonic() < deadline:
+        restarts = _counters(port)["worker_restarts"]
+        if restarts >= count:
+            return restarts
+        time.sleep(0.05)
+    raise AssertionError(f"worker_restarts stayed at {restarts}, wanted {count}")
+
+
+def _wait_running(port, job_id, timeout_s=10.0):
+    deadline = time.monotonic() + timeout_s
+    while time.monotonic() < deadline:
+        job = _rpc(port, {"op": "status", "job_id": job_id})["job"]
+        if job["state"] == "running":
+            return
+        time.sleep(0.05)
+    raise AssertionError(f"job {job_id} never ran: {job['state']}")
+
+
+def _threads(pid):
+    return len(list(Path(f"/proc/{pid}/task").iterdir()))
+
+
+def _alive(pid):
+    """True while *pid* runs; a zombie waiting for its reaper has exited."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
 @pytest.mark.slow
 def test_serve_submit_fetch_and_metrics(tmp_path):
     proc, port = _start_server(tmp_path)
@@ -106,6 +145,11 @@ def test_serve_submit_fetch_and_metrics(tmp_path):
         assert metrics["counters"]["jobs_done"] == 1
         assert metrics["counters"]["reconciled"] is True
         assert "repro_serve_jobs_done 1" in metrics["rendered"]
+
+        # One thread in the server and in each worker: pipes, no pump.
+        workers = child_pids(proc.pid)
+        assert len(workers) == 2
+        assert [_threads(pid) for pid in [proc.pid, *workers]] == [1, 1, 1]
     finally:
         stop_server(proc)
 
@@ -239,6 +283,9 @@ def test_serve_rejects_when_draining_is_clean(tmp_path):
         assert response["ok"]
         proc.wait(timeout=30)
         assert proc.returncode == 0
+        output = proc.stdout.read()
+        assert "drained and stopped" in output
+        assert "Traceback" not in output, output
     finally:
         stop_server(proc)
 
@@ -265,3 +312,97 @@ def test_serve_queue_backpressure(tmp_path):
         assert rejected["retry_after_s"] > 0
     finally:
         stop_server(proc)
+
+
+@pytest.mark.slow
+def test_serve_worker_death_mid_job_retries_it(tmp_path):
+    """A worker SIGKILLed mid-job, with no drain: the job runs again on
+    the replacement and finishes, and both counters say so."""
+    proc, port = _start_server(tmp_path, workers=1)
+    workers = []
+    try:
+        job_id = _submit(port, "synthetic", seed=610, duration=30_000_000)
+        _wait_running(port, job_id)
+        time.sleep(0.5)  # well into the run, which takes seconds
+        workers = child_pids(proc.pid)
+        assert len(workers) == 1
+        kill_quietly(workers)
+        job = _wait_all(port, [job_id], timeout_s=120.0)[job_id]
+        assert job["state"] == "done"
+        assert job["attempts"] == 2
+        counters = _counters(port)
+        assert counters["worker_restarts"] == 1
+        assert counters["job_retries"] == 1
+    finally:
+        stop_server(proc)
+        kill_quietly(workers)
+
+
+@pytest.mark.slow
+def test_serve_killed_idle_workers_do_not_wedge_the_pool(tmp_path):
+    """Regression: an idle worker blocks reading for its next task.  When
+    the workers shared one task queue, a SIGKILLed idle worker died
+    holding the queue's reader lock, and no later job ever started."""
+    proc, port = _start_server(tmp_path, workers=2, drain_grace=2.0)
+    seen = []
+    try:
+        seen = child_pids(proc.pid)
+        assert len(seen) == 2
+        kill_quietly(seen)
+        assert _wait_restarts(port, 2) == 2
+        seen += child_pids(proc.pid)
+        job_id = _submit(port, "synthetic", seed=620)
+        assert _wait_all(port, [job_id], timeout_s=20.0)[job_id]["state"] == "done"
+        assert _rpc(port, {"op": "shutdown"})["ok"]
+        proc.wait(timeout=30)
+        assert proc.returncode == 0
+    finally:
+        stop_server(proc)
+        kill_quietly(seen)
+
+
+@pytest.mark.slow
+def test_serve_sigterm_to_a_replacement_worker_spares_the_server(tmp_path):
+    """Regression: a worker forked after the server installed its signal
+    handlers must not inherit them; SIGTERM to it stops that worker only."""
+    proc, port = _start_server(tmp_path, workers=2)
+    seen = []
+    try:
+        seen = child_pids(proc.pid)
+        assert len(seen) == 2
+        kill_quietly(seen[:1])
+        _wait_restarts(port, 1)
+        replacement = sorted(set(child_pids(proc.pid)) - set(seen))
+        assert len(replacement) == 1
+        seen += replacement
+        os.kill(replacement[0], signal.SIGTERM)
+        _wait_restarts(port, 2)
+        seen += child_pids(proc.pid)
+        ping = _rpc(port, {"op": "ping"})
+        assert ping["ok"] and ping["draining"] is False
+        job_id = _submit(port, "synthetic", seed=630)
+        assert _wait_all(port, [job_id], timeout_s=20.0)[job_id]["state"] == "done"
+    finally:
+        stop_server(proc)
+        kill_quietly(seen)
+
+
+@pytest.mark.slow
+def test_serve_workers_exit_when_the_server_is_killed(tmp_path):
+    """Regression: SIGKILL the server and its workers see EOF on their
+    pipes and exit instead of waiting forever for a task."""
+    proc, port = _start_server(tmp_path, workers=2)
+    workers = []
+    try:
+        assert _rpc(port, {"op": "ping"})["ok"]
+        workers = child_pids(proc.pid)
+        assert len(workers) == 2
+        proc.kill()
+        proc.wait(timeout=10)
+        deadline = time.monotonic() + 5.0
+        while time.monotonic() < deadline and any(map(_alive, workers)):
+            time.sleep(0.05)
+        assert [pid for pid in workers if _alive(pid)] == []
+    finally:
+        stop_server(proc)
+        kill_quietly(workers)
