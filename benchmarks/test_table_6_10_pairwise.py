@@ -52,10 +52,10 @@ def test_table_6_10_pairwise_costs(
 
     # The quadratic growth claim, pinned exactly on full coverage: the
     # paper's skbuff needs 64 single histories but 2016 pairs per set.
-    chunks = chunks_for_type(256, 4)
+    chunks = chunks_for_type(256)
     assert len(chunks) == 64
     assert len(all_pairs(chunks)) == 2016
-    tcp_chunks = chunks_for_type(1600, 4)
+    tcp_chunks = chunks_for_type(1600)
     assert len(all_pairs(tcp_chunks)) == 79800  # paper: 79801/1
 
 

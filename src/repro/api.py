@@ -18,9 +18,9 @@ Groups:
   :func:`execute_job_to_store`, :class:`SessionStore`;
 - **federation**: :class:`ClusterConfig`, :class:`ClusterServer`,
   :class:`RetryPolicy`, :class:`RetryExhaustedError`;
-- **tracing**: :class:`Tracer`, ``NULL_TRACER``, :class:`SimProbe`,
-  :func:`load_trace`, :func:`render_tree`, :func:`stage_totals`,
-  :func:`critical_path`, :func:`reconcile_serve`;
+- **tracing**: :class:`Tracer`, ``NULL_TRACER``, :func:`load_trace`,
+  :func:`render_tree`, :func:`stage_totals`, :func:`critical_path`,
+  :func:`reconcile_serve`;
 - **metrics & kernels**: :class:`MetricsSummary`, :func:`machine_counters`,
   :class:`KernelSpec`, ``KERNEL_FAMILIES``, :func:`expected_metrics`.
 
@@ -51,7 +51,6 @@ from repro.metrics import MetricsSummary, machine_counters
 from repro.serve.store import SessionStore
 from repro.trace import (
     NULL_TRACER,
-    SimProbe,
     Tracer,
     critical_path,
     load_trace,
@@ -83,7 +82,6 @@ __all__ = (
     "SCENARIOS",
     "ServeClient",
     "SessionStore",
-    "SimProbe",
     "Tracer",
     "analyze_histories",
     "build_kernel",

@@ -47,7 +47,7 @@ import time
 from typing import TYPE_CHECKING
 
 from repro import __version__
-from repro.config import SCENARIO_DEFAULTS
+from repro.config import SCENARIO_DEFAULTS, VIEW_NAMES
 from repro.dprof.quality import DataQuality
 from repro.errors import FaultInjectionError, ProtocolError, ServeError, TraceError
 from repro.faults import FaultPlan
@@ -274,8 +274,6 @@ def _serve_forever(server, args: argparse.Namespace, banner: str) -> int:
         if args.port_file:
             with open(args.port_file, "w", encoding="utf-8") as fh:
                 fh.write(f"{server.port}\n")
-        if args.stdio:
-            asyncio.ensure_future(server.serve_stdio())
         await server.finished.wait()
         print(f"{banner}: drained and stopped", flush=True)
 
@@ -645,10 +643,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="write the bound port here once listening",
         )
         sub_parser.add_argument(
-            "--stdio", action="store_true",
-            help="also accept JSON-lines requests on stdin/stdout",
-        )
-        sub_parser.add_argument(
             "--trace", action="store_true",
             help="record server-side spans (written to the store at drain)",
         )
@@ -710,10 +704,7 @@ def build_parser() -> argparse.ArgumentParser:
     ft.add_argument("job_id", help="job id or archive digest")
     ft.add_argument(
         "--view",
-        choices=(
-            "data-profile", "working-set", "miss-class", "data-flow",
-            "quality", "metrics", "archive",
-        ),
+        choices=VIEW_NAMES,
         default="data-profile",
     )
     ft.add_argument(

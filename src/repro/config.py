@@ -1,14 +1,27 @@
-"""The per-scenario defaults.
+"""The per-scenario defaults and the names of the stored-archive views.
 
 :data:`SCENARIO_DEFAULTS` holds the knobs a job or command falls back on
-per scenario.  It lives here, away from the simulator, so a command that
-only lists or submits scenarios (``repro list-scenarios``, ``repro
-submit``) never imports the machine, the kernel or the workloads.
+per scenario, and :data:`VIEW_NAMES` the views a stored archive renders.
+They live here, away from the simulator, so a command that only lists or
+submits scenarios or fetches a view (``repro list-scenarios``, ``repro
+submit``, ``repro fetch``) never imports the machine, the kernel or the
+workloads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+#: The views ``fetch`` can render from a stored archive.
+VIEW_NAMES = (
+    "data-profile",
+    "working-set",
+    "miss-class",
+    "data-flow",
+    "quality",
+    "metrics",
+    "archive",
+)
 
 
 @dataclass(frozen=True)

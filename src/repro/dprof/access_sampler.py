@@ -29,26 +29,11 @@ MAX_PLAUSIBLE_LATENCY = 50_000
 class AccessSampleCollector:
     """Collects and aggregates typed access samples from IBS."""
 
-    def __init__(
-        self,
-        machine: Machine,
-        resolver: TypeResolver,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-        max_resident_samples: int | None = None,
-    ) -> None:
+    def __init__(self, machine: Machine, resolver: TypeResolver) -> None:
         self.machine = machine
         self.resolver = resolver
-        #: Offsets are binned to the debug-register chunk width so access
-        #: samples line up with history elements during augmentation.
-        self.chunk_size = chunk_size
-        #: Raw-sample memory bound.  The paper notes DProf "stores all raw
-        #: samples in RAM" and that DCPI's spill-to-disk techniques apply;
-        #: here, once the cap is hit, new samples keep updating the
-        #: aggregated statistics (which is all the views consume) while
-        #: the raw record is dropped -- the spill, without a disk.
-        self.max_resident_samples = max_resident_samples
+        #: Every raw sample, kept in RAM as the paper's DProf does.
         self.samples: list[AccessSample] = []
-        self.samples_spilled = 0
         self.samples_rejected = 0
         self.stats: dict[tuple[str, int, int], AccessStats] = {}
         self.type_misses = Histogram()
@@ -90,14 +75,10 @@ class AccessSampleCollector:
             cycle=sample.cycle,
             size=sample.size,
         )
-        if (
-            self.max_resident_samples is None
-            or len(self.samples) < self.max_resident_samples
-        ):
-            self.samples.append(access)
-        else:
-            self.samples_spilled += 1
-        chunk = (access.offset // self.chunk_size) * self.chunk_size
+        self.samples.append(access)
+        # Offsets are binned to the debug-register chunk width so access
+        # samples line up with history elements during augmentation.
+        chunk = (access.offset // DEFAULT_CHUNK_SIZE) * DEFAULT_CHUNK_SIZE
         key = (access.type_name, chunk, access.ip)
         stats = self.stats.get(key)
         if stats is None:
@@ -115,7 +96,7 @@ class AccessSampleCollector:
 
     def stats_for(self, type_name: str, offset: int, ip: int) -> AccessStats | None:
         """Aggregated stats for one (type, offset, ip), chunk-binned."""
-        chunk = (offset // self.chunk_size) * self.chunk_size
+        chunk = (offset // DEFAULT_CHUNK_SIZE) * DEFAULT_CHUNK_SIZE
         return self.stats.get((type_name, chunk, ip))
 
     def miss_share(self, type_name: str) -> float:

@@ -89,20 +89,15 @@ class Finding:
 class Diagnosis:
     """A full diagnosis pass over one profiling session."""
 
-    def __init__(
-        self,
-        dprof: DProf,
-        miss_share_threshold: float = DEFAULT_MISS_SHARE_THRESHOLD,
-    ) -> None:
+    def __init__(self, dprof: DProf) -> None:
         self.dprof = dprof
-        self.miss_share_threshold = miss_share_threshold
 
     def findings(self, max_types: int = 8) -> list[Finding]:
         """Top-down findings for the hottest types, most misses first."""
         profile = self.dprof.data_profile()
         out = []
         for row in profile.top(max_types):
-            if row.miss_share < self.miss_share_threshold:
+            if row.miss_share < DEFAULT_MISS_SHARE_THRESHOLD:
                 continue
             out.append(self._diagnose_type(row))
         return out

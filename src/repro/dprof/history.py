@@ -25,8 +25,8 @@ from collections import deque
 from dataclasses import dataclass
 
 from repro.dprof.records import HistoryElement, ObjectAccessHistory
-from repro.errors import ProfilingError, SimulationError
-from repro.hw.debugreg import MAX_WATCH_BYTES
+from repro.errors import SimulationError
+from repro.hw.debugreg import DEFAULT_TRAP_CYCLES
 from repro.hw.machine import Machine
 from repro.kernel.layout import KObject
 from repro.kernel.slab import SlabSystem
@@ -82,13 +82,10 @@ class OverheadBreakdown:
         }
 
 
-def chunks_for_type(size: int, chunk_size: int = DEFAULT_CHUNK_SIZE) -> list[tuple[int, int]]:
+def chunks_for_type(size: int) -> list[tuple[int, int]]:
     """Full chunk coverage of a type: (offset, length) per debug register."""
-    if not 1 <= chunk_size <= MAX_WATCH_BYTES:
-        raise ProfilingError(
-            f"chunk size must be 1-{MAX_WATCH_BYTES} bytes, got {chunk_size}"
-        )
-    return [(off, min(chunk_size, size - off)) for off in range(0, size, chunk_size)]
+    width = DEFAULT_CHUNK_SIZE
+    return [(off, min(width, size - off)) for off in range(0, size, width)]
 
 
 def all_pairs(chunks: list[tuple[int, int]]) -> list[tuple[tuple[int, int], tuple[int, int]]]:
@@ -103,19 +100,9 @@ def all_pairs(chunks: list[tuple[int, int]]) -> list[tuple[tuple[int, int], tupl
 class HistoryCollector:
     """Runs history jobs against the live machine, one object at a time."""
 
-    def __init__(
-        self,
-        machine: Machine,
-        slab: SlabSystem,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-        max_retries: int = DEFAULT_MAX_RETRIES,
-        retry_backoff_cycles: int = DEFAULT_RETRY_BACKOFF_CYCLES,
-    ) -> None:
+    def __init__(self, machine: Machine, slab: SlabSystem) -> None:
         self.machine = machine
         self.slab = slab
-        self.chunk_size = chunk_size
-        self.max_retries = max_retries
-        self.retry_backoff_cycles = retry_backoff_cycles
         #: Consulted per armed object when a fault plan is active.
         self.faults = None
         self.histories: list[ObjectAccessHistory] = []
@@ -156,7 +143,7 @@ class HistoryCollector:
         pairwise collection to "just the bytes that cover the chosen
         members"); by default every chunk of the type is covered.
         """
-        cover = chunks if chunks is not None else chunks_for_type(type_size, self.chunk_size)
+        cover = chunks if chunks is not None else chunks_for_type(type_size)
         jobs = 0
         for set_index in range(num_sets):
             if pair:
@@ -266,12 +253,12 @@ class HistoryCollector:
         ``histories_partial`` -- rather than silently discarded; with no
         partial data the job counts as abandoned.
         """
-        if job.attempt < self.max_retries:
+        if job.attempt < DEFAULT_MAX_RETRIES:
             self.jobs_retried += 1
             retry = HistoryJob(
                 job.type_name, job.chunks, job.set_index, attempt=job.attempt + 1
             )
-            backoff = self.retry_backoff_cycles * (job.attempt + 1)
+            backoff = DEFAULT_RETRY_BACKOFF_CYCLES * (job.attempt + 1)
             self._retry_queue.append((retry, cycle + backoff))
             return
         if partial is not None:
@@ -339,7 +326,7 @@ class HistoryCollector:
         obj = self._current_obj
         if history is None or obj is None:
             return
-        self.overhead.interrupt_cycles += self.machine.watches.trap_cycles
+        self.overhead.interrupt_cycles += DEFAULT_TRAP_CYCLES
         history.elements.append(
             HistoryElement(
                 offset=instr.addr - obj.base,

@@ -81,9 +81,8 @@ class MissClassification:
 class MissClassifier:
     """Classifies one type's misses from its path traces + the cache sim."""
 
-    def __init__(self, sim: WorkingSetSimResult, conflict_factor: float = 2.0) -> None:
+    def __init__(self, sim: WorkingSetSimResult) -> None:
         self.sim = sim
-        self.conflict_factor = conflict_factor
 
     def classify(self, type_name: str, traces: list[PathTrace]) -> MissClassification:
         """Produce the classification for *type_name*."""
@@ -150,7 +149,7 @@ class MissClassifier:
         return None
 
     def _type_in_conflict_sets(self, type_name: str) -> bool:
-        for set_index in self.sim.conflict_sets(self.conflict_factor):
+        for set_index in self.sim.conflict_sets():
             for name, _count in self.sim.types_in_set(set_index):
                 if name == type_name:
                     return True

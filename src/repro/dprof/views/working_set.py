@@ -47,18 +47,18 @@ class WorkingSetView:
                 return row
         return None
 
-    def conflict_sets(self, factor: float = 2.0) -> list[int]:
+    def conflict_sets(self) -> list[int]:
         """Associativity sets suspected of conflict misses."""
-        return self.sim.conflict_sets(factor)
+        return self.sim.conflict_sets()
 
-    def types_in_conflict_sets(self, factor: float = 2.0) -> dict[str, int]:
+    def types_in_conflict_sets(self) -> dict[str, int]:
         """Types present in conflict-suspect sets, with instance counts.
 
         This answers the programmer's question "what data types are using
         highly-contended associativity sets".
         """
         result: dict[str, int] = {}
-        for set_index in self.sim.conflict_sets(factor):
+        for set_index in self.sim.conflict_sets():
             for type_name, instances in self.sim.types_in_set(set_index):
                 result[type_name] = result.get(type_name, 0) + instances
         return result

@@ -91,11 +91,9 @@ class WatchManager:
         self,
         ncores: int,
         line_size: int,
-        trap_cycles: int = DEFAULT_TRAP_CYCLES,
         max_watch_bytes: int | None = MAX_WATCH_BYTES,
     ) -> None:
         self.line_size = line_size
-        self.trap_cycles = trap_cycles
         #: Widest armable range; None models the paper's wished-for
         #: "variable-size debug register" (Section 7), which removes the
         #: need for pairwise sampling entirely.
@@ -188,6 +186,6 @@ class WatchManager:
                         self.traps_missed += 1
                         continue
                     self.traps_delivered += 1
-                    overhead += self.trap_cycles
+                    overhead += DEFAULT_TRAP_CYCLES
                     watch.handler(cpu, instr, result, cycle)
         return overhead

@@ -131,9 +131,6 @@ class Machine:
         self.access_observers: list[AccessObserver] = []
         self.instr_observers: list[InstrObserver] = []
         self.total_instructions = 0
-        #: Optional :class:`repro.trace.SimProbe`; ticked once per
-        #: scheduler step (a quantum of instructions), never per event.
-        self.trace_probe = None
 
     # ------------------------------------------------------------------
     # Thread management
@@ -173,16 +170,12 @@ class Machine:
         self,
         until_cycle: int | None = None,
         stop_when: Callable[[], bool] | None = None,
-        max_steps: int | None = None,
     ) -> None:
         """Run threads until a bound is hit or every thread finishes.
 
         ``until_cycle`` stops scheduling a core once its clock passes the
-        bound; ``stop_when`` is polled between quanta; ``max_steps`` bounds
-        scheduler iterations as a runaway backstop.
+        bound; ``stop_when`` is polled between quanta.
         """
-        steps = 0
-        probe = self.trace_probe
         cores = self.cores
         live = self._live
         run_queues = self._run_queues
@@ -192,11 +185,6 @@ class Machine:
         while True:
             if stop_when is not None and stop_when():
                 return
-            if max_steps is not None and steps >= max_steps:
-                return
-            steps += 1
-            if probe is not None:
-                probe.tick(self)
             # Pick the live core furthest behind (lowest cpu on a tie).
             best = None
             best_cycle = 0

@@ -21,8 +21,8 @@ class Kernel:
         kernel.machine.run(until_cycle=1_000_000)
     """
 
-    def __init__(self, config: MachineConfig | None = None, machine: Machine | None = None) -> None:
-        self.machine = machine if machine is not None else Machine(config)
+    def __init__(self, config: MachineConfig | None = None) -> None:
+        self.machine = Machine(config)
         self.symbols = SymbolTable()
         self.env = KernelEnv(self.machine, self.symbols)
         self.lockstat = LockStatRegistry()

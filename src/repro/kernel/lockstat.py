@@ -45,7 +45,6 @@ class LockStatRegistry:
 
     def __init__(self) -> None:
         self._stats: dict[str, LockStat] = {}
-        self.enabled = True
 
     def stat(self, name: str) -> LockStat:
         """Fetch (creating if needed) the statistics row for a lock."""
@@ -57,8 +56,6 @@ class LockStatRegistry:
 
     def record_acquire(self, name: str, fn: str, wait: int, contended: bool) -> None:
         """Record one successful acquisition from function *fn*."""
-        if not self.enabled:
-            return
         st = self.stat(name)
         st.acquisitions += 1
         st.wait_cycles += wait
@@ -68,8 +65,6 @@ class LockStatRegistry:
 
     def record_release(self, name: str, fn: str, hold: int) -> None:
         """Record the hold time of one critical section."""
-        if not self.enabled:
-            return
         st = self.stat(name)
         st.hold_cycles += hold
         st.acquirer_functions.add(fn)

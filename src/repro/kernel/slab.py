@@ -326,17 +326,11 @@ class KmemCache:
 class SlabSystem:
     """All kmem caches plus the address-to-object index DProf resolves with."""
 
-    def __init__(
-        self,
-        env: KernelEnv,
-        lockstat: LockStatRegistry,
-        cores_per_node: int = CORES_PER_NODE,
-    ) -> None:
+    def __init__(self, env: KernelEnv, lockstat: LockStatRegistry) -> None:
         self.env = env
         self.lockstat = lockstat
         self.ncores = env.machine.config.ncores
-        self.cores_per_node = max(1, cores_per_node)
-        self.num_nodes = max(1, (self.ncores + self.cores_per_node - 1) // self.cores_per_node)
+        self.num_nodes = (self.ncores + CORES_PER_NODE - 1) // CORES_PER_NODE
         self.caches: dict[str, KmemCache] = {}
         self._page_map: dict[int, Slab] = {}
         self._static_pages: dict[int, list[KObject]] = {}
@@ -347,7 +341,7 @@ class SlabSystem:
 
     def node_of(self, cpu: int) -> int:
         """NUMA node containing *cpu*."""
-        return cpu // self.cores_per_node
+        return cpu // CORES_PER_NODE
 
     # ------------------------------------------------------------------
     # Cache management

@@ -16,7 +16,7 @@ Modules:
 - :mod:`repro.serve.workers` -- session execution + the worker pool;
 - :mod:`repro.serve.store` -- content-addressed archive store;
 - :mod:`repro.serve.metrics` -- counters, percentiles, reconciliation;
-- :mod:`repro.serve.server` -- the asyncio server (TCP and stdio), drain.
+- :mod:`repro.serve.server` -- the asyncio TCP server, drain.
 
 Entry points: ``python -m repro.cli serve`` to run one, and the
 ``submit`` / ``status`` / ``fetch`` CLI trio to talk to it.  Library

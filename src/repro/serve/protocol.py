@@ -1,11 +1,10 @@
 """JSON-lines wire protocol for the profiling service.
 
-One message per line, UTF-8 JSON objects, over either transport (TCP or
-stdio).  Requests carry an ``op`` field; responses always carry ``ok``
-(bool) and, on failure, ``error`` (str).  The protocol is deliberately
-transport-agnostic: :mod:`repro.serve.server` speaks it over asyncio
-streams, :class:`ServeClient` speaks it over a blocking socket for the
-CLI's ``submit``/``status``/``fetch`` trio, and tests can drive either.
+One message per line, UTF-8 JSON objects, over TCP.  Requests carry an
+``op`` field; responses always carry ``ok`` (bool) and, on failure,
+``error`` (str).  :mod:`repro.serve.server` speaks it over asyncio
+streams, :class:`ServeClient` over a blocking socket for the CLI's
+``submit``/``status``/``fetch`` trio and the tests.
 
 Operations (see :mod:`repro.serve.server` for handler semantics):
 

@@ -1,12 +1,12 @@
-r"""The asyncio profiling server: transports, scheduling, drain.
+r"""The asyncio profiling server: TCP transport, scheduling, drain.
 
 Architecture (one process, one event loop)::
 
-    TCP clients --\                        /-- pipe -- worker 0 (process)
-    stdio client ---> ProfilingServer ----+--- pipe -- worker 1
-                      | JobQueue (prio)    \-- pipe -- worker N-1
-                      | SessionStore
-                      | ServeMetrics
+                                         /-- pipe -- worker 0 (process)
+    TCP clients ---> ProfilingServer ---+--- pipe -- worker 1
+                     | JobQueue (prio)   \-- pipe -- worker N-1
+                     | SessionStore
+                     | ServeMetrics
 
 The server owns all scheduling state on the event loop: jobs wait in a
 bounded priority queue, and a job is sent down a worker's pipe only when
@@ -28,9 +28,7 @@ from __future__ import annotations
 
 import asyncio
 import inspect
-import json
 import signal
-import sys
 import time
 from dataclasses import replace
 
@@ -299,21 +297,6 @@ class ProfilingServer:
             except (ConnectionResetError, BrokenPipeError):
                 pass
             del self._connections[task]
-
-    async def serve_stdio(self) -> None:
-        """JSON-lines on stdin/stdout (for pipelines and supervisors).
-
-        EOF on stdin triggers the same graceful drain as SIGTERM.
-        """
-        loop = asyncio.get_running_loop()
-        while not self.draining:
-            line = await loop.run_in_executor(None, sys.stdin.readline)
-            if not line:
-                break
-            response = await self._respond(line)
-            sys.stdout.write(json.dumps(response) + "\n")
-            sys.stdout.flush()
-        self.request_drain()
 
     async def _respond(self, line: bytes | str) -> dict:
         """Handle one request line; op handlers may be coroutines (the

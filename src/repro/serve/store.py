@@ -43,6 +43,7 @@ import json
 import re
 from pathlib import Path
 
+from repro.config import VIEW_NAMES
 from repro.dprof.session_io import OfflineSession, atomic_write_text, load_session
 from repro.errors import ReproError, ServeError
 
@@ -59,18 +60,6 @@ DIGEST_PATTERN = re.compile(r"[0-9a-f]{64}")
 #: Drained-but-unfinished jobs persist here so a restarted server (or an
 #: operator) can resubmit them; written atomically like archives.
 REQUEUE_FILE = "requeue.json"
-
-#: The views ``fetch`` can render from a stored archive.
-VIEW_NAMES = (
-    "data-profile",
-    "working-set",
-    "miss-class",
-    "data-flow",
-    "quality",
-    "metrics",
-    "archive",
-)
-
 
 #: Bump when any view's rendering changes; stale cache entries from an
 #: older build then simply never match and age out.

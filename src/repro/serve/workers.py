@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import os
 import signal
 import time
 
@@ -27,13 +28,7 @@ from repro.dprof.profiler import DProf, DProfConfig
 from repro.dprof.session_io import export_session
 from repro.serve.jobs import JobSpec, status_from_exit_code
 from repro.serve.store import SessionStore
-from repro.trace import (
-    TRACE_SUFFIX,
-    NULL_TRACER,
-    SimProbe,
-    Tracer,
-    config_fingerprint,
-)
+from repro.trace import TRACE_SUFFIX, NULL_TRACER, Tracer, config_fingerprint
 from repro.workloads import SCENARIOS, build_kernel
 
 def execute_job(spec: JobSpec, tracer=None) -> tuple[str, str, dict]:
@@ -46,9 +41,9 @@ def execute_job(spec: JobSpec, tracer=None) -> tuple[str, str, dict]:
     same way the one-shot CLI maps it to exit codes 0/3/4.
 
     ``spec.trace`` (or an explicit *tracer*) records run -> scenario ->
-    machine-sim spans; the simulator is observed through a cheap sampled
-    :class:`~repro.trace.SimProbe`, never per-event spans, so tracing
-    does not perturb the archive bytes.
+    machine-sim spans; machine-sim counts the instructions and cycles it
+    simulated, read once when it closes, so tracing adds nothing to the
+    simulator loop and does not perturb the archive bytes.
     """
     if tracer is None:
         tracer = Tracer(seed=spec.seed) if spec.trace else NULL_TRACER
@@ -63,15 +58,15 @@ def execute_job(spec: JobSpec, tracer=None) -> tuple[str, str, dict]:
         dprof.attach()
         try:
             with tracer.span("scenario", scenario=spec.scenario):
-                probe = SimProbe() if tracer.enabled else None
-                kernel.machine.trace_probe = probe
-                try:
-                    with tracer.span("machine-sim"):
-                        result = SCENARIOS[spec.scenario](kernel, spec.duration)
-                        if probe is not None:
-                            tracer.add(**probe.counters())
-                finally:
-                    kernel.machine.trace_probe = None
+                machine = kernel.machine
+                instructions = machine.total_instructions
+                cycles = machine.elapsed_cycles()
+                with tracer.span("machine-sim"):
+                    result = SCENARIOS[spec.scenario](kernel, spec.duration)
+                    tracer.add(
+                        instructions=machine.total_instructions - instructions,
+                        cycles=machine.elapsed_cycles() - cycles,
+                    )
         finally:
             dprof.detach()
         quality = dprof.data_quality()
@@ -126,22 +121,58 @@ def execute_job_to_store(spec: JobSpec, store_root) -> dict:
     return outcome
 
 
-def worker_main(conn, store_root: str, inherited) -> None:
+def _open_fds() -> list[tuple[int, int, int]]:
+    """``(fd, st_dev, st_ino)`` of every descriptor open in this process."""
+    found = []
+    for name in os.listdir("/dev/fd"):
+        try:
+            st = os.fstat(int(name))
+        except OSError:  # the listing's own descriptor, closed by now
+            continue
+        found.append((int(name), st.st_dev, st.st_ino))
+    return found
+
+
+def _release_server_fds(server_fds, keep: int) -> None:
+    """Let go of the server's descriptors this fork inherited.
+
+    Each is pointed at ``/dev/null`` rather than closed: its number stays
+    taken, so a server object still owning it in this process can never
+    close a descriptor the worker opens later.  stdio and *keep* stay, as
+    does a number reused since the listing (the fork's own sentinel pipes,
+    which ``multiprocessing`` needs to join this worker).
+    """
+    devnull = os.open(os.devnull, os.O_RDWR)
+    for fd, dev, ino in server_fds:
+        if fd <= 2 or fd == keep:
+            continue
+        try:
+            st = os.fstat(fd)
+        except OSError:
+            continue
+        if (st.st_dev, st.st_ino) == (dev, ino):
+            os.dup2(devnull, fd)
+    os.close(devnull)
+
+
+def worker_main(conn, store_root: str, server_fds) -> None:
     """One pool worker's loop (runs in a forked child process).
 
     SIGTERM gets its default back, even in a worker forked after the
     server installed its handlers, so drain can terminate a stuck worker;
     SIGINT is ignored (Ctrl-C belongs to the server, which drains).  The
-    *inherited* server-side pipe ends are closed, so a dead worker reads
-    as EOF on the server and a dead server as EOF here.
+    *server_fds* it inherited -- every pipe end of the pool, and for a
+    replacement also the listening socket, client connections and the
+    event loop's own descriptors -- are released, so a dead worker reads
+    as EOF on the server, a dead server as EOF here, and a killed server
+    leaves no socket open behind it.
     ``execute_job_to_store`` is looked up per job, so a wrapper patched
     in before the pool forks runs here.
     """
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.set_wakeup_fd(-1)
-    for pool_end in inherited:
-        pool_end.close()
+    _release_server_fds(server_fds, keep=conn.fileno())
     try:
         while True:
             job_id, spec_wire = conn.recv()
@@ -196,7 +227,7 @@ class WorkerPool:
         conn, child_conn = self._ctx.Pipe()
         proc = self._ctx.Process(
             target=worker_main,
-            args=(child_conn, self.store_root, [conn, *self.conns.values()]),
+            args=(child_conn, self.store_root, _open_fds()),
             daemon=True,
             name=f"repro-serve-worker-{worker_id}",
         )

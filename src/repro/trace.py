@@ -15,14 +15,12 @@ Design constraints, in order:
   ``parent-path/name#k`` and ``k`` numbers same-named siblings in
   creation order.  Two runs of the same spec therefore produce the same
   span ids with different timings, which is what makes traces diffable.
-- **Low overhead.**  Hot simulator loops never open per-event spans;
-  they tick a :class:`SimProbe` -- one attribute increment plus a modulo
-  per scheduler step (a *quantum* of instructions, not an instruction)
-  -- and the probe folds sampled progress points into the enclosing
-  span when it closes.  With tracing disabled every instrumentation
-  point is a no-op on the shared :data:`NULL_TRACER` singleton.
-  ``tests/test_trace.py`` gates the enabled-tracing cost at <5% on the
-  bench smoke scenarios.
+- **Low overhead.**  The simulator loop carries no instrumentation:
+  the ``machine-sim`` span records the machine's instruction and cycle
+  deltas, read once when it closes.  With tracing disabled every
+  instrumentation point is a no-op on the shared :data:`NULL_TRACER`
+  singleton.  ``tests/test_trace.py`` gates the enabled-tracing cost at
+  <5% on the bench smoke scenarios.
 - **Process boundaries.**  Spans serialize to plain dicts
   (:meth:`Tracer.to_blobs`) and are re-parented canonically on the
   parent side (:meth:`Tracer.adopt`): adopted subtrees are re-keyed
@@ -154,33 +152,6 @@ def _merge_counters(into: dict, new: dict) -> None:
             into[key] = old + value
         else:
             into[key] = value
-
-
-class SimProbe:
-    """Cheap sampled counters for simulator step loops.
-
-    The hot loop does ``probe.tick(machine)`` once per scheduler step;
-    the probe counts steps and, every ``sample_every`` ticks, records a
-    bounded ``(instructions, cycles)`` progress point.  No span, no
-    dict, no allocation on the common path.
-    """
-
-    __slots__ = ("sample_every", "max_samples", "steps", "samples")
-
-    def __init__(self, sample_every: int = 1024, max_samples: int = 64) -> None:
-        self.sample_every = sample_every
-        self.max_samples = max_samples
-        self.steps = 0
-        self.samples: list[tuple[int, int]] = []
-
-    def tick(self, machine) -> None:
-        self.steps += 1
-        if self.steps % self.sample_every == 0 and len(self.samples) < self.max_samples:
-            self.samples.append((machine.total_instructions, machine.elapsed_cycles()))
-
-    def counters(self) -> dict:
-        """The probe's contribution to its enclosing span."""
-        return {"probe_steps": self.steps, "probe_samples": len(self.samples)}
 
 
 class Tracer:
@@ -521,10 +492,13 @@ def render_tree(spans: list[Span], manifest: dict | None = None, top: int = 0) -
         lines.append("(no spans)")
         return "\n".join(lines)
     roots, children = _tree_index(spans)
-    name_width = max(
-        (len(span.name) + 2 * _depth(span, spans) for span in spans), default=20
-    )
-    name_width = max(name_width, 20)
+    # Width fits every span's indented name, including ones --top hides.
+    name_width = 20
+    pending = [(root, 0) for root in roots]
+    while pending:
+        span, depth = pending.pop()
+        name_width = max(name_width, len(span.name) + 2 * depth)
+        pending.extend((kid, depth + 1) for kid in children.get(span.span_id, ()))
     lines.append(f"{'stage':<{name_width}}  {'wall (s)':>10} {'cpu (s)':>10}  counters")
 
     def _walk(span: Span, depth: int) -> None:
@@ -553,16 +527,6 @@ def render_tree(spans: list[Span], manifest: dict | None = None, top: int = 0) -
             f"({path[-1].wall_s:.4f}s leaf, {100.0 * path[-1].wall_s / total:.1f}% of {path[0].name})"
         )
     return "\n".join(lines)
-
-
-def _depth(span: Span, spans: list[Span]) -> int:
-    by_id = {s.span_id: s for s in spans}
-    depth = 0
-    current = span
-    while current.parent_id in by_id:
-        current = by_id[current.parent_id]
-        depth += 1
-    return depth
 
 
 # ----------------------------------------------------------------------

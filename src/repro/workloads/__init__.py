@@ -46,8 +46,10 @@ def collect_history_session(
     command runs its session through here.
 
     *name* is ``"memcached"`` or ``"apache"``.  *ibs_interval* defaults
-    to the scenario's (400 for memcached, 200 for Apache); *faults* is
-    an optional :class:`~repro.faults.FaultPlan` for the profiler.
+    to this session's own choice, 400 for memcached and 200 for Apache
+    (not the scenario's ``SCENARIO_DEFAULTS`` interval, 400 for both);
+    *faults* is an optional :class:`~repro.faults.FaultPlan` for the
+    profiler.
     """
     from repro.dprof.profiler import DProf, DProfConfig
 

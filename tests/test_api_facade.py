@@ -32,7 +32,6 @@ EXPECTED_ALL = (
     "SCENARIOS",
     "ServeClient",
     "SessionStore",
-    "SimProbe",
     "Tracer",
     "analyze_histories",
     "build_kernel",

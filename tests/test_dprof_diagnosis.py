@@ -1,7 +1,14 @@
 """Tests for the automated diagnosis layer."""
 
+from types import SimpleNamespace
+
 from repro.api import DProf, DProfConfig
-from repro.dprof.diagnosis import Diagnosis, Finding, REMEDIES
+from repro.dprof.diagnosis import (
+    DEFAULT_MISS_SHARE_THRESHOLD,
+    REMEDIES,
+    Diagnosis,
+    Finding,
+)
 from repro.dprof.views import MissClass
 from repro.hw.machine import MachineConfig
 from repro.kernel import Kernel
@@ -38,10 +45,14 @@ def test_diagnosis_render_is_readable():
 
 
 def test_diagnosis_threshold_filters_noise():
-    _kernel, dprof = profiled_true_sharing()
-    high_bar = Diagnosis(dprof, miss_share_threshold=2.0)  # impossible bar
-    assert high_bar.findings() == []
-    assert "No significant" in high_bar.render()
+    # A session whose every type sits below the 3% miss-share bar.
+    noise = SimpleNamespace(
+        type_name="noise", miss_share=DEFAULT_MISS_SHARE_THRESHOLD / 2
+    )
+    profile = SimpleNamespace(top=lambda n: [noise])
+    quiet = Diagnosis(SimpleNamespace(data_profile=lambda: profile))
+    assert quiet.findings() == []
+    assert "No significant" in quiet.render()
 
 
 def test_finding_render_contains_evidence():

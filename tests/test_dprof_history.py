@@ -1,9 +1,6 @@
 """Tests for debug-register object access history collection."""
 
-import pytest
-
 from repro.dprof.history import HistoryCollector, all_pairs, chunks_for_type
-from repro.errors import ProfilingError
 from repro.hw.machine import MachineConfig
 from repro.kernel import Kernel, StructType
 
@@ -30,22 +27,18 @@ def churn_body(kernel, cache, cpu, n, touches=3):
 
 class TestChunking:
     def test_chunks_cover_type_exactly(self):
-        chunks = chunks_for_type(256, 4)
+        chunks = chunks_for_type(256)
         assert len(chunks) == 64  # the paper's skbuff: 64 histories/set
         assert chunks[0] == (0, 4)
         assert chunks[-1] == (252, 4)
         assert sum(length for _off, length in chunks) == 256
 
     def test_chunks_handle_non_multiple_sizes(self):
-        chunks = chunks_for_type(10, 4)
+        chunks = chunks_for_type(10)
         assert chunks == [(0, 4), (4, 4), (8, 2)]
 
-    def test_chunk_size_validated(self):
-        with pytest.raises(ProfilingError):
-            chunks_for_type(64, 16)
-
     def test_all_pairs_count(self):
-        chunks = chunks_for_type(256, 4)
+        chunks = chunks_for_type(256)
         pairs = all_pairs(chunks)
         assert len(pairs) == 64 * 63 // 2  # 2016, the paper's 2017/1 row
 
@@ -54,7 +47,7 @@ class TestCollection:
     def test_single_offset_history_records_accesses(self):
         k = make_kernel()
         cache = k.slab.create_cache(WIDGET)
-        collector = HistoryCollector(k.machine, k.slab, chunk_size=4)
+        collector = HistoryCollector(k.machine, k.slab)
         collector.schedule_sets("widget", 64, num_sets=1, chunks=[(0, 4)])
         collector.start()
         k.spawn("churn", 0, churn_body(k, cache, 0, n=5))
@@ -72,7 +65,7 @@ class TestCollection:
     def test_histories_capture_write_flag_and_time(self):
         k = make_kernel()
         cache = k.slab.create_cache(WIDGET)
-        collector = HistoryCollector(k.machine, k.slab, chunk_size=4)
+        collector = HistoryCollector(k.machine, k.slab)
         collector.schedule_sets("widget", 64, num_sets=1, chunks=[(8, 4)])
         collector.start()
         k.spawn("churn", 0, churn_body(k, cache, 0, n=5))
@@ -87,11 +80,11 @@ class TestCollection:
     def test_sets_jobs_queued_and_drained_in_order(self):
         k = make_kernel()
         cache = k.slab.create_cache(WIDGET)
-        collector = HistoryCollector(k.machine, k.slab, chunk_size=8)
+        collector = HistoryCollector(k.machine, k.slab)
         jobs = collector.schedule_sets("widget", 64, num_sets=2)
-        assert jobs == 2 * 8  # 64/8 chunks per set
+        assert jobs == 2 * 16  # 64/4 chunks per set
         collector.start()
-        k.spawn("churn", 0, churn_body(k, cache, 0, n=40))
+        k.spawn("churn", 0, churn_body(k, cache, 0, n=80))
         k.run()
         collector.finalize()
         assert collector.jobs_completed == jobs
@@ -100,9 +93,9 @@ class TestCollection:
     def test_pair_jobs_watch_two_chunks(self):
         k = make_kernel()
         cache = k.slab.create_cache(WIDGET)
-        collector = HistoryCollector(k.machine, k.slab, chunk_size=8)
+        collector = HistoryCollector(k.machine, k.slab)
         collector.schedule_sets(
-            "widget", 64, num_sets=1, pair=True, chunks=[(0, 8), (8, 8)]
+            "widget", 64, num_sets=1, pair=True, chunks=[(0, 4), (8, 4)]
         )
         collector.start()
         k.spawn("churn", 0, churn_body(k, cache, 0, n=5))
@@ -119,7 +112,7 @@ class TestCollection:
     def test_overhead_breakdown_accounted(self):
         k = make_kernel()
         cache = k.slab.create_cache(WIDGET)
-        collector = HistoryCollector(k.machine, k.slab, chunk_size=4)
+        collector = HistoryCollector(k.machine, k.slab)
         collector.schedule_sets("widget", 64, num_sets=1, chunks=[(0, 4)])
         collector.start()
         k.spawn("churn", 0, churn_body(k, cache, 0, n=3))
@@ -137,7 +130,7 @@ class TestCollection:
     def test_memory_accounting_32_bytes_per_element(self):
         k = make_kernel()
         cache = k.slab.create_cache(WIDGET)
-        collector = HistoryCollector(k.machine, k.slab, chunk_size=4)
+        collector = HistoryCollector(k.machine, k.slab)
         collector.schedule_sets("widget", 64, num_sets=1, chunks=[(0, 4)])
         collector.start()
         k.spawn("churn", 0, churn_body(k, cache, 0, n=3))
@@ -148,7 +141,7 @@ class TestCollection:
     def test_finalize_releases_debug_registers(self):
         k = make_kernel()
         cache = k.slab.create_cache(WIDGET)
-        collector = HistoryCollector(k.machine, k.slab, chunk_size=4)
+        collector = HistoryCollector(k.machine, k.slab)
         collector.schedule_sets("widget", 64, num_sets=3)
         collector.start()
         k.spawn("churn", 0, churn_body(k, cache, 0, n=2))
@@ -159,7 +152,7 @@ class TestCollection:
     def test_cross_core_accesses_recorded_with_cpu(self):
         k = make_kernel()
         cache = k.slab.create_cache(WIDGET)
-        collector = HistoryCollector(k.machine, k.slab, chunk_size=4)
+        collector = HistoryCollector(k.machine, k.slab)
         collector.schedule_sets("widget", 64, num_sets=1, chunks=[(0, 4)])
         collector.start()
         env = k.env

@@ -56,7 +56,7 @@ class TestAccessSampler:
         k = Kernel(MachineConfig(ncores=2, seed=1))
         cache = k.slab.create_cache(WIDGET)
         obj = alloc_one(k, cache)
-        sampler = AccessSampleCollector(k.machine, TypeResolver(k.slab), chunk_size=4)
+        sampler = AccessSampleCollector(k.machine, TypeResolver(k.slab))
         return k, obj, sampler
 
     def spin_accesses(self, k, obj, n=3000):
@@ -123,32 +123,3 @@ class TestAccessSampler:
         self.spin_accesses(k, obj, n=500)
         sampler.stop()
         assert sampler.memory_bytes == 88 * len(sampler.samples)
-
-    def test_sample_spilling_bounds_memory(self):
-        from repro.dprof.access_sampler import AccessSampleCollector
-        from repro.dprof.resolver import TypeResolver
-        from repro.hw.machine import MachineConfig
-        from repro.kernel import Kernel
-
-        k = Kernel(MachineConfig(ncores=2, seed=1))
-        cache = k.slab.create_cache(WIDGET)
-        obj = alloc_one(k, cache)
-        sampler = AccessSampleCollector(
-            k.machine, TypeResolver(k.slab), max_resident_samples=10
-        )
-        sampler.start(interval=5)
-        env = k.env
-
-        def body():
-            for _ in range(2000):
-                yield env.read("reader_fn", obj, "a")
-
-        k.spawn("t", 0, body())
-        k.run()
-        sampler.stop()
-        # Raw samples capped; aggregated stats keep counting everything.
-        assert len(sampler.samples) == 10
-        assert sampler.samples_spilled > 100
-        ip = k.symbols.ip_for("reader_fn", "R.widget.a")
-        stats = sampler.stats_for("widget", 0, ip)
-        assert stats.count == 10 + sampler.samples_spilled

@@ -12,7 +12,7 @@ import warnings
 import pytest
 
 from repro.api import DProf, DProfConfig
-from repro.dprof.history import HistoryCollector
+from repro.dprof.history import DEFAULT_MAX_RETRIES, HistoryCollector
 from repro.errors import DegradedDataWarning, FaultInjectionError
 from repro.faults import FaultPlan
 from repro.hw.machine import MachineConfig
@@ -101,6 +101,11 @@ class _AlwaysTruncate:
         return self.point
 
 
+#: Frees enough to outlast both retries' backoffs: attempt N re-reserves
+#: only after N * DEFAULT_RETRY_BACKOFF_CYCLES (50,000) simulated cycles.
+N_RETRY = 3000
+
+
 class TestHistoryDegradation:
     def _collect(self, collector, kernel, cache, n=120):
         collector.schedule_sets("widget", 64, num_sets=1, chunks=[(0, 4)])
@@ -112,9 +117,9 @@ class TestHistoryDegradation:
     def test_truncated_history_kept_as_partial(self):
         k = Kernel(MachineConfig(ncores=2, seed=9))
         cache = k.slab.create_cache(WIDGET)
-        collector = HistoryCollector(k.machine, k.slab, chunk_size=4, max_retries=0)
+        collector = HistoryCollector(k.machine, k.slab)
         collector.faults = _AlwaysTruncate(point=3)
-        self._collect(collector, k, cache, n=10)
+        self._collect(collector, k, cache, n=N_RETRY)
         assert collector.histories_partial == 1
         assert collector.jobs_completed == 1
         [history] = collector.histories
@@ -125,13 +130,11 @@ class TestHistoryDegradation:
     def test_retry_with_backoff_before_accepting_partial(self):
         k = Kernel(MachineConfig(ncores=2, seed=9))
         cache = k.slab.create_cache(WIDGET)
-        collector = HistoryCollector(
-            k.machine, k.slab, chunk_size=4, max_retries=2, retry_backoff_cycles=500
-        )
+        collector = HistoryCollector(k.machine, k.slab)
         collector.faults = _AlwaysTruncate(point=2)
-        self._collect(collector, k, cache, n=300)
+        self._collect(collector, k, cache, n=N_RETRY)
         # Attempt 0 truncates, is retried twice, then the partial is kept.
-        assert collector.jobs_retried == 2
+        assert collector.jobs_retried == DEFAULT_MAX_RETRIES == 2
         assert collector.arm_attempts == 3
         assert collector.histories_partial == 1
         assert collector.done
@@ -141,15 +144,13 @@ class TestHistoryDegradation:
         cache = k.slab.create_cache(WIDGET)
         injector = FaultPlan(seed=4, debugreg_steal_rate=1.0).build()
         k.machine.install_faults(injector)
-        collector = HistoryCollector(
-            k.machine, k.slab, chunk_size=4, max_retries=1, retry_backoff_cycles=500
-        )
-        self._collect(collector, k, cache, n=300)
-        assert collector.arm_failures == 2  # initial attempt + one retry
+        collector = HistoryCollector(k.machine, k.slab)
+        self._collect(collector, k, cache, n=N_RETRY)
+        assert collector.arm_failures == 3  # initial attempt + two retries
         assert collector.jobs_abandoned == 1
         assert not collector.histories
         assert collector.done
-        assert k.machine.watches.arm_steals >= 2
+        assert k.machine.watches.arm_steals >= 3
         assert not k.machine.watches.any_armed
 
     def test_missed_traps_lose_elements_but_complete(self):
@@ -157,7 +158,7 @@ class TestHistoryDegradation:
         cache = k.slab.create_cache(WIDGET)
         injector = FaultPlan(seed=4, watch_trap_miss_rate=1.0).build()
         k.machine.install_faults(injector)
-        collector = HistoryCollector(k.machine, k.slab, chunk_size=4)
+        collector = HistoryCollector(k.machine, k.slab)
         self._collect(collector, k, cache, n=10)
         assert collector.jobs_completed == 1
         [history] = collector.histories

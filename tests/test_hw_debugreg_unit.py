@@ -3,7 +3,12 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.hw.debugreg import DebugRegisterFile, Watch, WatchManager
+from repro.hw.debugreg import (
+    DEFAULT_TRAP_CYCLES,
+    DebugRegisterFile,
+    Watch,
+    WatchManager,
+)
 
 
 def handler(*args):
@@ -80,7 +85,7 @@ class TestWatchManagerIndex:
         overhead = mgr.check(0, FakeInstr(), None, 0)
         # Access [0x1002, 0x1006) overlaps both watches.
         assert sorted(fired) == ["a", "b"]
-        assert overhead == 2 * mgr.trap_cycles
+        assert overhead == 2 * DEFAULT_TRAP_CYCLES
 
     def test_same_watch_not_fired_twice_for_straddling_access(self):
         mgr = WatchManager(ncores=1, line_size=64)

@@ -31,14 +31,6 @@ def test_all_stats_sorted_by_wait():
     assert names == ["heavy", "light"]
 
 
-def test_disabled_registry_records_nothing():
-    reg = LockStatRegistry()
-    reg.enabled = False
-    reg.record_acquire("l", "f", wait=10, contended=True)
-    reg.record_release("l", "f", hold=10)
-    assert reg.stat("l").acquisitions == 0
-
-
 def test_reset_clears_everything():
     reg = LockStatRegistry()
     reg.record_acquire("l", "f", wait=10, contended=False)

@@ -406,3 +406,60 @@ def test_serve_workers_exit_when_the_server_is_killed(tmp_path):
     finally:
         stop_server(proc)
         kill_quietly(workers)
+
+
+def _listen_inode(port):
+    """Socket inode of the IPv4 TCP listener on *port* (``/proc/net/tcp``)."""
+    for row in Path("/proc/net/tcp").read_text().splitlines()[1:]:
+        fields = row.split()
+        local_port = int(fields[1].rsplit(":", 1)[1], 16)
+        if local_port == port and fields[3] == "0A":  # 0A = LISTEN
+            return int(fields[9])
+    raise AssertionError(f"no listener on port {port}")
+
+
+def _fd_targets(pid):
+    """What each open descriptor of *pid* refers to (``/proc/<pid>/fd``)."""
+    targets = []
+    for fd in Path(f"/proc/{pid}/fd").iterdir():
+        try:
+            targets.append(os.readlink(fd))
+        except OSError:
+            continue
+    return targets
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="reads /proc/<pid>/fd"
+)
+def test_serve_replacement_worker_holds_no_server_socket(tmp_path):
+    """Regression: a worker forked by a restart inherited the listening
+    socket, the event loop's epoll and self-pipe, and kept them open; a
+    server SIGKILLed while that worker ran a long job left its port in
+    LISTEN, so clients hung instead of being refused."""
+    proc, port = _start_server(tmp_path, workers=1)
+    seen = []
+    try:
+        listener = f"socket:[{_listen_inode(port)}]"
+        assert listener in _fd_targets(proc.pid)
+        seen = child_pids(proc.pid)
+        assert len(seen) == 1
+        kill_quietly(seen)
+        _wait_restarts(port, 1)
+        replacement = sorted(set(child_pids(proc.pid)) - set(seen))
+        assert len(replacement) == 1
+        seen += replacement
+        targets = _fd_targets(replacement[0])
+        assert listener not in targets
+        # Its own pipe end is its one socket; the loop's epoll is gone.
+        assert sum(t.startswith("socket:") for t in targets) == 1, targets
+        assert not any("eventpoll" in t for t in targets), targets
+        job_id = _submit(port, "synthetic", seed=640)
+        assert _wait_all(port, [job_id], timeout_s=20.0)[job_id]["state"] == "done"
+        assert _rpc(port, {"op": "shutdown"})["ok"]
+        proc.wait(timeout=30)
+        assert proc.returncode == 0
+    finally:
+        stop_server(proc)
+        kill_quietly(seen)

@@ -17,14 +17,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.hw.machine import MachineConfig
-from repro.kernel import Kernel
 from repro.serve.jobs import JobSpec
 from repro.serve.protocol import request_once
 from repro.serve.workers import execute_job, execute_job_to_store
 from repro.trace import (
     NULL_TRACER,
-    SimProbe,
     Span,
     TraceError,
     Tracer,
@@ -53,7 +50,7 @@ def _build(seed):
     with tracer.span("run"):
         with tracer.span("scenario"):
             with tracer.span("machine-sim"):
-                tracer.add(probe_steps=7)
+                tracer.add(instructions=7)
         with tracer.span("analysis"):
             pass
         with tracer.span("analysis"):
@@ -170,6 +167,72 @@ def test_render_tree_and_critical_path():
     assert leaf.name in {"machine-sim", "analysis"}
 
 
+def _nested_trace():
+    """A server-shaped trace: native spans plus two adopted job subtrees,
+    with fixed timings so its render is reproducible."""
+    job = Tracer(seed=7)
+    with job.span("run", scenario="synthetic"):
+        with job.span("scenario"):
+            with job.span("machine-sim", instructions=1200, cycles=96000):
+                pass
+        with job.span("history-collection"):
+            pass
+    tracer = Tracer(seed=3)
+    with tracer.span("serve"):
+        for index in range(2):
+            wait = tracer.begin("queue-wait", job_index=index)
+            tracer.end(wait)
+            with tracer.span("worker-execute", job_index=index) as execute:
+                tracer.adopt(job.to_blobs(), parent=execute)
+        with tracer.span("requeue", job_id="job-00001"):
+            pass
+    for index, span in enumerate(tracer.spans):
+        span.wall_s = 0.125 * (index + 1)
+        span.cpu_s = 0.0625 * (index + 1)
+    return tracer.spans
+
+
+#: ``render_tree`` of :func:`_nested_trace`, as the quadratic renderer
+#: (one parent-chain walk per span) printed it.
+_NESTED_RENDER = """\
+trace seed=3 fingerprint=abc
+quality: ok
+stage                       wall (s)    cpu (s)  counters
+serve                         1.7500     0.8750  
+  queue-wait                  0.1250     0.0625  job_index=0
+  worker-execute              0.7500     0.3750  job_index=0
+    run                       0.2500     0.1250  scenario=synthetic
+      scenario                0.3750     0.1875  
+        machine-sim           0.5000     0.2500  cycles=96000, instructions=1200
+      history-collection      0.6250     0.3125  
+  queue-wait                  0.8750     0.4375  job_index=1
+  worker-execute              1.5000     0.7500  job_index=1
+    run                       1.0000     0.5000  scenario=synthetic
+      scenario                1.1250     0.5625  
+        machine-sim           1.2500     0.6250  cycles=96000, instructions=1200
+      history-collection      1.3750     0.6875  
+  requeue                     1.6250     0.8125  
+
+critical path: serve > requeue (1.6250s leaf, 92.9% of serve)"""
+
+#: The same with ``top=1``: the name column still fits the hidden spans.
+_NESTED_RENDER_TOP1 = """\
+trace seed=3 fingerprint=abc
+quality: ok
+stage                       wall (s)    cpu (s)  counters
+serve                         1.7500     0.8750  
+  requeue                     1.6250     0.8125  
+
+critical path: serve > requeue (1.6250s leaf, 92.9% of serve)"""
+
+
+def test_render_tree_of_adopted_subtrees_is_unchanged():
+    spans = _nested_trace()
+    manifest = {"seed": 3, "fingerprint": "abc", "quality": "ok"}
+    assert render_tree(spans, manifest) == _NESTED_RENDER
+    assert render_tree(spans, manifest, top=1) == _NESTED_RENDER_TOP1
+
+
 # ----------------------------------------------------------------------
 # Instrumented execution: determinism and byte-transparency
 # ----------------------------------------------------------------------
@@ -191,7 +254,8 @@ def test_traced_run_archive_bytes_identical_to_untraced():
     run = next(s for s in tracer.spans if s.name == "run")
     assert run.counters["instructions"] > 0
     sim = next(s for s in tracer.spans if s.name == "machine-sim")
-    assert sim.counters["probe_steps"] > 0
+    assert 0 < sim.counters["instructions"] <= run.counters["instructions"]
+    assert sim.counters["cycles"] > 0
 
 
 def test_traced_run_span_ids_repeat_exactly():
@@ -213,27 +277,12 @@ def test_trace_flag_does_not_change_job_digest(tmp_path):
     assert any(s.name == "store-put" for s in spans)
 
 
-def test_null_tracer_and_probe_are_inert():
+def test_null_tracer_is_inert():
     assert not NULL_TRACER.enabled
     with NULL_TRACER.span("run") as handle:
         assert handle is None
     NULL_TRACER.add(x=1)
     assert NULL_TRACER.to_blobs() == []
-    probe = SimProbe(sample_every=2, max_samples=3)
-
-    class FakeMachine:
-        total_instructions = 0
-
-        def elapsed_cycles(self):
-            return self.total_instructions * 2
-
-    machine = FakeMachine()
-    for step in range(10):
-        machine.total_instructions = step * 16
-        probe.tick(machine)
-    counters = probe.counters()
-    assert counters["probe_steps"] == 10
-    assert 0 < counters["probe_samples"] <= 3
 
 
 # ----------------------------------------------------------------------
@@ -255,34 +304,29 @@ def _per_call_s(fn, calls: int, repeats: int = 5) -> float:
 def test_tracing_overhead_under_five_percent():
     """Tracing costs under 5% of an untraced smoke job.
 
-    Tracing a job adds its spans and one ``SimProbe`` tick per scheduler
-    step, never a per-event span.  The overhead is counted per event
-    (Metz & Lencevicius): each kind of event is timed alone over many
-    calls and multiplied by how often the traced job makes it.  A
-    difference of two whole-job wall times would carry the host's noise,
-    which on a shared host exceeds the 5% bound by itself.
+    Tracing a job adds its spans, never a per-event span, and leaves the
+    simulator loop untouched.  The overhead is counted per event (Metz &
+    Lencevicius): a span is timed alone over many calls and multiplied by
+    how many the traced job opens.  A difference of two whole-job wall
+    times would carry the host's noise, which on a shared host exceeds
+    the 5% bound by itself.
     """
     spec = JobSpec.create(scenario="synthetic", cores=4, seed=11, duration=100_000)
     tracer = Tracer(seed=spec.seed)
     execute_job(spec, tracer=tracer)
     assert tracer.stage_totals()["machine-sim"]["count"] == 1
     spans = len(tracer.spans)
-    ticks = sum(span.counters.get("probe_steps", 0) for span in tracer.spans)
-    assert spans >= 3 and ticks > 0
-
-    probe = SimProbe()
-    machine = Kernel(MachineConfig(ncores=4, seed=11)).machine
-    tick_s = _per_call_s(lambda: probe.tick(machine), calls=max(ticks, 10_000))
+    assert spans >= 3
     scratch = Tracer(seed=1)
 
     def one_span():
         with scratch.span("stage", jobs=1):
-            scratch.add(probe_steps=1)
+            scratch.add(instructions=1, cycles=1)
 
     span_s = _per_call_s(one_span, calls=1_000)
     untraced_s = _per_call_s(lambda: execute_job(spec), calls=1, repeats=3)
-    overhead = (ticks * tick_s + spans * span_s) / untraced_s
-    assert overhead < 0.05, (ticks, tick_s, spans, span_s, untraced_s)
+    overhead = spans * span_s / untraced_s
+    assert overhead < 0.05, (spans, span_s, untraced_s)
 
 
 # ----------------------------------------------------------------------
