@@ -32,12 +32,7 @@ from repro.dprof.records import ObjectAccessHistory
 from repro.fixes import apply_admission_control, install_local_queue_selection
 from repro.hw.machine import MachineConfig
 from repro.kernel import Kernel
-from repro.workloads import (
-    ApacheConfig,
-    ApacheWorkload,
-    MemcachedConfig,
-    MemcachedWorkload,
-)
+from repro.workloads import ApacheWorkload, MemcachedWorkload
 
 OUT_DIR = Path(__file__).parent / "out"
 
@@ -318,7 +313,7 @@ class ApacheSession:
 
 def _profiled_apache(period: int, seed: int, warmup: int = 2_000_000) -> ApacheSession:
     kernel = Kernel(MachineConfig(ncores=16, seed=seed))
-    workload = ApacheWorkload(kernel, config=ApacheConfig(arrival_period=period))
+    workload = ApacheWorkload(kernel, arrival_period=period)
     workload.setup()
     workload.start()
     start = kernel.elapsed_cycles()
@@ -358,9 +353,7 @@ def apache_case_study() -> CaseStudyResult:
 
     def run(admission: int | None):
         kernel = Kernel(MachineConfig(ncores=16, seed=63))
-        workload = ApacheWorkload(
-            kernel, config=ApacheConfig(arrival_period=APACHE_DROPOFF_PERIOD)
-        )
+        workload = ApacheWorkload(kernel, arrival_period=APACHE_DROPOFF_PERIOD)
         workload.setup()
         if admission is not None:
             apply_admission_control(workload.listeners.values(), admission)
@@ -432,9 +425,7 @@ def apache_history_study() -> HistoryStudy:
     about, but one that would let a single type eat the whole budget).
     """
     kernel = Kernel(MachineConfig(ncores=16, seed=72))
-    workload = ApacheWorkload(
-        kernel, config=ApacheConfig(arrival_period=30_000)
-    )
+    workload = ApacheWorkload(kernel, arrival_period=30_000)
     workload.setup()
     workload.start()
     start = kernel.elapsed_cycles()

@@ -15,7 +15,7 @@ from benchmarks.conftest import APACHE_PEAK_PERIOD, write_artifact
 from repro.api import DProf, DProfConfig
 from repro.hw.machine import MachineConfig
 from repro.kernel import Kernel
-from repro.workloads import ApacheConfig, ApacheWorkload, MemcachedWorkload
+from repro.workloads import ApacheWorkload, MemcachedWorkload
 
 #: IBS tag intervals swept (instructions between samples); 0 = disabled.
 INTERVALS = [0, 4000, 1000, 400, 200]
@@ -39,9 +39,7 @@ def run_memcached(interval: int) -> float:
 
 def run_apache(interval: int) -> float:
     kernel = Kernel(MachineConfig(ncores=NCORES, seed=45))
-    workload = ApacheWorkload(
-        kernel, config=ApacheConfig(arrival_period=APACHE_PEAK_PERIOD)
-    )
+    workload = ApacheWorkload(kernel, arrival_period=APACHE_PEAK_PERIOD)
     workload.setup()
     dprof = None
     if interval:

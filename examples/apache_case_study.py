@@ -21,7 +21,7 @@ from repro.api import DProf, DProfConfig, MachineConfig
 from repro.baselines import LockStatReport
 from repro.fixes import apply_admission_control
 from repro.kernel import Kernel
-from repro.workloads import ApacheConfig, ApacheWorkload
+from repro.workloads import ApacheWorkload
 
 NCORES = 16
 PEAK_PERIOD = 22_000
@@ -31,7 +31,7 @@ DROPOFF_PERIOD = 11_000
 def profiled_run(period, seed, warmup, admission=None):
     """One profiled Apache run; returns (kernel, workload, dprof, thr)."""
     kernel = Kernel(MachineConfig(ncores=NCORES, seed=seed))
-    workload = ApacheWorkload(kernel, config=ApacheConfig(arrival_period=period))
+    workload = ApacheWorkload(kernel, arrival_period=period)
     workload.setup()
     if admission is not None:
         apply_admission_control(workload.listeners.values(), admission)

@@ -1,4 +1,4 @@
-"""CLI for the load sweep: ``python -m repro.bench --load-sweep [--out FILE]``."""
+"""CLI for the load sweep: ``python -m repro.bench [--out FILE]``."""
 
 from __future__ import annotations
 
@@ -10,8 +10,9 @@ from repro.bench import format_table, run_benchmarks, write_report
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
-        description="Run the open-loop load sweep against a live profiling "
-        "server and optionally record it in a BENCH_dprof.json ledger.",
+        description="Run the open-loop Poisson load sweep against a live "
+        "profiling server (latency percentiles vs offered rate, saturation "
+        "knee) and optionally record it in a BENCH_dprof.json ledger.",
     )
     parser.add_argument(
         "--out", metavar="FILE", help="write the JSON report to FILE"
@@ -24,16 +25,10 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--seed", type=int, default=11)
     parser.add_argument(
-        "--load-sweep",
-        action="store_true",
-        help="run the open-loop Poisson load sweep against a live server "
-        "(latency percentiles vs offered rate, saturation knee)",
-    )
-    parser.add_argument(
         "--load-rates",
         metavar="R1,R2,...",
         default=None,
-        help="offered rates (jobs/s) for --load-sweep, ascending CSV",
+        help="offered rates (jobs/s) to sweep, ascending CSV",
     )
     parser.add_argument(
         "--load-jobs",
@@ -43,8 +38,6 @@ def main(argv: list[str] | None = None) -> int:
         help="jobs offered per swept rate",
     )
     args = parser.parse_args(argv)
-    if not args.load_sweep:
-        parser.error("nothing to run: pass --load-sweep")
 
     load_rates = None
     if args.load_rates:

@@ -105,13 +105,11 @@ def cmd_memcached(args: argparse.Namespace) -> int:
 def cmd_apache(args: argparse.Namespace) -> int:
     from repro.dprof.profiler import DProf, DProfConfig
     from repro.fixes import apply_admission_control
-    from repro.workloads import ApacheConfig, ApacheWorkload, build_kernel
+    from repro.workloads import ApacheWorkload, build_kernel
 
     plan = _fault_plan(args)
     kernel = build_kernel(args.cores, seed=11)
-    workload = ApacheWorkload(
-        kernel, config=ApacheConfig(arrival_period=args.period)
-    )
+    workload = ApacheWorkload(kernel, arrival_period=args.period)
     workload.setup()
     if args.admission:
         apply_admission_control(workload.listeners.values(), args.admission)

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -56,6 +55,7 @@ from repro.hw.events import CacheLevel
 from repro.kernel.symbols import SymbolTable
 from repro.metrics import MetricsSummary, machine_counters
 from repro.util.collector import collector_paused
+from repro.util.files import atomic_write_text
 from repro.util.rng import DeterministicRng
 
 #: v1 = no checksums (pre-robustness archives, still loadable);
@@ -269,24 +269,6 @@ def export_session(dprof) -> dict:
         for name in CHECKSUMMED_SECTIONS
     }
     return blob
-
-
-def atomic_write_text(path: str | Path, text: str) -> Path:
-    """Write *text* via a same-directory temp file + ``os.replace``.
-
-    Archives are written by concurrent worker processes into shared
-    store directories (:mod:`repro.serve.store`), so a plain
-    ``write_text`` would let two writers -- or one writer and a crash --
-    interleave and produce exactly the torn files the checksums exist to
-    catch.  The same-directory temp file keeps source and destination on
-    one filesystem, which is what makes ``os.replace`` atomic: readers
-    see the old bytes, the new bytes, or no file, never a hybrid.
-    """
-    path = Path(path)
-    tmp = path.parent / f".tmp-{path.name}.{os.getpid()}"
-    tmp.write_text(text)
-    os.replace(tmp, path)
-    return path
 
 
 def save_session(dprof, path: str | Path) -> Path:

@@ -24,7 +24,7 @@ package.
 from repro.hw.events import AccessResult, CacheLevel, Instr, MissKind, Pause
 from repro.hw.cache import CacheArray, CacheGeometry
 from repro.hw.coherence import Directory
-from repro.hw.hierarchy import HierarchyConfig, Latencies, MemoryHierarchy
+from repro.hw.hierarchy import Latencies, MemoryHierarchy
 from repro.hw.machine import Machine, MachineConfig, Thread
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "CacheArray",
     "CacheGeometry",
     "Directory",
-    "HierarchyConfig",
     "Latencies",
     "MemoryHierarchy",
     "Machine",

@@ -32,12 +32,15 @@ access.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from repro.errors import ConfigError
-from repro.hw.cache import CacheArray, CacheGeometry
+from repro.hw.cache import CacheArray
 from repro.hw.coherence import Directory
 from repro.hw.events import AccessResult, CacheLevel, MissKind
+
+if TYPE_CHECKING:
+    from repro.hw.machine import MachineConfig
 
 _L1 = CacheLevel.L1
 _L2 = CacheLevel.L2
@@ -68,41 +71,8 @@ class Latencies:
     upgrade: int = 60
 
 
-@dataclass(frozen=True)
-class HierarchyConfig:
-    """Geometry and latency configuration for the whole hierarchy.
-
-    Cache sizes default to a scaled-down hierarchy (see DESIGN.md): the
-    simulated workloads push thousands rather than millions of objects, so
-    proportionally smaller caches reproduce the same capacity and conflict
-    phenomena the paper observed at production traffic volumes.
-    """
-
-    ncores: int = 16
-    line_size: int = 64
-    l1_size: int = 16 * 1024
-    l1_ways: int = 8
-    l2_size: int = 64 * 1024
-    l2_ways: int = 8
-    l3_size: int = 512 * 1024
-    l3_ways: int = 16
-    latencies: Latencies = field(default_factory=Latencies)
-
-    def __post_init__(self) -> None:
-        if self.ncores <= 0:
-            raise ConfigError("ncores must be positive")
-
-    def l1_geometry(self) -> CacheGeometry:
-        """Geometry of each private L1."""
-        return CacheGeometry(self.l1_size, self.l1_ways, self.line_size)
-
-    def l2_geometry(self) -> CacheGeometry:
-        """Geometry of each private L2."""
-        return CacheGeometry(self.l2_size, self.l2_ways, self.line_size)
-
-    def l3_geometry(self) -> CacheGeometry:
-        """Geometry of the shared L3."""
-        return CacheGeometry(self.l3_size, self.l3_ways, self.line_size)
+#: The latency table every hierarchy charges (the one place it is set).
+LATENCIES = Latencies()
 
 
 class HierarchyStats:
@@ -197,7 +167,7 @@ class MemoryHierarchy:
     access already set cpu's bit, which nothing ever clears.
     """
 
-    def __init__(self, config: HierarchyConfig) -> None:
+    def __init__(self, config: MachineConfig) -> None:
         self.config = config
         self.line_size = config.line_size
         self.l1 = [
@@ -208,13 +178,11 @@ class MemoryHierarchy:
         ]
         self.l3 = CacheArray(config.l3_geometry(), "L3")
         self.directory = Directory(config.ncores)
-        self.latencies = config.latencies
+        self.latencies = LATENCIES
         self.stats = HierarchyStats()
-        self._l1_latency = config.latencies.l1
-        self._l1_hit = AccessResult(_L1, config.latencies.l1)
-        self._l1_upgrade_hit = AccessResult(
-            _L1, config.latencies.l1 + config.latencies.upgrade
-        )
+        self._l1_latency = LATENCIES.l1
+        self._l1_hit = AccessResult(_L1, LATENCIES.l1)
+        self._l1_upgrade_hit = AccessResult(_L1, LATENCIES.l1 + LATENCIES.upgrade)
 
     def flush_all(self) -> None:
         """Empty every cache and forget coherence state (run boundary)."""

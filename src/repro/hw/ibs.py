@@ -65,23 +65,18 @@ IbsHandler = Callable[[IbsSample], None]
 class IbsUnit:
     """Per-core IBS sampling engine.
 
-    ``interval`` is the mean number of instructions between tags; real
-    hardware randomizes the exact count, which the unit reproduces with
-    deterministic jitter so experiments replay exactly.  An interval of 0
+    ``interval`` (set by :meth:`configure`) is the mean number of
+    instructions between tags; real hardware randomizes the exact count,
+    which the unit reproduces with deterministic jitter so experiments
+    replay exactly.  An interval of 0, the state a unit starts in,
     disables sampling.
     """
 
-    def __init__(
-        self,
-        cpu: int,
-        rng: DeterministicRng,
-        interval: int = 0,
-        interrupt_cycles: int = DEFAULT_IBS_INTERRUPT_CYCLES,
-    ) -> None:
+    def __init__(self, cpu: int, rng: DeterministicRng) -> None:
         self.cpu = cpu
         self.rng = rng
-        self.interval = interval
-        self.interrupt_cycles = interrupt_cycles
+        self.interval = 0
+        self.interrupt_cycles = DEFAULT_IBS_INTERRUPT_CYCLES
         self.handler: IbsHandler | None = None
         self.samples_taken = 0
         self.samples_dropped = 0
@@ -94,7 +89,6 @@ class IbsUnit:
         #: the instruction that brings it to zero, so the unit costs one
         #: attribute update per untagged instruction.
         self.countdown = 0
-        self.configure(interval, None)
 
     @property
     def enabled(self) -> bool:

@@ -36,3 +36,7 @@ class InterconnectCosts:
     def object_setup_cost(self, ncores: int) -> int:
         """Total cost of reserving an object and arming all cores."""
         return self.reserve_object + self.broadcast_cost(ncores)
+
+
+#: The cost model every machine charges (the one place it is set).
+INTERCONNECT = InterconnectCosts()

@@ -13,15 +13,16 @@ consistently.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Generator
 
 from repro.errors import ConfigError, SimulationError
+from repro.hw.cache import CacheGeometry
 from repro.hw.core import Core
 from repro.hw.debugreg import MAX_WATCH_BYTES, WatchManager
 from repro.hw.events import AccessResult, Instr, Pause
-from repro.hw.hierarchy import HierarchyConfig, Latencies, MemoryHierarchy
-from repro.hw.interconnect import InterconnectCosts
+from repro.hw.hierarchy import MemoryHierarchy
+from repro.hw.interconnect import INTERCONNECT
 from repro.hw.memory import AddressSpace
 from repro.util.rng import DeterministicRng
 
@@ -29,20 +30,29 @@ ThreadBody = Generator["Instr | tuple | Pause", None, None]
 AccessObserver = Callable[[int, Instr, AccessResult, int], None]
 InstrObserver = Callable[[int, Instr, "AccessResult | None", int], None]
 
+#: Instructions a thread runs before the scheduler re-picks a core; small
+#: values interleave cores finely at some simulation-speed cost.
+QUANTUM = 16
+
 
 @dataclass(frozen=True)
 class MachineConfig:
     """Top-level machine configuration.
 
     Defaults model the paper's testbed shape: 16 cores, private L1/L2,
-    shared L3.  ``quantum`` is how many instructions a thread runs before
-    the scheduler re-picks a core; small values interleave cores finely at
-    some simulation-speed cost.
+    shared L3.  Cache sizes default to a scaled-down hierarchy (see
+    DESIGN.md): the simulated workloads push thousands rather than
+    millions of objects, so proportionally smaller caches reproduce the
+    same capacity and conflict phenomena the paper observed at production
+    traffic volumes.  No workload changes the geometry; it stays settable
+    so tests can build tiny caches that reach eviction and conflict paths
+    in a few accesses.  The latency table, the interconnect costs and the
+    scheduling quantum are constants (:data:`~repro.hw.hierarchy.LATENCIES`,
+    :data:`~repro.hw.interconnect.INTERCONNECT`, :data:`QUANTUM`).
     """
 
     ncores: int = 16
     seed: int = 42
-    quantum: int = 16
     line_size: int = 64
     l1_size: int = 16 * 1024
     l1_ways: int = 8
@@ -50,8 +60,6 @@ class MachineConfig:
     l2_ways: int = 8
     l3_size: int = 512 * 1024
     l3_ways: int = 16
-    latencies: Latencies = field(default_factory=Latencies)
-    interconnect: InterconnectCosts = field(default_factory=InterconnectCosts)
     #: Model the paper's Section 7 wish: debug registers that can watch a
     #: whole object instead of 8 bytes.  Off by default (real x86).
     variable_debug_registers: bool = False
@@ -59,22 +67,18 @@ class MachineConfig:
     def __post_init__(self) -> None:
         if self.ncores <= 0:
             raise ConfigError("ncores must be positive")
-        if self.quantum <= 0:
-            raise ConfigError("quantum must be positive")
 
-    def hierarchy_config(self) -> HierarchyConfig:
-        """Derive the memory-hierarchy configuration."""
-        return HierarchyConfig(
-            ncores=self.ncores,
-            line_size=self.line_size,
-            l1_size=self.l1_size,
-            l1_ways=self.l1_ways,
-            l2_size=self.l2_size,
-            l2_ways=self.l2_ways,
-            l3_size=self.l3_size,
-            l3_ways=self.l3_ways,
-            latencies=self.latencies,
-        )
+    def l1_geometry(self) -> CacheGeometry:
+        """Geometry of each private L1."""
+        return CacheGeometry(self.l1_size, self.l1_ways, self.line_size)
+
+    def l2_geometry(self) -> CacheGeometry:
+        """Geometry of each private L2."""
+        return CacheGeometry(self.l2_size, self.l2_ways, self.line_size)
+
+    def l3_geometry(self) -> CacheGeometry:
+        """Geometry of the shared L3."""
+        return CacheGeometry(self.l3_size, self.l3_ways, self.line_size)
 
 
 class Thread:
@@ -109,7 +113,7 @@ class Machine:
         self.cores = [
             Core(cpu, self.rng.child(f"core{cpu}")) for cpu in range(self.config.ncores)
         ]
-        self.hierarchy = MemoryHierarchy(self.config.hierarchy_config())
+        self.hierarchy = MemoryHierarchy(self.config)
         self.address_space = AddressSpace()
         self.watches = WatchManager(
             self.config.ncores,
@@ -118,7 +122,7 @@ class Machine:
                 None if self.config.variable_debug_registers else MAX_WATCH_BYTES
             ),
         )
-        self.interconnect = self.config.interconnect
+        self.interconnect = INTERCONNECT
         self._run_queues: list[deque[Thread]] = [
             deque() for _ in range(self.config.ncores)
         ]
@@ -126,7 +130,6 @@ class Machine:
         #: a core without scanning its run queue.
         self._live = [0] * self.config.ncores
         self._line_size = self.config.line_size
-        self._quantum = self.config.quantum
         self.threads: list[Thread] = []
         self.access_observers: list[AccessObserver] = []
         self.instr_observers: list[InstrObserver] = []
@@ -239,7 +242,7 @@ class Machine:
     def _run_quantum(self, core: Core, thread: Thread) -> None:
         body = thread.body
         execute = self.execute
-        for _ in range(self._quantum):
+        for _ in range(QUANTUM):
             try:
                 item = next(body)
             except StopIteration:

@@ -107,7 +107,6 @@ class PebsUnit:
         interval: int,
         handler: PebsHandler,
         seed: int = 7,
-        interrupt_cycles: int = DEFAULT_PEBS_INTERRUPT_CYCLES,
     ) -> None:
         if interval <= 0:
             raise ConfigError("PEBS interval must be positive")
@@ -115,7 +114,7 @@ class PebsUnit:
         self.event = event
         self.interval = interval
         self.handler = handler
-        self.interrupt_cycles = interrupt_cycles
+        self.interrupt_cycles = DEFAULT_PEBS_INTERRUPT_CYCLES
         self.rng = DeterministicRng(seed, "pebs")
         self.samples_taken = 0
         #: line index -> HITM fetch count (always-on counter, free).

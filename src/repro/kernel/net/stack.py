@@ -65,21 +65,18 @@ class NetStack:
     #: Packets processed per RX softirq invocation (NAPI budget).
     RX_BUDGET = 16
 
-    def __init__(self, kernel: Kernel, num_queues: int | None = None) -> None:
+    def __init__(self, kernel: Kernel) -> None:
         self.kernel = kernel
         self.env = kernel.env
         self.slab = kernel.slab
         self.lockstat = kernel.lockstat
-        num_queues = num_queues if num_queues is not None else kernel.ncores
-        if num_queues > kernel.ncores:
-            raise ConfigError("cannot have more NIC queues than cores")
         self.skbuff_cache = kernel.slab.create_cache(SKBUFF_TYPE)
         self.fclone_cache = kernel.slab.create_cache(SKBUFF_FCLONE_TYPE)
         self.size1024_cache = kernel.slab.create_cache(SIZE_1024_TYPE)
         self.udp_sock_cache = kernel.slab.create_cache(UDP_SOCK_TYPE)
         self.tcp_sock_cache = kernel.slab.create_cache(TCP_SOCK_TYPE)
         self.task_struct_cache = kernel.slab.create_cache(TASK_STRUCT_TYPE)
-        self.dev = NetDevice(self, num_queues)
+        self.dev = NetDevice(self, kernel.ncores)
         self.deliver: DeliverFn | None = None
         self.on_tx_complete_cb: TxCompleteFn | None = None
         self.stopping = False

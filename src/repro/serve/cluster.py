@@ -65,6 +65,7 @@ from repro.serve.jobs import JobSpec, Lease, MonotonicClock
 from repro.serve.protocol import error_response, request_once
 from repro.serve.retry import RetryExhaustedError, RetryPolicy
 from repro.serve.server import ProfilingServer
+from repro.util.files import atomic_write_text
 
 #: Subdirectory names under ``<store>/cluster/``.
 CLUSTER_DIR = "cluster"
@@ -75,14 +76,6 @@ RESULTS_DIR = "results"
 
 #: Peer liveness states, in order of decay.
 PEER_STATES = ("alive", "suspect", "dead")
-
-
-def _atomic_write(path: Path, text: str) -> None:
-    # Same same-directory-temp + replace discipline as the store, local
-    # so the cluster files do not depend on session_io.
-    tmp = path.parent / f".tmp-{os.getpid()}-{path.name}"
-    tmp.write_text(text)
-    os.replace(tmp, path)
 
 
 def _create_exclusive(path: Path, text: str) -> bool:
@@ -325,7 +318,7 @@ class LeaseManager:
             spec=spec_wire,
             generation=generation,
         )
-        _atomic_write(self._path(job_key), json.dumps(lease.to_wire()))
+        atomic_write_text(self._path(job_key), json.dumps(lease.to_wire()))
         self.held[job_key] = lease
         return lease
 
@@ -333,7 +326,7 @@ class LeaseManager:
         """Bump and persist every held lease; returns the count."""
         for lease in self.held.values():
             lease.renew_seq += 1
-            _atomic_write(self._path(lease.job_key), json.dumps(lease.to_wire()))
+            atomic_write_text(self._path(lease.job_key), json.dumps(lease.to_wire()))
         return len(self.held)
 
     def release(self, job_key: str) -> None:
@@ -398,7 +391,7 @@ class LeaseManager:
             spec=lease.spec,
             generation=lease.generation + 1,
         )
-        _atomic_write(self._path(taken.job_key), json.dumps(taken.to_wire()))
+        atomic_write_text(self._path(taken.job_key), json.dumps(taken.to_wire()))
         self.held[taken.job_key] = taken
         self._watch.pop(taken.job_key, None)
         return taken
@@ -493,7 +486,7 @@ class ClusterServer(ProfilingServer):
     # -- federation loop ------------------------------------------------
 
     def _write_record(self) -> None:
-        _atomic_write(
+        atomic_write_text(
             self.nodes_dir / f"{self.node_id}.json",
             json.dumps(self._record.to_wire()),
         )

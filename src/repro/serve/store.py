@@ -44,8 +44,9 @@ import re
 from pathlib import Path
 
 from repro.config import VIEW_NAMES
-from repro.dprof.session_io import OfflineSession, atomic_write_text, load_session
+from repro.dprof.session_io import OfflineSession, load_session
 from repro.errors import ReproError, ServeError
+from repro.util.files import atomic_write_text
 
 #: Archive filename suffix inside a store directory.
 ARCHIVE_SUFFIX = ".session.json"

@@ -42,13 +42,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.errors import TraceError
+from repro.util.files import atomic_write_text
 
 #: Trace file format version (bumped on incompatible record changes).
 TRACE_FORMAT_VERSION = 1
@@ -332,10 +332,7 @@ class Tracer:
         """Atomically write the trace next to its session archive."""
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.parent / f".tmp-{path.name}.{os.getpid()}"
-        tmp.write_text(self.to_jsonl(manifest))
-        os.replace(tmp, path)
-        return path
+        return atomic_write_text(path, self.to_jsonl(manifest))
 
 
 class NullTracer:

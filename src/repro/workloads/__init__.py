@@ -14,8 +14,8 @@
 
 from repro.config import SCENARIO_DEFAULTS, ScenarioDefaults
 from repro.workloads.base import WorkloadResult, build_kernel
-from repro.workloads.memcached import MemcachedConfig, MemcachedWorkload
-from repro.workloads.apache import ApacheConfig, ApacheWorkload
+from repro.workloads.memcached import MemcachedWorkload
+from repro.workloads.apache import ApacheWorkload
 from repro.workloads import apache as _apache
 from repro.workloads import kernels as _kernels
 from repro.workloads import memcached as _memcached
@@ -95,8 +95,6 @@ __all__ = [
     "ScenarioDefaults",
     "KERNEL_FAMILIES",
     "KernelSpec",
-    "MemcachedConfig",
     "MemcachedWorkload",
-    "ApacheConfig",
     "ApacheWorkload",
 ]

@@ -23,8 +23,6 @@ profiles (Tables 6.4/6.5).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.errors import ConfigError
 from repro.hw.events import Pause
 from repro.kernel.kernel import Kernel
@@ -46,40 +44,26 @@ from repro.util.rng import DeterministicRng
 from repro.workloads.base import RequestCounter, WorkloadResult
 
 
-@dataclass(frozen=True)
-class ApacheConfig:
-    """Workload knobs.
-
-    ``arrival_period`` is cycles between connection arrivals per core
-    (lower = more load); ``backlog`` is the accept-queue limit per
-    instance (the admission-control fix lowers it).
-    """
-
-    arrival_period: int = 30_000
-    backlog: int = 128
-    file_len: int = 1024
-    request_len: int = 64
-    workers_per_instance: int = 16
-    workers_touched_per_request: int = 4
-    #: Userspace request handling (MPM worker, parsing, logging).
-    #: Calibrated like memcached's: the kernel-side miss costs must be the
-    #: same fraction of a request as on the paper's testbed for the +16%
-    #: admission-control headline to be meaningful.
-    user_work_cycles: int = 20_000
-    #: Userspace heap per instance and the slice of it each request walks
-    #: (config, logging, and scoreboard churn).  This memory is untyped
-    #: (not slab-allocated), so DProf cannot attribute it -- exactly like
-    #: a real process heap -- but its cache pressure is real: it is what
-    #: keeps kernel objects from staying resident between uses.
-    heap_bytes: int = 24 * 1024
-    heap_walk_bytes: int = 3 * 1024
-    seed: int = 4321
-
-    def __post_init__(self) -> None:
-        if self.arrival_period <= 0:
-            raise ConfigError("arrival_period must be positive")
-        if self.backlog <= 0:
-            raise ConfigError("backlog must be positive")
+#: Accept-queue limit per instance (the admission-control fix lowers it
+#: through :func:`repro.fixes.admission.apply_admission_control`).
+BACKLOG = 128
+FILE_LEN = 1024
+REQUEST_LEN = 64
+WORKERS_PER_INSTANCE = 16
+WORKERS_TOUCHED_PER_REQUEST = 4
+#: Userspace request handling (MPM worker, parsing, logging).  Calibrated
+#: like memcached's: the kernel-side miss costs must be the same fraction
+#: of a request as on the paper's testbed for the +16% admission-control
+#: headline to be meaningful.
+USER_WORK_CYCLES = 20_000
+#: Userspace heap per instance and the slice of it each request walks
+#: (config, logging, and scoreboard churn).  This memory is untyped (not
+#: slab-allocated), so DProf cannot attribute it -- exactly like a real
+#: process heap -- but its cache pressure is real: it is what keeps
+#: kernel objects from staying resident between uses.
+HEAP_BYTES = 24 * 1024
+HEAP_WALK_BYTES = 3 * 1024
+SEED = 4321
 
 
 def drive(kernel: Kernel, duration_cycles: int) -> WorkloadResult:
@@ -90,24 +74,25 @@ def drive(kernel: Kernel, duration_cycles: int) -> WorkloadResult:
     the default keeps small benchmark windows busy: at the stock 30k
     period a sub-second window would carry almost no connections.
     """
-    workload = ApacheWorkload(kernel, config=ApacheConfig(arrival_period=6_000))
+    workload = ApacheWorkload(kernel, arrival_period=6_000)
     workload.setup()
     return workload.run(duration_cycles, warmup_cycles=duration_cycles // 5)
 
 
 class ApacheWorkload:
-    """Drives N pinned Apache instances over the simulated stack."""
+    """Drives N pinned Apache instances over the simulated stack.
 
-    def __init__(
-        self,
-        kernel: Kernel,
-        stack: NetStack | None = None,
-        config: ApacheConfig | None = None,
-    ) -> None:
+    *arrival_period* is cycles between connection arrivals per core
+    (lower = more load).
+    """
+
+    def __init__(self, kernel: Kernel, arrival_period: int = 30_000) -> None:
+        if arrival_period <= 0:
+            raise ConfigError("arrival_period must be positive")
         self.kernel = kernel
-        self.config = config or ApacheConfig()
-        self.stack = stack if stack is not None else NetStack(kernel)
-        self.rng = DeterministicRng(self.config.seed, "apache")
+        self.arrival_period = arrival_period
+        self.stack = NetStack(kernel)
+        self.rng = DeterministicRng(SEED, "apache")
         self.ncores = kernel.ncores
         self.listeners: dict[int, ListenSock] = {}
         self.files: dict[int, KObject] = {}
@@ -133,18 +118,18 @@ class ApacheWorkload:
         self.stack.on_tx_complete_cb = self._on_tx_complete
 
     def _setup_one(self, cpu: int):
-        listener = ListenSock(self.stack, cpu, 80, backlog=self.config.backlog)
+        listener = ListenSock(self.stack, cpu, 80, backlog=BACKLOG)
         listener.epoll = EventPoll(self.stack, f"ap.{cpu}")
         self.listeners[cpu] = listener
         self.files[cpu] = self.kernel.slab.new_static(MMAP_FILE_TYPE, f"mmap.{cpu}")
         self.futexes[cpu] = Futex(self.stack, f"ap.{cpu}")
         self._worker_rr[cpu] = 0
         self._heap_base[cpu] = self.kernel.machine.address_space.alloc_region(
-            self.config.heap_bytes, align=64, label=f"apache_heap.{cpu}"
+            HEAP_BYTES, align=64, label=f"apache_heap.{cpu}"
         )
         self._heap_pos[cpu] = 0
         workers = []
-        for _ in range(self.config.workers_per_instance):
+        for _ in range(WORKERS_PER_INSTANCE):
             task = yield from self.stack.task_struct_cache.alloc(cpu)
             workers.append(task)
         self.workers[cpu] = workers
@@ -155,7 +140,7 @@ class ApacheWorkload:
 
     def schedule_arrivals(self, duration_cycles: int, start_cycle: int = 0) -> int:
         """Push the arrival schedule for a run window; returns the count."""
-        period = self.config.arrival_period
+        period = self.arrival_period
         total = 0
         for cpu in range(self.ncores):
             rxq = self.stack.dev.rx_queues[cpu]
@@ -167,7 +152,7 @@ class ApacheWorkload:
                     Arrival(
                         due=t,
                         flow_hash=cpu,  # TCP flow hash steers back to this core
-                        length=self.config.request_len,
+                        length=REQUEST_LEN,
                         kind="connect",
                         meta={"seq": seq},
                     )
@@ -193,8 +178,7 @@ class ApacheWorkload:
         """Scheduler churn: context-switch bookkeeping over worker tasks."""
         env = self.kernel.env
         workers = self.workers[cpu]
-        n = self.config.workers_touched_per_request
-        for _ in range(n):
+        for _ in range(WORKERS_TOUCHED_PER_REQUEST):
             index = self._worker_rr[cpu] % len(workers)
             self._worker_rr[cpu] += 1
             task = workers[index]
@@ -208,10 +192,9 @@ class ApacheWorkload:
         env = self.kernel.env
         base = self._heap_base[cpu]
         pos = self._heap_pos[cpu]
-        walk = self.config.heap_walk_bytes
-        self._heap_pos[cpu] = (pos + walk) % self.config.heap_bytes
-        for off in range(0, walk, 64):
-            addr = base + (pos + off) % self.config.heap_bytes
+        self._heap_pos[cpu] = (pos + HEAP_WALK_BYTES) % HEAP_BYTES
+        for off in range(0, HEAP_WALK_BYTES, 64):
+            addr = base + (pos + off) % HEAP_BYTES
             yield env.read_at("apache_handler", "heap", addr, 8)
 
     def server_body(self, cpu: int):
@@ -219,7 +202,6 @@ class ApacheWorkload:
         env = self.kernel.env
         listener = self.listeners[cpu]
         futex = self.futexes[cpu]
-        cfg = self.config
         while True:
             conn = yield from inet_csk_accept(self.stack, cpu, listener)
             if conn is None:
@@ -232,13 +214,13 @@ class ApacheWorkload:
             yield from self._touch_workers(cpu)
             yield from tcp_recvmsg(self.stack, cpu, conn)
             yield from self._walk_heap(cpu)
-            chunk = max(1, cfg.user_work_cycles // 8)
+            chunk = USER_WORK_CYCLES // 8
             spent = 0
-            while spent < cfg.user_work_cycles:
-                yield env.work("apache_handler", min(chunk, cfg.user_work_cycles - spent))
+            while spent < USER_WORK_CYCLES:
+                yield env.work("apache_handler", min(chunk, USER_WORK_CYCLES - spent))
                 spent += chunk
             response = yield from tcp_sendmsg(
-                self.stack, cpu, conn, cfg.file_len, self.files[cpu]
+                self.stack, cpu, conn, FILE_LEN, self.files[cpu]
             )
             response.meta["ap_origin"] = cpu
             yield from tcp_close(self.stack, cpu, conn)

@@ -29,12 +29,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from repro.config import KERNEL_DEFAULT_DURATION
 from repro.errors import ConfigError
-from repro.hw.machine import MachineConfig
+from repro.hw.hierarchy import LATENCIES
+from repro.hw.machine import QUANTUM, MachineConfig
 from repro.kernel.kernel import Kernel
 from repro.kernel.layout import StructType
 from repro.metrics import MetricsSummary
@@ -296,7 +297,7 @@ def _expect_walk(spec: KernelSpec, cfg: MachineConfig) -> dict[str, Expectation]
     regime is decided from per-set line counts, which is what makes the
     model exact rather than heuristic.
     """
-    lat = cfg.latencies
+    lat = LATENCIES
     line = cfg.line_size
     lines = _walk_lines(spec, line)
     distinct = len(lines)
@@ -349,7 +350,7 @@ def _expect_chase(spec: KernelSpec, cfg: MachineConfig) -> dict[str, Expectation
     never the metrics, which is exactly what the determinism property
     test checks.
     """
-    lat = cfg.latencies
+    lat = LATENCIES
     line = cfg.line_size
     n = spec.footprint // line
     l1_sets = cfg.l1_size // (cfg.l1_ways * line)
@@ -382,7 +383,7 @@ def _expect_pingpong(spec: KernelSpec, cfg: MachineConfig) -> dict[str, Expectat
     of accesses ping-pongs depends on the scheduler, so the miss-rate
     and latency expectations are declared tolerance bands.
     """
-    lat = cfg.latencies
+    lat = LATENCIES
     total = 2 * spec.cores * spec.iterations
     return {
         "accesses": Expectation.exact(total),
@@ -400,15 +401,15 @@ def _expect_pingpong(spec: KernelSpec, cfg: MachineConfig) -> dict[str, Expectat
         # first access after a remote write misses foreign, the rest of
         # its quantum hits L1.  Banded 2x either side of one miss per
         # quantum to declare tolerance for scheduler changes.
-        "level:FOREIGN": Expectation.band(total // (2 * cfg.quantum), total // 4),
-        "l1_miss_rate": Expectation.band(1 / (2 * cfg.quantum), 0.25),
+        "level:FOREIGN": Expectation.band(total // (2 * QUANTUM), total // 4),
+        "l1_miss_rate": Expectation.band(1 / (2 * QUANTUM), 0.25),
         "avg_miss_latency": Expectation.band(lat.l3, lat.foreign + lat.upgrade),
     }
 
 
 def _expect_ring(spec: KernelSpec, cfg: MachineConfig) -> dict[str, Expectation]:
     """Producer/consumer ring: every slot line is shared by construction."""
-    lat = cfg.latencies
+    lat = LATENCIES
     total = 2 * spec.ring_slots * spec.iterations
     return {
         "accesses": Expectation.exact(total),
@@ -435,7 +436,7 @@ def _expect_counters(spec: KernelSpec, cfg: MachineConfig) -> dict[str, Expectat
     geometry still fixes the line and sharing counts exactly; the
     ping-pong dynamics are banded.
     """
-    lat = cfg.latencies
+    lat = LATENCIES
     line = cfg.line_size
     total = 2 * spec.cores * spec.iterations
     touched: dict[int, list[int]] = {}

@@ -9,16 +9,13 @@ through ``skb_tx_hash``, which picks a *remote* TX queue, so payloads and
 skbuffs jump cores between enqueue and dequeue and get freed through the
 SLAB alien path.
 
-Clients are closed-loop: each keeps ``window`` requests outstanding per
+Clients are closed-loop: each keeps ``WINDOW`` requests outstanding per
 core and injects the next one (after a fixed RTT) when a response
 transmit completes.  Throughput is responses completed per cycle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.errors import ConfigError
 from repro.hw.events import Pause
 from repro.kernel.kernel import Kernel
 from repro.kernel.layout import StructType
@@ -46,24 +43,19 @@ HASHTABLE_TYPE = StructType(
 )
 
 
-@dataclass(frozen=True)
-class MemcachedConfig:
-    """Workload knobs (defaults follow the paper's setup shape)."""
-
-    window: int = 4  # outstanding requests per client
-    request_len: int = 64
-    response_len: int = 1024  # responses carry a size-1024 payload
-    client_rtt: int = 2_000  # cycles between response and next request
-    #: Userspace GET processing per request.  Calibrated so the kernel's
-    #: cache-miss and lock costs are the same *fraction* of a request that
-    #: they were on the paper's testbed (where a request cost ~10 us); the
-    #: +57% fix headline depends on this ratio, not on absolute speed.
-    user_work_cycles: int = 8_900
-    seed: int = 1234
-
-    def __post_init__(self) -> None:
-        if self.window <= 0:
-            raise ConfigError("window must be positive")
+#: Outstanding requests per client (the closed-loop window).
+WINDOW = 4
+REQUEST_LEN = 64
+#: Responses carry a size-1024 payload.
+RESPONSE_LEN = 1024
+#: Cycles between a response and the client's next request.
+CLIENT_RTT = 2_000
+#: Userspace GET processing per request.  Calibrated so the kernel's
+#: cache-miss and lock costs are the same *fraction* of a request that
+#: they were on the paper's testbed (where a request cost ~10 us); the
+#: +57% fix headline depends on this ratio, not on absolute speed.
+USER_WORK_CYCLES = 8_900
+SEED = 1234
 
 
 def drive(kernel: Kernel, duration_cycles: int) -> WorkloadResult:
@@ -82,16 +74,10 @@ def drive(kernel: Kernel, duration_cycles: int) -> WorkloadResult:
 class MemcachedWorkload:
     """Drives N pinned memcached instances over the simulated stack."""
 
-    def __init__(
-        self,
-        kernel: Kernel,
-        stack: NetStack | None = None,
-        config: MemcachedConfig | None = None,
-    ) -> None:
+    def __init__(self, kernel: Kernel) -> None:
         self.kernel = kernel
-        self.config = config or MemcachedConfig()
-        self.stack = stack if stack is not None else NetStack(kernel)
-        self.rng = DeterministicRng(self.config.seed, "memcached")
+        self.stack = NetStack(kernel)
+        self.rng = DeterministicRng(SEED, "memcached")
         self.ncores = kernel.ncores
         self.socks: dict[int, UdpSock] = {}
         self.epolls: dict[int, EventPoll] = {}
@@ -136,12 +122,12 @@ class MemcachedWorkload:
         """Give every client its initial window of in-flight requests."""
         for cpu in range(self.ncores):
             rxq = self.stack.dev.rx_queues[cpu]
-            for i in range(self.config.window):
+            for i in range(WINDOW):
                 rxq.arrivals.append(
                     Arrival(
                         due=i * 97,
                         flow_hash=self._next_flow_hash(),
-                        length=self.config.request_len,
+                        length=REQUEST_LEN,
                     )
                 )
 
@@ -151,12 +137,12 @@ class MemcachedWorkload:
             return
         self.counter.bump(origin)
         rxq = self.stack.dev.rx_queues[origin]
-        due = self.kernel.machine.cores[cpu].cycle + self.config.client_rtt
+        due = self.kernel.machine.cores[cpu].cycle + CLIENT_RTT
         rxq.arrivals.append(
             Arrival(
                 due=due,
                 flow_hash=self._next_flow_hash(),
-                length=self.config.request_len,
+                length=REQUEST_LEN,
             )
         )
 
@@ -173,7 +159,6 @@ class MemcachedWorkload:
         sock = self.socks[cpu]
         ep = self.epolls[cpu]
         table = self.hashtables[cpu]
-        cfg = self.config
         while True:
             ready = yield from sys_epoll_wait(self.stack, cpu, ep)
             skb = yield from udp_recvmsg(self.stack, cpu, sock)
@@ -186,13 +171,13 @@ class MemcachedWorkload:
             # into chunks so the scheduler can interleave other threads.
             bucket = (skb.flow_hash * 31) % 128
             yield env.read_range("memcached_get", table, bucket * 8, 8)
-            chunk = max(1, cfg.user_work_cycles // 8)
+            chunk = USER_WORK_CYCLES // 8
             spent = 0
-            while spent < cfg.user_work_cycles:
-                yield env.work("memcached_get", min(chunk, cfg.user_work_cycles - spent))
+            while spent < USER_WORK_CYCLES:
+                yield env.work("memcached_get", min(chunk, USER_WORK_CYCLES - spent))
                 spent += chunk
             response = yield from udp_sendmsg(
-                self.stack, cpu, sock, cfg.response_len, flow_hash=skb.flow_hash
+                self.stack, cpu, sock, RESPONSE_LEN, flow_hash=skb.flow_hash
             )
             response.meta["mc_origin"] = cpu
 

@@ -34,7 +34,8 @@ from repro.hw.events import (
     InvalidationRecord,
     MissKind,
 )
-from repro.hw.hierarchy import HierarchyConfig, HierarchyStats
+from repro.hw.hierarchy import LATENCIES, HierarchyStats
+from repro.hw.machine import MachineConfig
 
 #: The two hierarchies: the reference oracle and the one machines run.
 HIERARCHIES = ("reference", "fast")
@@ -239,7 +240,7 @@ class ReferenceHierarchy:
     :func:`record` per access.
     """
 
-    def __init__(self, config: HierarchyConfig) -> None:
+    def __init__(self, config: MachineConfig) -> None:
         self.config = config
         self.line_size = config.line_size
         self.l1 = [
@@ -252,7 +253,7 @@ class ReferenceHierarchy:
         ]
         self.l3 = ReferenceCacheArray(config.l3_geometry(), "L3")
         self.directory = ReferenceDirectory(config.ncores)
-        self.latencies = config.latencies
+        self.latencies = LATENCIES
         self.stats = HierarchyStats()
 
     def flush_all(self) -> None:

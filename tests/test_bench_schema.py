@@ -335,7 +335,7 @@ def test_checked_in_baseline_validates():
 
 
 #: The smallest load sweep the CLI runs: one rate, two jobs.
-SMOKE_ARGS = ["--smoke", "--load-sweep", "--load-rates", "8", "--load-jobs", "2"]
+SMOKE_ARGS = ["--smoke", "--load-rates", "8", "--load-jobs", "2"]
 
 
 def test_smoke_without_out_writes_no_report(tmp_path, monkeypatch):

@@ -25,7 +25,8 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from repro.hw.hierarchy import HierarchyConfig, MemoryHierarchy
+from repro.hw.hierarchy import MemoryHierarchy
+from repro.hw.machine import MachineConfig
 from tests.hierarchy_oracle import (
     ReferenceHierarchy,
     cache_counters,
@@ -51,8 +52,8 @@ TINY = dict(
 NLINES = 48
 
 
-def tiny_config() -> HierarchyConfig:
-    return HierarchyConfig(**TINY)
+def tiny_config() -> MachineConfig:
+    return MachineConfig(**TINY)
 
 
 def dirty_owner_of(directory, line: int) -> int | None:

@@ -6,16 +6,16 @@ from repro.api import Diagnosis, DProf, DProfConfig
 from repro.dprof.views import MissClass
 from repro.hw.machine import MachineConfig
 from repro.kernel import Kernel
-from repro.workloads import ApacheConfig, ApacheWorkload
+from repro.fixes import apply_admission_control
+from repro.workloads import ApacheWorkload
 
 
 @pytest.mark.slow
 def test_diagnosis_flags_tcp_sock_under_overload():
     kernel = Kernel(MachineConfig(ncores=8, seed=55))
-    workload = ApacheWorkload(
-        kernel, config=ApacheConfig(arrival_period=11_000, backlog=48)
-    )
+    workload = ApacheWorkload(kernel, arrival_period=11_000)
     workload.setup()
+    apply_admission_control(workload.listeners.values(), 48)
     workload.start()
     start = kernel.elapsed_cycles()
     workload.schedule_arrivals(6_000_000, start_cycle=start)

@@ -27,7 +27,7 @@ import pytest
 from repro.api import DProf, DProfConfig
 from repro.hw.debugreg import DEFAULT_TRAP_CYCLES
 from repro.hw.events import Instr
-from repro.hw.hierarchy import HierarchyConfig, MemoryHierarchy
+from repro.hw.hierarchy import MemoryHierarchy
 from repro.hw.machine import Machine, MachineConfig
 from repro.workloads import SCENARIOS, build_kernel
 from tests.hierarchy_oracle import (
@@ -136,7 +136,7 @@ def generated_stream(seed: int, *, steps: int = 8_000, private_lines: int = 1_53
 @pytest.mark.parametrize("seed", SEEDS)
 def test_generated_trace_equivalence(seed: int) -> None:
     """Access-by-access equivalence on a generated multi-core stream."""
-    config = build_kernel(NCORES, seed=seed).machine.config.hierarchy_config()
+    config = build_kernel(NCORES, seed=seed).machine.config
     reference = ReferenceHierarchy(config)
     fast = MemoryHierarchy(config)
     for access in generated_stream(seed):
@@ -151,7 +151,7 @@ def test_generated_trace_equivalence(seed: int) -> None:
 
 #: A small hierarchy (16 L1 / 32 L2 lines per core, 64 L3 lines) so the
 #: per-access comparison of full LRU state stays cheap.
-SMALL = HierarchyConfig(
+SMALL = MachineConfig(
     ncores=NCORES,
     l1_size=1024,
     l1_ways=2,

@@ -108,11 +108,19 @@ N_RETRY = 3000
 
 class TestHistoryDegradation:
     def _collect(self, collector, kernel, cache, n=120):
+        """Churn *n* objects under *collector*, then finalize it.
+
+        Returns ``collector.done`` as it stood before ``finalize``, which
+        clears the job and retry queues and so makes ``done`` true
+        whatever ran.
+        """
         collector.schedule_sets("widget", 64, num_sets=1, chunks=[(0, 4)])
         collector.start()
         kernel.spawn("churn", 0, churn_body(kernel, cache, 0, n=n, touches=8))
         kernel.run()
+        done = collector.done
         collector.finalize()
+        return done
 
     def test_truncated_history_kept_as_partial(self):
         k = Kernel(MachineConfig(ncores=2, seed=9))
@@ -132,12 +140,12 @@ class TestHistoryDegradation:
         cache = k.slab.create_cache(WIDGET)
         collector = HistoryCollector(k.machine, k.slab)
         collector.faults = _AlwaysTruncate(point=2)
-        self._collect(collector, k, cache, n=N_RETRY)
+        done = self._collect(collector, k, cache, n=N_RETRY)
         # Attempt 0 truncates, is retried twice, then the partial is kept.
         assert collector.jobs_retried == DEFAULT_MAX_RETRIES == 2
         assert collector.arm_attempts == 3
         assert collector.histories_partial == 1
-        assert collector.done
+        assert done
 
     def test_stolen_registers_abandon_after_retries(self):
         k = Kernel(MachineConfig(ncores=2, seed=9))
@@ -145,11 +153,11 @@ class TestHistoryDegradation:
         injector = FaultPlan(seed=4, debugreg_steal_rate=1.0).build()
         k.machine.install_faults(injector)
         collector = HistoryCollector(k.machine, k.slab)
-        self._collect(collector, k, cache, n=N_RETRY)
+        done = self._collect(collector, k, cache, n=N_RETRY)
         assert collector.arm_failures == 3  # initial attempt + two retries
         assert collector.jobs_abandoned == 1
         assert not collector.histories
-        assert collector.done
+        assert done
         assert k.machine.watches.arm_steals >= 3
         assert not k.machine.watches.any_armed
 

@@ -2,7 +2,8 @@
 
 from repro.dprof.profiler import DProf, DProfConfig
 from repro.hw.events import CacheLevel, MissKind
-from repro.hw.hierarchy import HierarchyConfig, Latencies, MemoryHierarchy
+from repro.hw.hierarchy import LATENCIES, MemoryHierarchy
+from repro.hw.machine import MachineConfig
 from repro.hw.pebs import PebsEvent, PebsUnit
 from repro.workloads import MemcachedWorkload, build_kernel
 from tests.hierarchy_oracle import outcome_of
@@ -19,7 +20,7 @@ def make_hierarchy(ncores=2, **kwargs):
         l3_ways=8,
     )
     defaults.update(kwargs)
-    return MemoryHierarchy(HierarchyConfig(**defaults))
+    return MemoryHierarchy(MachineConfig(**defaults))
 
 
 def test_first_access_is_cold_dram_miss():
@@ -27,7 +28,7 @@ def test_first_access_is_cold_dram_miss():
     r = h.access(0, 0x1000, 8, False, ip=1, cycle=0)
     assert r.level == CacheLevel.DRAM
     assert r.miss_kind == MissKind.COLD
-    assert r.latency == Latencies().dram
+    assert r.latency == LATENCIES.dram
 
 
 def test_second_access_hits_l1():
@@ -35,7 +36,7 @@ def test_second_access_hits_l1():
     h.access(0, 0x1000, 8, False, ip=1, cycle=0)
     r = h.access(0, 0x1000, 8, False, ip=2, cycle=1)
     assert r.level == CacheLevel.L1
-    assert r.latency == Latencies().l1
+    assert r.latency == LATENCIES.l1
     assert r.miss_kind is None
 
 
@@ -57,7 +58,7 @@ def test_write_hit_on_shared_line_invalidates_other_reader():
     h.access(1, 0x2000, 8, False, ip=2, cycle=1)  # both cores share the line
     r0 = h.access(0, 0x2000, 8, True, ip=3, cycle=2)  # write hit, upgrade
     assert r0.level == CacheLevel.L1
-    assert r0.latency == Latencies().l1 + Latencies().upgrade
+    assert r0.latency == LATENCIES.l1 + LATENCIES.upgrade
     r1 = h.access(1, 0x2000, 8, False, ip=4, cycle=3)
     assert r1.miss_kind == MissKind.INVALIDATION
 
@@ -135,7 +136,7 @@ def test_straddling_access_sums_latency():
     h = make_hierarchy()
     # 8-byte access at line boundary minus 4 touches two lines.
     r = h.access(0, 64 - 4, 8, False, ip=1, cycle=0)
-    assert r.latency == 2 * Latencies().dram
+    assert r.latency == 2 * LATENCIES.dram
     assert r.level == CacheLevel.DRAM
 
 

@@ -1,15 +1,17 @@
 """Tests for the machine event loop, IBS, and debug registers."""
 
+import itertools
+
 import pytest
 
 from repro.errors import SimulationError
 from repro.hw.debugreg import NUM_DEBUG_REGISTERS
 from repro.hw.events import Instr, Pause
-from repro.hw.machine import Machine, MachineConfig
+from repro.hw.machine import QUANTUM, Machine, MachineConfig
 
 
-def small_machine(ncores=2, **kwargs):
-    return Machine(MachineConfig(ncores=ncores, seed=1, **kwargs))
+def small_machine(ncores=2):
+    return Machine(MachineConfig(ncores=ncores, seed=1))
 
 
 def loads(n, base=0x100000, fn="fn", ip=1, stride=64):
@@ -41,20 +43,23 @@ def test_pause_wakes_later():
 
 
 def test_two_threads_interleave_on_one_core():
-    m = small_machine(quantum=4)
+    m = small_machine()
     order = []
 
     def body(tag):
-        for _ in range(8):
+        for _ in range(2 * QUANTUM):
             order.append(tag)
             yield Instr("exec", "fn", 1, work=1)
 
     m.spawn("a", 0, body("a"))
     m.spawn("b", 0, body("b"))
     m.run()
-    # With quantum 4 the schedule must switch between threads at least once.
+    # Each body outlasts one quantum, so the schedule must switch between
+    # the threads, and no thread runs longer than a quantum at a stretch.
     switches = sum(1 for x, y in zip(order, order[1:]) if x != y)
     assert switches >= 2
+    runs = [len(list(group)) for _tag, group in itertools.groupby(order)]
+    assert max(runs) <= QUANTUM
 
 
 def test_until_cycle_bounds_run():

@@ -9,19 +9,6 @@ from repro.kernel.net import NetStack
 from repro.kernel.net.stack import Arrival
 
 
-def test_more_queues_than_cores_rejected():
-    k = Kernel(MachineConfig(ncores=2, seed=1))
-    with pytest.raises(ConfigError):
-        NetStack(k, num_queues=4)
-
-
-def test_fewer_queues_than_cores_allowed():
-    k = Kernel(MachineConfig(ncores=4, seed=1))
-    stack = NetStack(k, num_queues=2)
-    assert len(stack.dev.tx_queues) == 2
-    assert len(stack.dev.rx_queues) == 2
-
-
 def test_rx_without_deliver_raises():
     k = Kernel(MachineConfig(ncores=2, seed=1))
     stack = NetStack(k)

@@ -5,8 +5,9 @@ reproduction away from the paper's stated parameters.
 """
 
 from repro.hw.debugreg import DEFAULT_TRAP_CYCLES, MAX_WATCH_BYTES, NUM_DEBUG_REGISTERS
+from repro.hw.hierarchy import LATENCIES
 from repro.hw.ibs import DEFAULT_IBS_INTERRUPT_CYCLES
-from repro.hw.interconnect import InterconnectCosts
+from repro.hw.interconnect import INTERCONNECT
 from repro.dprof.history import DEFAULT_CHUNK_SIZE, all_pairs, chunks_for_type
 from repro.kernel.net.types import (
     NET_DEVICE_TYPE,
@@ -35,6 +36,13 @@ def test_ibs_interrupt_cost_is_2000_cycles():
     assert DEFAULT_IBS_INTERRUPT_CYCLES == 2_000
 
 
+def test_latency_table_matches_table_4_1():
+    # Table 4.1: ~3 ns local L1 and ~200 ns foreign-cache loads, at one
+    # cycle per nanosecond.
+    assert LATENCIES.l1 == 3
+    assert LATENCIES.foreign == 200
+
+
 def test_debug_register_limits_match_x86():
     # Section 5.3 / 7: four registers, eight bytes each, ~1,000-cycle trap.
     assert NUM_DEBUG_REGISTERS == 4
@@ -43,7 +51,7 @@ def test_debug_register_limits_match_x86():
 
 
 def test_debug_setup_costs_match_section_6_4():
-    costs = InterconnectCosts()
+    costs = INTERCONNECT
     # "The core responsible for setting up debug registers incurs a cost
     # of 130,000 cycles" (16 cores)...
     assert abs(costs.broadcast_cost(16) - 130_000) <= 10_000

@@ -10,7 +10,7 @@ paper's analysis depends on.
 from repro.baselines import OProfile
 from repro.hw.machine import MachineConfig
 from repro.kernel import Kernel
-from repro.workloads import ApacheConfig, ApacheWorkload, MemcachedWorkload
+from repro.workloads import ApacheWorkload, MemcachedWorkload
 
 #: Functions the memcached analysis names (Table 6.2, 6.3, Figure 6-1).
 MEMCACHED_FUNCTIONS = {
@@ -85,7 +85,7 @@ def test_memcached_exercises_paper_functions():
 
 def test_apache_exercises_paper_functions():
     kernel = Kernel(MachineConfig(ncores=8, seed=62))
-    workload = ApacheWorkload(kernel, config=ApacheConfig(arrival_period=22_000))
+    workload = ApacheWorkload(kernel, arrival_period=22_000)
     workload.setup()
     fns = executed_functions(
         kernel, lambda: workload.run(800_000, warmup_cycles=200_000)

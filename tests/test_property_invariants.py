@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from repro.dprof.pathtrace import PathTraceBuilder
 from repro.dprof.records import HistoryElement, ObjectAccessHistory
-from repro.hw.hierarchy import HierarchyConfig, MemoryHierarchy
+from repro.hw.hierarchy import MemoryHierarchy
 from repro.hw.machine import MachineConfig
 from repro.kernel import Kernel, StructType
 from repro.kernel.symbols import SymbolTable
@@ -41,7 +41,7 @@ slow = settings(
 )
 def test_hierarchy_coherence_invariants(accesses):
     h = MemoryHierarchy(
-        HierarchyConfig(
+        MachineConfig(
             ncores=4,
             l1_size=1024,
             l1_ways=2,

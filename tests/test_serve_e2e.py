@@ -450,13 +450,16 @@ def test_serve_replacement_worker_holds_no_server_socket(tmp_path):
         replacement = sorted(set(child_pids(proc.pid)) - set(seen))
         assert len(replacement) == 1
         seen += replacement
+        # The one worker runs a job only after its start-up released the
+        # inherited descriptors, so its descriptors are read after a job:
+        # read straight after the fork, they race that start-up.
+        job_id = _submit(port, "synthetic", seed=640)
+        assert _wait_all(port, [job_id], timeout_s=20.0)[job_id]["state"] == "done"
         targets = _fd_targets(replacement[0])
         assert listener not in targets
         # Its own pipe end is its one socket; the loop's epoll is gone.
         assert sum(t.startswith("socket:") for t in targets) == 1, targets
         assert not any("eventpoll" in t for t in targets), targets
-        job_id = _submit(port, "synthetic", seed=640)
-        assert _wait_all(port, [job_id], timeout_s=20.0)[job_id]["state"] == "done"
         assert _rpc(port, {"op": "shutdown"})["ok"]
         proc.wait(timeout=30)
         assert proc.returncode == 0

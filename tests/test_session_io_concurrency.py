@@ -14,7 +14,8 @@ import multiprocessing
 import pytest
 
 from repro.api import DProf, DProfConfig, JobSpec, SessionStore
-from repro.dprof.session_io import atomic_write_text, load_session, save_session
+from repro.dprof.session_io import load_session, save_session
+from repro.util.files import atomic_write_text
 from repro.errors import SessionFormatError
 from repro.faults import tear_file
 from repro.serve.workers import execute_job

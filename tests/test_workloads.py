@@ -9,17 +9,13 @@ import pytest
 from repro.fixes import apply_admission_control, install_local_queue_selection
 from repro.hw.machine import MachineConfig
 from repro.kernel import Kernel
-from repro.workloads import (
-    ApacheConfig,
-    ApacheWorkload,
-    MemcachedConfig,
-    MemcachedWorkload,
-)
+from repro.workloads import ApacheWorkload, MemcachedWorkload
+from repro.workloads.memcached import WINDOW
 
 
-def memcached_run(ncores=8, fixed=False, duration=400_000, config=None):
+def memcached_run(ncores=8, fixed=False, duration=400_000):
     k = Kernel(MachineConfig(ncores=ncores, seed=17))
-    wl = MemcachedWorkload(k, config=config)
+    wl = MemcachedWorkload(k)
     wl.setup()
     if fixed:
         install_local_queue_selection(wl.stack.dev)
@@ -66,11 +62,10 @@ class TestMemcached:
         assert qdisc_wait(k_fixed) < 0.1 * qdisc_wait(k_stock)
 
     def test_closed_loop_bounds_outstanding_requests(self):
-        config = MemcachedConfig(window=2)
-        result, wl, _k = memcached_run(config=config)
+        result, wl, _k = memcached_run()
         # In-flight work is bounded by window * cores; queues stay small.
         for cpu, sock in wl.socks.items():
-            assert len(sock.receive_queue) <= 2 * config.window
+            assert len(sock.receive_queue) <= 2 * WINDOW
 
     def test_throughput_metric(self):
         result, _w, _k = memcached_run()
@@ -85,10 +80,9 @@ def apache_run(
     # A small backlog keeps queue-fill time inside the short test window;
     # the benchmarks exercise the full 128-deep configuration.
     k = Kernel(MachineConfig(ncores=ncores, seed=13))
-    wl = ApacheWorkload(
-        k, config=ApacheConfig(arrival_period=period, backlog=backlog)
-    )
+    wl = ApacheWorkload(k, arrival_period=period)
     wl.setup()
+    apply_admission_control(wl.listeners.values(), backlog)
     if admission is not None:
         apply_admission_control(wl.listeners.values(), admission)
     result = wl.run(duration, warmup_cycles=warmup)
