@@ -36,6 +36,7 @@ from contextlib import contextmanager
 from typing import Any
 
 from repro.errors import BenchFormatError
+from repro.serve.jobs import TERMINAL_STATES
 from repro.serve.protocol import request_once
 from repro.util.rng import DeterministicRng
 from repro.util.stats import percentile
@@ -118,8 +119,7 @@ def _await_jobs(host, port, job_ids, timeout_s: float) -> dict[str, dict]:
         pending = {
             job_id
             for job_id in job_ids
-            if jobs.get(job_id, {}).get("state")
-            not in ("done", "failed", "requeued")
+            if jobs.get(job_id, {}).get("state") not in TERMINAL_STATES
         }
         if pending:
             time.sleep(0.05)

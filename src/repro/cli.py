@@ -67,6 +67,21 @@ def _fault_plan(args: argparse.Namespace) -> FaultPlan | None:
         raise SystemExit(f"--inject-faults: {exc}")
 
 
+def _int_at_least(minimum: int):
+    """An argparse type: an int >= *minimum*, else a usage error."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return parse
+
+
 def _report_quality(dprof: DProf, plan: FaultPlan | None) -> int:
     """Print the quality report when faulted; return the session exit code."""
     quality: DataQuality = dprof.data_quality()
@@ -183,7 +198,7 @@ def _spec_from_args(args: argparse.Namespace):
             interval=args.interval,
             fault_spec=args.inject_faults,
             priority=getattr(args, "priority", 0),
-            trace=bool(getattr(args, "trace", False)),
+            trace=args.trace,
         )
     except ServeError as exc:
         raise SystemExit(f"bad job spec: {exc}")
@@ -211,16 +226,17 @@ def _rpc_resilient(
     """:func:`_rpc` plus client-side resilience (``--retry N``).
 
     Connection failures and ``queue_full`` backpressure rejects are
-    retried with capped exponential backoff and full jitter; a server
-    ``retry_after_s`` hint overrides the exponential term (the server
-    knows its queue better than we do).  ``--retry 0`` keeps the old
+    retried by :meth:`~repro.serve.retry.RetryPolicy.call`: capped
+    exponential backoff and full jitter, a server ``retry_after_s`` hint
+    overriding the exponential term.  ``--retry 0`` keeps the old
     fail-fast behavior.  The overall budget is ``--timeout`` per
     attempt, bounded by one shared monotonic deadline.
     """
+    from repro.errors import QueueFullError
     from repro.serve.protocol import request_once
-    from repro.serve.retry import RetryPolicy
+    from repro.serve.retry import RetryExhaustedError, RetryPolicy
 
-    retries = max(0, getattr(args, "retry", 0) or 0)
+    retries = max(0, args.retry)
     if retries == 0:
         return _rpc(args, message)
     kwargs = {"rng": rng} if rng is not None else {}
@@ -229,31 +245,30 @@ def _rpc_resilient(
         timeout_s=args.timeout * (retries + 1),
         **kwargs,
     )
-    deadline = clock() + policy.timeout_s
-    attempt = 0
-    last = "no attempt made"
-    for attempt in range(policy.attempts):
-        hint = None
-        try:
-            response = request_once(
-                args.host, args.port, message, timeout=args.timeout
+
+    def attempt() -> dict:
+        response = request_once(args.host, args.port, message, timeout=args.timeout)
+        if not response.get("ok") and response.get("code") == "queue_full":
+            raise QueueFullError(
+                response.get("error", "queue full"),
+                retry_after_s=response.get("retry_after_s"),
             )
-        except (ConnectionError, OSError, ProtocolError) as exc:
-            last = f"cannot reach server at {args.host}:{args.port}: {exc}"
-        else:
-            if response.get("ok") or response.get("code") != "queue_full":
-                # Success, or a reject retrying cannot fix (bad spec,
-                # draining): hand it straight back to the caller.
-                return response
-            last = response.get("error", "queue full")
-            hint = response.get("retry_after_s")
-        if attempt + 1 >= policy.attempts:
-            break
-        delay = policy.backoff_s(attempt, hint_s=hint)
-        if clock() + delay > deadline:
-            break
-        sleep(delay)
-    raise SystemExit(f"giving up after {attempt + 1} attempt(s): {last}")
+        # Success, or a reject retrying cannot fix (bad spec, draining):
+        # hand it straight back to the caller.
+        return response
+
+    try:
+        return policy.call(
+            attempt,
+            retry_on=(ConnectionError, OSError, ProtocolError, QueueFullError),
+            sleep=sleep,
+            clock=clock,
+        )
+    except RetryExhaustedError as exc:
+        last = exc.__cause__
+        if not isinstance(last, QueueFullError):
+            last = f"cannot reach server at {args.host}:{args.port}: {last}"
+        raise SystemExit(f"giving up after {exc.attempts} attempt(s): {last}")
 
 
 def _serve_forever(server, args: argparse.Namespace, banner: str) -> int:
@@ -327,6 +342,8 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 
 
 def cmd_submit(args: argparse.Namespace) -> int:
+    from repro.serve.jobs import TERMINAL_STATES
+
     spec = _spec_from_args(args)
     response = _rpc_resilient(args, {"op": "submit", **spec.to_wire()})
     if not response.get("ok"):
@@ -345,7 +362,7 @@ def cmd_submit(args: argparse.Namespace) -> int:
             print(status.get("error"), file=sys.stderr)
             return 1
         job = status["job"]
-        if job.get("state") in ("done", "failed", "requeued"):
+        if job.get("state") in TERMINAL_STATES:
             print(
                 f"{job_id}: {job['state']}"
                 + (f" ({job['status']})" if job.get("status") else "")
@@ -408,61 +425,41 @@ def cmd_fetch(args: argparse.Namespace) -> int:
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
-    """Top-down derived metrics, from any of the three session paths.
+    """Top-down derived metrics from an archive, or service counters.
 
-    - no target, ``--port``: the server's service counters (back-compat);
     - target is an archive file: offline metrics via ``load_session``;
-    - target + ``--port``: the server renders the job's metrics view;
-    - target + ``--run``: execute the scenario inline and summarize it.
+    - no target, ``--port``: the server's service counters.
 
-    All three session paths derive from identical archive bytes, so the
+    A served job's metrics are ``repro fetch JOB --view metrics``, and an
+    inline run is ``repro run-once`` followed by ``repro metrics
+    ARCHIVE``; all paths derive from identical archive bytes, so the
     numbers agree exactly.
     """
     from pathlib import Path
 
-    if args.run:
-        from repro.metrics import MetricsSummary
-        from repro.serve.workers import execute_job
-
-        if not args.target:
-            raise SystemExit("metrics --run needs a scenario name")
-        args.scenario = args.target
-        spec = _spec_from_args(args)
-        status, archive_text, _info = execute_job(spec)
-        counters = json.loads(archive_text).get("hw_counters")
-        if counters is None:
-            print("run produced no hardware counters", file=sys.stderr)
-            return 1
-        print(MetricsSummary.from_blob(counters).render(), end="")
-        return 0 if status != "failed" else 1
-    if args.target and Path(args.target).exists():
-        from repro.dprof.session_io import load_session
-
-        summary = load_session(args.target).metrics()
-        if summary is None:
-            print(
-                f"{args.target}: archive predates hardware-counter export",
-                file=sys.stderr,
+    if args.target is None:
+        if args.port is None:
+            raise SystemExit(
+                "metrics needs --port (server counters) or an archive path"
             )
-            return 1
-        print(summary.render(), end="")
+        response = _rpc(args, {"op": "metrics"})
+        print(response["rendered"])
         return 0
-    if args.port is None:
+    if not Path(args.target).is_file():
         raise SystemExit(
-            "metrics needs --port (server counters / job view), an archive "
-            "path, or --run SCENARIO"
+            f"metrics: no archive file {args.target!r}; for a served job "
+            "use `repro fetch JOB --view metrics`"
         )
-    if args.target:
-        response = _rpc_resilient(
-            args, {"op": "fetch", "job_id": args.target, "view": "metrics"}
+    from repro.dprof.session_io import load_session
+
+    summary = load_session(args.target).metrics()
+    if summary is None:
+        print(
+            f"{args.target}: archive predates hardware-counter export",
+            file=sys.stderr,
         )
-        if not response.get("ok"):
-            print(response.get("error"), file=sys.stderr)
-            return 1
-        print(response.get("rendered", ""))
-        return 0
-    response = _rpc(args, {"op": "metrics"})
-    print(response["rendered"])
+        return 1
+    print(summary.render(), end="")
     return 0
 
 
@@ -557,29 +554,32 @@ def build_parser() -> argparse.ArgumentParser:
     mc = sub.add_parser(
         "memcached", help="run the Section 6.1 workload", parents=[fault_flags]
     )
-    mc.add_argument("--cores", type=int, default=8)
+    mc.add_argument("--cores", type=_int_at_least(1), default=8)
     mc.add_argument("--fixed", action="store_true", help="apply the +57%% fix")
-    mc.add_argument("--duration", type=int, default=600_000)
-    mc.add_argument("--interval", type=int, default=400)
+    mc.add_argument("--duration", type=_int_at_least(1), default=600_000)
+    mc.add_argument("--interval", type=_int_at_least(1), default=400)
     mc.add_argument("--top", type=int, default=8)
     mc.set_defaults(func=cmd_memcached)
 
     ap = sub.add_parser(
         "apache", help="run the Section 6.2 workload", parents=[fault_flags]
     )
-    ap.add_argument("--cores", type=int, default=8)
-    ap.add_argument("--period", type=int, default=22_000)
-    ap.add_argument("--admission", type=int, default=0, help="backlog cap (0=off)")
-    ap.add_argument("--duration", type=int, default=1_000_000)
-    ap.add_argument("--interval", type=int, default=400)
+    ap.add_argument("--cores", type=_int_at_least(1), default=8)
+    ap.add_argument("--period", type=_int_at_least(1), default=22_000)
+    ap.add_argument(
+        "--admission", type=_int_at_least(0), default=0,
+        help="backlog cap (0=off)",
+    )
+    ap.add_argument("--duration", type=_int_at_least(1), default=1_000_000)
+    ap.add_argument("--interval", type=_int_at_least(1), default=400)
     ap.add_argument("--top", type=int, default=8)
     ap.set_defaults(func=cmd_apache)
 
     dg = sub.add_parser(
         "diagnose", help="automated diagnosis on memcached", parents=[fault_flags]
     )
-    dg.add_argument("--cores", type=int, default=8)
-    dg.add_argument("--interval", type=int, default=300)
+    dg.add_argument("--cores", type=_int_at_least(1), default=8)
+    dg.add_argument("--interval", type=_int_at_least(1), default=300)
     dg.add_argument("--top", type=int, default=6)
     dg.set_defaults(func=cmd_diagnose)
 
@@ -716,33 +716,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     mt = sub.add_parser(
         "metrics",
-        help="top-down session metrics (archive, job, or inline run), or "
-        "service counters from a server",
-        parents=[fault_flags],
+        help="top-down session metrics from an archive, or service "
+        "counters from a server",
     )
     mt.add_argument(
         "target", nargs="?", default=None,
-        help="job id/digest (with --port), an archive path, or a scenario "
-        "name (with --run); omit for the server's service counters",
+        help="an archive path; omit for the server's service counters",
     )
     mt.add_argument("--host", default="127.0.0.1")
     mt.add_argument(
         "--port", type=int, default=None,
-        help="server to query for job views / service counters",
+        help="server to query for service counters",
     )
     mt.add_argument(
         "--timeout", type=float, default=10.0, help="socket timeout (s)"
     )
-    mt.add_argument("--retry", type=int, default=0, metavar="N")
-    mt.add_argument(
-        "--run", action="store_true",
-        help="execute the target scenario inline and summarize it",
-    )
-    mt.add_argument("--cores", type=int, default=None)
-    mt.add_argument("--duration", type=int, default=None, metavar="CYCLES")
-    mt.add_argument("--interval", type=int, default=None)
-    mt.add_argument("--seed", type=int, default=11)
-    mt.set_defaults(func=cmd_metrics, scenario=None, trace=False, priority=0)
+    mt.set_defaults(func=cmd_metrics)
 
     ro = sub.add_parser(
         "run-once",

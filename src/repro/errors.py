@@ -47,9 +47,10 @@ class ProtocolError(ServeError):
 
 class QueueFullError(ServeError):
     """The job queue is at capacity.  Carries ``retry_after_s``, the
-    server's estimate of when a resubmission is likely to be accepted."""
+    server's estimate of when a resubmission is likely to be accepted
+    (None when the server gave none)."""
 
-    def __init__(self, message: str, retry_after_s: float = 1.0) -> None:
+    def __init__(self, message: str, retry_after_s: float | None = 1.0) -> None:
         super().__init__(message)
         self.retry_after_s = retry_after_s
 

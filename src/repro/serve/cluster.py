@@ -16,14 +16,14 @@ Layout (all under ``<store>/cluster/``)::
     results/<job_key>.json    at-most-once result commit (O_EXCL)
 
 **Skew-proof liveness.**  Neither node records nor leases carry wall
-timestamps -- only monotonically increasing counters (``heartbeat_seq``,
-``renew_seq``).  Every observer judges staleness by *its own* monotonic
-clock: "this counter has not advanced for T seconds *of my time*".  A
+timestamps -- only counters (``heartbeat_seq``, ``renew_seq``).  Every
+observer judges staleness by *its own* monotonic clock: "this counter
+has not changed for T seconds *of my time*" (:class:`SilenceTimer`).  A
 node whose wall clock steps forward or back therefore cannot expire a
 peer's leases early, hold its own forever, or be falsely declared dead;
 only an actually-silent peer trips the detector.  Peer state transitions
 ``alive -> suspect -> dead`` at configurable thresholds, and a dead
-node's seq advancing again resurrects it.
+node's seq changing again resurrects it.
 
 **Lease lifecycle.**  Accepting a job acquires a lease (owner, spec,
 ``renew_seq=0``, ``generation``); every heartbeat tick renews all held
@@ -66,6 +66,15 @@ from repro.serve.protocol import error_response, request_once
 from repro.serve.retry import RetryExhaustedError, RetryPolicy
 from repro.serve.server import ProfilingServer
 from repro.util.files import atomic_write_text
+
+#: Virtual points per node on the consistent-hash ring.
+RING_REPLICAS = 64
+
+#: How a non-owner forwards a submission to its ring owner before
+#: falling back to local execution.
+FORWARD_RETRY = RetryPolicy(
+    attempts=3, base_delay_s=0.1, max_delay_s=1.0, timeout_s=10.0
+)
 
 #: Subdirectory names under ``<store>/cluster/``.
 CLUSTER_DIR = "cluster"
@@ -113,8 +122,6 @@ class ClusterConfig:
     #: renewal (observer time).  Keep >= dead_after_s so the detector
     #: always fires first.
     lease_timeout_s: float = 8.0
-    #: Virtual points per node on the consistent-hash ring.
-    ring_replicas: int = 64
 
     def __post_init__(self) -> None:
         if not self.node_id or "/" in self.node_id:
@@ -125,8 +132,6 @@ class ClusterConfig:
             raise ServeError("need 0 < suspect_after_s < dead_after_s")
         if self.lease_timeout_s < self.dead_after_s:
             raise ServeError("lease_timeout_s must be >= dead_after_s")
-        if self.ring_replicas < 1:
-            raise ServeError("ring_replicas must be >= 1")
 
 
 @dataclass
@@ -165,15 +170,14 @@ class NodeRecord:
 class HashRing:
     """Consistent hashing: spec digest -> owning node.
 
-    Each node contributes ``replicas`` virtual points (SHA-256 of
+    Each node contributes :data:`RING_REPLICAS` virtual points (SHA-256 of
     ``"<node>#<k>"``); a key maps to the first point clockwise from its
     own hash.  Membership churn moves only the keys adjacent to the
     joining/leaving node's points, so a node death does not reshuffle
     the whole cluster's routing.
     """
 
-    def __init__(self, replicas: int = 64) -> None:
-        self.replicas = replicas
+    def __init__(self) -> None:
         self._nodes: set[str] = set()
         self._points: list[tuple[int, str]] = []
 
@@ -189,7 +193,7 @@ class HashRing:
         if node_id in self._nodes:
             return
         self._nodes.add(node_id)
-        for k in range(self.replicas):
+        for k in range(RING_REPLICAS):
             bisect.insort(self._points, (self._hash(f"{node_id}#{k}"), node_id))
 
     def remove(self, node_id: str) -> None:
@@ -216,12 +220,40 @@ class HashRing:
         return self._points[index][1]
 
 
+class SilenceTimer:
+    """How long each key's counter has gone unchanged, on *this*
+    observer's monotonic clock.  Any change restarts the timer: a node
+    restarted under the same id, or a lease reclaimed into a new
+    generation, counts from 0 again."""
+
+    def __init__(self, clock=None) -> None:
+        self.clock = clock or MonotonicClock()
+        #: key -> (last counter, local time that counter was first seen).
+        self._last: dict = {}
+
+    def silent_s(self, key, counter) -> float:
+        """Seconds *key* has shown *counter*; 0.0 when it just changed."""
+        now = self.clock.now()
+        last = self._last.get(key)
+        if last is None or last[0] != counter:
+            self._last[key] = (counter, now)
+            return 0.0
+        return now - last[1]
+
+    def retain(self, keys) -> list:
+        """Forget every key not in *keys*; returns the forgotten ones."""
+        gone = [key for key in self._last if key not in keys]
+        for key in gone:
+            del self._last[key]
+        return gone
+
+
 class FailureDetector:
     """Observer-side liveness from heartbeat counters.
 
     Feed it ``{node_id: heartbeat_seq}`` snapshots via :meth:`observe`;
     it judges each peer by how long (on *this* observer's monotonic
-    clock) the counter has failed to advance.  Wall-clock skew on the
+    clock) the counter has gone unchanged.  Wall-clock skew on the
     observed node is invisible by construction -- the records carry no
     timestamps to mistrust.
     """
@@ -234,29 +266,20 @@ class FailureDetector:
     ) -> None:
         self.suspect_after_s = suspect_after_s
         self.dead_after_s = dead_after_s
-        self.clock = clock or MonotonicClock()
-        #: node_id -> (last seq, local time that seq was first seen).
-        self._seen: dict[str, tuple[int, float]] = {}
+        self._silence = SilenceTimer(clock)
         self._state: dict[str, str] = {}
 
     def observe(self, seqs: dict[str, int]) -> list[tuple[str, str, str]]:
         """Ingest a snapshot; returns ``(node, old_state, new_state)``
         transitions (new nodes appear as ``("", "alive")``)."""
-        now = self.clock.now()
         transitions = []
+        for node_id in self._silence.retain(seqs):
+            # Record withdrawn: graceful departure, forget entirely.
+            old = self._state.pop(node_id, "")
+            if old and old != "dead":
+                transitions.append((node_id, old, "gone"))
         for node_id, seq in seqs.items():
-            seen = self._seen.get(node_id)
-            if seen is None or seq > seen[0]:
-                self._seen[node_id] = (seq, now)
-        for node_id in list(self._seen):
-            if node_id not in seqs:
-                # Record withdrawn: graceful departure, forget entirely.
-                old = self._state.pop(node_id, "")
-                del self._seen[node_id]
-                if old and old != "dead":
-                    transitions.append((node_id, old, "gone"))
-                continue
-            silent_s = now - self._seen[node_id][1]
+            silent_s = self._silence.silent_s(node_id, seq)
             if silent_s >= self.dead_after_s:
                 state = "dead"
             elif silent_s >= self.suspect_after_s:
@@ -280,9 +303,10 @@ class LeaseManager:
     """Persisted job leases plus claim/result arbitration files.
 
     One instance per node.  Held leases (this node's) are renewed by
-    bumping ``renew_seq``; foreign leases are watched with the same
-    counter-advance-vs-local-clock rule the failure detector uses, and
-    become reclaim candidates after ``lease_timeout_s`` of silence.
+    bumping ``renew_seq``; foreign leases are watched with the failure
+    detector's :class:`SilenceTimer` rule over ``(generation,
+    renew_seq)``, and become reclaim candidates after
+    ``lease_timeout_s`` of silence.
     """
 
     def __init__(
@@ -294,7 +318,6 @@ class LeaseManager:
     ) -> None:
         self.node_id = node_id
         self.lease_timeout_s = lease_timeout_s
-        self.clock = clock or MonotonicClock()
         base = Path(store_root) / CLUSTER_DIR
         self.leases_dir = base / LEASES_DIR
         self.claims_dir = base / CLAIMS_DIR
@@ -303,8 +326,7 @@ class LeaseManager:
             directory.mkdir(parents=True, exist_ok=True)
         #: job_key -> Lease owned by this node.
         self.held: dict[str, Lease] = {}
-        #: job_key -> (last renew_seq, local time it advanced).
-        self._watch: dict[str, tuple[int, float]] = {}
+        self._silence = SilenceTimer(clock)
 
     def _path(self, job_key: str) -> Path:
         return self.leases_dir / f"{job_key}.json"
@@ -350,30 +372,27 @@ class LeaseManager:
         return leases
 
     def expired(self, owner_dead) -> list[Lease]:
-        """Foreign leases whose owner is dead *and* whose ``renew_seq``
-        has not advanced for ``lease_timeout_s`` of local time.
+        """Foreign leases whose owner is dead *and* whose ``(generation,
+        renew_seq)`` has not changed for ``lease_timeout_s`` of local
+        time.
 
         *owner_dead* is a predicate (node_id -> bool), normally the
         failure detector; requiring both signals keeps reclaim
         conservative -- a slow-but-heartbeating owner is never robbed.
         """
-        now = self.clock.now()
         candidates = []
         on_disk = self.read_all()
-        for job_key in list(self._watch):
-            if job_key not in on_disk:
-                del self._watch[job_key]  # released or reclaimed away
+        self._silence.retain(on_disk)  # released leases are forgotten
         for lease in on_disk.values():
             if lease.owner == self.node_id:
                 continue
-            watched = self._watch.get(lease.job_key)
-            if watched is None or lease.renew_seq > watched[0]:
-                # First sighting (or a renewal): the silence timer
-                # starts from *our* observation, never from any claim
-                # the lease file itself could make.
-                self._watch[lease.job_key] = (lease.renew_seq, now)
-                continue
-            if now - watched[1] < self.lease_timeout_s:
+            # The timer starts from *our* first sighting of this
+            # generation and renewal, never from any claim the lease
+            # file itself could make.
+            silent_s = self._silence.silent_s(
+                lease.job_key, (lease.generation, lease.renew_seq)
+            )
+            if silent_s < self.lease_timeout_s:
                 continue
             if owner_dead(lease.owner):
                 candidates.append(lease)
@@ -393,7 +412,6 @@ class LeaseManager:
         )
         atomic_write_text(self._path(taken.job_key), json.dumps(taken.to_wire()))
         self.held[taken.job_key] = taken
-        self._watch.pop(taken.job_key, None)
         return taken
 
     # -- at-most-once results -------------------------------------------
@@ -430,27 +448,22 @@ class ClusterServer(ProfilingServer):
         self,
         store_root,
         cluster: ClusterConfig,
-        retry: RetryPolicy | None = None,
         clock=None,
         **kwargs,
     ) -> None:
         super().__init__(store_root, **kwargs)
         self.cluster = cluster
         self.node_id = cluster.node_id
-        self.clock = clock or MonotonicClock()
-        self.retry = retry or RetryPolicy(
-            attempts=3, base_delay_s=0.1, max_delay_s=1.0, timeout_s=10.0
-        )
-        self.ring = HashRing(cluster.ring_replicas)
+        self.ring = HashRing()
         self.ring.add(self.node_id)
         self.detector = FailureDetector(
-            cluster.suspect_after_s, cluster.dead_after_s, clock=self.clock
+            cluster.suspect_after_s, cluster.dead_after_s, clock=clock
         )
         self.leases = LeaseManager(
             self.store.root,
             self.node_id,
             lease_timeout_s=cluster.lease_timeout_s,
-            clock=self.clock,
+            clock=clock,
         )
         self.nodes_dir = self.store.root / CLUSTER_DIR / NODES_DIR
         self.nodes_dir.mkdir(parents=True, exist_ok=True)
@@ -617,13 +630,13 @@ class ClusterServer(ProfilingServer):
 
         def rpc() -> dict:
             return request_once(
-                peer.host, peer.port, payload, timeout=self.retry.timeout_s
+                peer.host, peer.port, payload, timeout=FORWARD_RETRY.timeout_s
             )
 
         try:
             response = await loop.run_in_executor(
                 None,
-                lambda: self.retry.call(rpc, describe=f"forward to {owner}"),
+                lambda: FORWARD_RETRY.call(rpc, describe=f"forward to {owner}"),
             )
         except RetryExhaustedError as exc:
             self.metrics.forward_failures += 1

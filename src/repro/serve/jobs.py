@@ -116,8 +116,11 @@ class Lease:
         except (KeyError, TypeError, ValueError) as exc:
             raise ServeError(f"malformed lease record: {exc}") from exc
 
+#: States a job never leaves (``requeued`` jobs were handed back at drain).
+TERMINAL_STATES = ("done", "failed", "requeued")
+
 #: Terminal and non-terminal job states.
-JOB_STATES = ("queued", "running", "done", "failed", "requeued")
+JOB_STATES = ("queued", "running") + TERMINAL_STATES
 
 #: Per-job data-quality statuses (set once a session completes).
 JOB_STATUSES = ("ok", "degraded", "failed")

@@ -10,8 +10,9 @@ dead peer fails fast instead of consuming the whole backoff budget.
 
 :class:`RetryPolicy` is the one definition of that discipline.  It is
 deliberately transport-agnostic: :meth:`RetryPolicy.call` retries any
-zero-argument callable on the caller's chosen exceptions, and
-:meth:`RetryPolicy.delays` exposes the raw schedule for tests.  The
+zero-argument callable on the caller's chosen exceptions, honoring a
+``retry_after_s`` hint the caught exception carries (the CLI raises
+:class:`~repro.errors.QueueFullError` on a ``queue_full`` reply).  The
 jitter stream defaults to :mod:`random` but accepts any object with a
 ``random()`` method, so tests pin the schedule with a
 :class:`~repro.util.rng.DeterministicRng`.
@@ -73,14 +74,6 @@ class RetryPolicy:
             ceiling = min(self.max_delay_s, max(hint_s, self.base_delay_s))
         return ceiling * self.rng.random()
 
-    def delays(self, hints: list[float | None] | None = None) -> list[float]:
-        """The whole jittered schedule (attempts - 1 delays), for tests."""
-        hints = hints or [None] * (self.attempts - 1)
-        return [
-            self.backoff_s(k, hints[k] if k < len(hints) else None)
-            for k in range(self.attempts - 1)
-        ]
-
     def call(
         self,
         fn,
@@ -96,7 +89,9 @@ class RetryPolicy:
     ):
         """Call *fn* until it returns, retrying on *retry_on*.
 
-        Raises :class:`RetryExhaustedError` (with the last failure as
+        A caught exception's ``retry_after_s`` (when not None) is the
+        hint for the following backoff.  Raises
+        :class:`RetryExhaustedError` (with the last failure as
         ``__cause__``) when attempts run out or the deadline passes.
         ``sleep``/``clock`` are seams for deterministic tests.
         """
@@ -111,7 +106,9 @@ class RetryPolicy:
                 last = exc
                 if made >= self.attempts:
                     break
-                delay = self.backoff_s(attempt)
+                delay = self.backoff_s(
+                    attempt, hint_s=getattr(exc, "retry_after_s", None)
+                )
                 if clock() + delay > deadline:
                     break
                 sleep(delay)

@@ -263,14 +263,7 @@ class Tracer:
         parent_path = parent.path if parent is not None else ""
         parent_id = parent.span_id if parent is not None else None
         foreign = [Span.from_blob(b) for b in blobs if b.get("kind", "span") == "span"]
-        ids = {span.span_id for span in foreign}
-        children: dict[str, list[Span]] = {}
-        roots: list[Span] = []
-        for span in foreign:
-            if span.parent_id in ids:
-                children.setdefault(span.parent_id, []).append(span)
-            else:
-                roots.append(span)
+        roots, children = _tree_index(foreign)
         adopted: list[Span] = []
 
         def _adopt(span: Span, new_parent_path: str, new_parent_id: str | None) -> None:

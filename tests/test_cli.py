@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import hashlib
+import json
 
 import pytest
 
@@ -22,6 +23,30 @@ def test_parser_has_subcommands():
 def test_missing_command_errors():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["apache", "--period", "0"],
+        ["apache", "--admission", "-1"],
+        ["apache", "--cores", "-2"],
+        ["apache", "--duration", "0"],
+        ["memcached", "--cores", "0"],
+        ["memcached", "--interval", "0"],
+        ["memcached", "--duration", "-5"],
+        ["diagnose", "--interval", "0"],
+        ["diagnose", "--cores", "0"],
+        ["diagnose", "--cores", "two"],
+    ],
+)
+def test_one_shot_commands_reject_out_of_range_ints(argv, capsys):
+    # A usage error (exit 2) before any machine is built.
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {argv[1]}" in err
 
 
 @pytest.mark.slow
@@ -380,11 +405,8 @@ def test_cli_list_scenarios_shows_params_and_kernel_families(capsys):
 
 def test_parser_metrics_and_fetch_metrics_view():
     parser = build_parser()
-    args = parser.parse_args(["metrics", "--port", "7777", "job-1"])
-    assert args.target == "job-1"
-    assert args.port == 7777
-    args = parser.parse_args(["metrics", "kernel-ring", "--run", "--seed", "3"])
-    assert args.run and args.seed == 3
+    args = parser.parse_args(["metrics", "--port", "7777"])
+    assert args.target is None and args.port == 7777
     args = parser.parse_args(
         ["fetch", "--port", "7777", "job-1", "--view", "metrics"]
     )
@@ -394,8 +416,9 @@ def test_parser_metrics_and_fetch_metrics_view():
 def test_cli_metrics_requires_a_source():
     with pytest.raises(SystemExit, match="metrics needs --port"):
         main(["metrics"])
-    with pytest.raises(SystemExit, match="needs a scenario name"):
-        main(["metrics", "--run"])
+    # A job id is not an archive: the served view is `fetch`'s job.
+    with pytest.raises(SystemExit, match="repro fetch JOB --view metrics"):
+        main(["metrics", "--port", "1", "job-1"])
 
 
 def test_cli_metrics_archive_path_matches_inline_run(tmp_path, capsys):
@@ -414,10 +437,15 @@ def test_cli_metrics_archive_path_matches_inline_run(tmp_path, capsys):
     assert rc == 0
     from_archive = capsys.readouterr().out
 
-    # ...Path B: the same spec executed inline by `metrics --run`.
-    rc = main(["metrics", "kernel-counters", "--run", "--seed", "11"])
-    assert rc == 0
-    from_run = capsys.readouterr().out
+    # ...Path B: the same spec executed inline, summarized directly.
+    from repro.metrics import MetricsSummary
+    from repro.serve.jobs import JobSpec
+    from repro.serve.workers import execute_job
+
+    spec = JobSpec.create(scenario="kernel-counters", seed=11)
+    _status, archive_text, _info = execute_job(spec)
+    counters = json.loads(archive_text)["hw_counters"]
+    from_run = MetricsSummary.from_blob(counters).render()
 
     assert from_archive.startswith("== top-down metrics ")
     assert from_archive == from_run

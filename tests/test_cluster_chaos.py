@@ -27,8 +27,9 @@ from tests.process_helpers import child_pids, kill_quietly, stop_server
 HOST = "127.0.0.1"
 BOOT_TIMEOUT_S = 20.0
 SHORT_JOB = 100_000
-#: Long enough (~1s) that the victim still holds these when killed.
-LONG_JOB = 1_200_000
+#: Long enough (~1s) that the victim still holds these when killed:
+#: six of them on two workers outlast the kill's 2 s window.
+LONG_JOB = 6_000_000
 
 #: Aggressive liveness so dead-peer reclaim happens in test time.
 DETECTOR_FLAGS = [

@@ -9,7 +9,7 @@ import json
 
 import pytest
 
-from repro.errors import ServeError
+from repro.errors import QueueFullError, ServeError
 from repro.serve.cluster import (
     ClusterConfig,
     FailureDetector,
@@ -43,8 +43,6 @@ def test_cluster_config_validates():
         ClusterConfig(node_id="a", suspect_after_s=5.0, dead_after_s=2.0)
     with pytest.raises(ServeError):
         ClusterConfig(node_id="a", dead_after_s=5.0, lease_timeout_s=1.0)
-    with pytest.raises(ServeError):
-        ClusterConfig(node_id="a", ring_replicas=0)
 
 
 def test_lease_wire_round_trip():
@@ -85,20 +83,20 @@ def test_fake_clock_advances_only_forward():
 
 
 def test_ring_owner_is_deterministic_and_total():
-    ring = HashRing(replicas=32)
+    ring = HashRing()
     for node in ("a", "b", "c"):
         ring.add(node)
     keys = [make_spec(seed=i).digest() for i in range(50)]
     owners = {key: ring.owner(key) for key in keys}
     assert set(owners.values()) <= {"a", "b", "c"}
     # Stable across an identically-built ring.
-    other = HashRing(replicas=32)
+    other = HashRing()
     other.rebuild(["c", "a", "b"])
     assert {key: other.owner(key) for key in keys} == owners
 
 
 def test_ring_removal_moves_only_victim_keys():
-    ring = HashRing(replicas=64)
+    ring = HashRing()
     ring.rebuild(["a", "b", "c", "d"])
     keys = [make_spec(seed=i).digest() for i in range(200)]
     before = {key: ring.owner(key) for key in keys}
@@ -141,6 +139,18 @@ def test_detector_decays_alive_suspect_dead():
     # A heartbeat advance resurrects it.
     assert detector.observe({"b": 2}) == [("b", "dead", "alive")]
     assert detector.state("b") == "alive"
+
+
+def test_detector_keeps_a_restarted_node_alive():
+    # A node restarted under the same id heartbeats from 0 again; a
+    # lower counter is a change, not silence.
+    clock = FakeClock()
+    detector = FailureDetector(suspect_after_s=2.0, dead_after_s=5.0, clock=clock)
+    assert detector.observe({"a": 100}) == [("a", "", "alive")]
+    for seq in range(1, 8):
+        clock.advance(1.0)
+        assert detector.observe({"a": seq}) == []
+    assert detector.state("a") == "alive"
 
 
 def test_detector_judges_by_local_deltas_not_wall_offset():
@@ -202,6 +212,25 @@ def test_lease_expiry_needs_silence_and_dead_owner(tmp_path):
     assert owner.expired(lambda node: True) == []
 
 
+def test_reclaimed_lease_gets_a_fresh_silence_timer(tmp_path):
+    clock = FakeClock()
+    owner = LeaseManager(tmp_path, "a", lease_timeout_s=2.0, clock=clock)
+    survivor = LeaseManager(tmp_path, "b", lease_timeout_s=2.0, clock=clock)
+    observer = LeaseManager(tmp_path, "c", lease_timeout_s=2.0, clock=clock)
+    lease = owner.acquire("job-1", make_spec().to_wire())
+    assert observer.expired(lambda node: True) == []  # first sighting
+    clock.advance(10.0)  # the owner dies and its lease goes silent
+    taken = survivor.try_claim(lease)
+    assert taken.generation == 1 and taken.renew_seq == 0
+    # Generation 1 starts at renew_seq 0 again: the observer's timer
+    # for it starts at its first sighting of the new generation.
+    assert observer.expired(lambda node: True) == []
+    clock.advance(1.9)
+    assert observer.expired(lambda node: True) == []
+    clock.advance(0.2)
+    assert [l.owner for l in observer.expired(lambda node: True)] == ["b"]
+
+
 def test_lease_claim_is_one_winner_per_generation(tmp_path):
     owner = LeaseManager(tmp_path, "a", lease_timeout_s=1.0)
     lease = owner.acquire("job-1", make_spec().to_wire())
@@ -259,7 +288,7 @@ def test_retry_schedule_caps_and_jitters():
         rng=_Ticks([1.0, 1.0, 1.0]),
     )
     # Ceilings 1, 2, min(4, 3) with jitter factor 1.0.
-    assert policy.delays() == [1.0, 2.0, 3.0]
+    assert [policy.backoff_s(k) for k in range(3)] == [1.0, 2.0, 3.0]
 
 
 def test_retry_hint_overrides_exponential_term():
@@ -270,7 +299,28 @@ def test_retry_hint_overrides_exponential_term():
         rng=_Ticks([1.0, 1.0, 1.0]),
     )
     # Hint wins (still capped at max, floored at base).
-    assert policy.delays(hints=[2.0, 10.0, 0.1]) == [2.0, 3.0, 0.5]
+    hints = [2.0, 10.0, 0.1]
+    assert [policy.backoff_s(k, hint_s=h) for k, h in enumerate(hints)] == [
+        2.0, 3.0, 0.5,
+    ]
+
+
+def test_retry_call_takes_the_hint_from_the_exception():
+    replies = iter([QueueFullError("full", retry_after_s=2.0), None])
+
+    def busy():
+        exc = next(replies)
+        if exc is not None:
+            raise exc
+        return "ok"
+
+    slept = []
+    policy = RetryPolicy(
+        attempts=2, base_delay_s=0.5, max_delay_s=3.0, rng=_Ticks([1.0])
+    )
+    assert policy.call(busy, retry_on=(QueueFullError,), sleep=slept.append) == "ok"
+    # The exponential term would be 0.5; the hint sets the ceiling.
+    assert slept == [2.0]
 
 
 def test_retry_call_counts_attempts_and_chains_cause():
@@ -341,14 +391,14 @@ def test_retry_policy_validates():
 def test_retry_jitter_uses_injected_rng_stream():
     rng = DeterministicRng(9, "retry-test")
     policy = RetryPolicy(attempts=3, base_delay_s=1.0, max_delay_s=8.0, rng=rng)
-    delays = policy.delays()
+    delays = [policy.backoff_s(k) for k in range(2)]
     assert len(delays) == 2
     assert all(0.0 <= d <= 2.0 for d in delays)
     again = RetryPolicy(
         attempts=3, base_delay_s=1.0, max_delay_s=8.0,
         rng=DeterministicRng(9, "retry-test"),
     )
-    assert again.delays() == delays
+    assert [again.backoff_s(k) for k in range(2)] == delays
 
 
 @pytest.mark.parametrize("duration", ["x", [1], None, -1])
