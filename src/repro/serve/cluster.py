@@ -32,7 +32,9 @@ lease.  A graceful drain releases leases for jobs it hands back via
 ``requeue.json`` (so peers do not also reclaim them); a SIGKILL leaves
 leases behind, and any surviving peer's lease-scan reclaims them once
 (a) the owner is *dead* per the failure detector and (b) the lease has
-not been renewed for ``lease_timeout_s`` of local time.  Racing
+not been renewed for ``lease_timeout_s`` of local time.  A node
+restarted under the same id never looks dead to its peers, so its own
+lease-scan reclaims the leases its killed incarnation left.  Racing
 reclaimers are arbitrated by an ``O_CREAT|O_EXCL`` claim file keyed by
 (job_key, generation + 1): exactly one winner per generation.
 
@@ -57,7 +59,7 @@ import bisect
 import hashlib
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from repro.errors import ServeError
@@ -107,6 +109,21 @@ def _read_json(path: Path) -> dict | None:
     return blob if isinstance(blob, dict) else None
 
 
+def _read_records(directory: Path, cls) -> list:
+    """Every well-formed *cls* record (``cls.from_wire``) in *directory*;
+    missing, torn and foreign files are skipped."""
+    records = []
+    for path in directory.glob("*.json"):
+        blob = _read_json(path)
+        if blob is None:
+            continue
+        try:
+            records.append(cls.from_wire(blob))
+        except ServeError:
+            continue
+    return records
+
+
 @dataclass(frozen=True)
 class ClusterConfig:
     """Federation knobs for one node."""
@@ -145,13 +162,7 @@ class NodeRecord:
     draining: bool = False
 
     def to_wire(self) -> dict:
-        return {
-            "node_id": self.node_id,
-            "host": self.host,
-            "port": self.port,
-            "heartbeat_seq": self.heartbeat_seq,
-            "draining": self.draining,
-        }
+        return asdict(self)
 
     @classmethod
     def from_wire(cls, blob: dict) -> "NodeRecord":
@@ -355,21 +366,16 @@ class LeaseManager:
         self.held.pop(job_key, None)
         self._path(job_key).unlink(missing_ok=True)
 
+    def known(self, job_key: str) -> bool:
+        """True when a lease or a result record already uses *job_key*."""
+        return self._path(job_key).exists() or self.result_committed(job_key)
+
     # -- scanning and reclaim -------------------------------------------
 
     def read_all(self) -> dict[str, Lease]:
         """Every lease on disk (including this node's own)."""
-        leases = {}
-        for path in self.leases_dir.glob("*.json"):
-            blob = _read_json(path)
-            if blob is None:
-                continue
-            try:
-                lease = Lease.from_wire(blob)
-            except ServeError:
-                continue
-            leases[lease.job_key] = lease
-        return leases
+        leases = _read_records(self.leases_dir, Lease)
+        return {lease.job_key: lease for lease in leases}
 
     def expired(self, owner_dead) -> list[Lease]:
         """Foreign leases whose owner is dead *and* whose ``(generation,
@@ -379,12 +385,17 @@ class LeaseManager:
         *owner_dead* is a predicate (node_id -> bool), normally the
         failure detector; requiring both signals keeps reclaim
         conservative -- a slow-but-heartbeating owner is never robbed.
+        Leases that name this node but that it does not hold are
+        candidates at once: a killed incarnation under the same id left
+        them, and peers see this id alive, so none of them reclaims it.
         """
         candidates = []
         on_disk = self.read_all()
         self._silence.retain(on_disk)  # released leases are forgotten
         for lease in on_disk.values():
             if lease.owner == self.node_id:
+                if lease.job_key not in self.held:
+                    candidates.append(lease)
                 continue
             # The timer starts from *our* first sighting of this
             # generation and renewal, never from any claim the lease
@@ -520,18 +531,8 @@ class ClusterServer(ProfilingServer):
         self.metrics.heartbeats_sent += 1
 
     def _read_peer_records(self) -> dict[str, NodeRecord]:
-        peers = {}
-        for path in self.nodes_dir.glob("*.json"):
-            blob = _read_json(path)
-            if blob is None:
-                continue
-            try:
-                record = NodeRecord.from_wire(blob)
-            except ServeError:
-                continue
-            if record.node_id != self.node_id:
-                peers[record.node_id] = record
-        return peers
+        records = _read_records(self.nodes_dir, NodeRecord)
+        return {r.node_id: r for r in records if r.node_id != self.node_id}
 
     def _observe_peers(self) -> None:
         self._peers = self._read_peer_records()
@@ -581,9 +582,13 @@ class ClusterServer(ProfilingServer):
     # -- submission routing ---------------------------------------------
 
     def _next_job_id(self, spec: JobSpec) -> str:
-        job_id = f"cj-{self.node_id}-{self._seq:05d}-{spec.digest()[:8]}"
-        self._seq += 1
-        return job_id
+        # A node restarted under the same id counts from 0 again; skip
+        # the keys its earlier incarnation left in the store.
+        while True:
+            job_id = f"cj-{self.node_id}-{self._seq:05d}-{spec.digest()[:8]}"
+            self._seq += 1
+            if not self.leases.known(job_id):
+                return job_id
 
     def _accept(
         self, spec: JobSpec, job_id: str | None = None, force: bool = False

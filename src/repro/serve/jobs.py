@@ -95,13 +95,7 @@ class Lease:
     generation: int = 0
 
     def to_wire(self) -> dict:
-        return {
-            "job_key": self.job_key,
-            "owner": self.owner,
-            "spec": self.spec,
-            "renew_seq": self.renew_seq,
-            "generation": self.generation,
-        }
+        return asdict(self)
 
     @classmethod
     def from_wire(cls, blob: dict) -> "Lease":

@@ -422,7 +422,9 @@ def test_cli_metrics_requires_a_source():
 
 
 def test_cli_metrics_archive_path_matches_inline_run(tmp_path, capsys):
-    # Path A: run-once lands an archive in the store...
+    # run-once lands an archive in the store; `metrics ARCHIVE` prints
+    # the archive's own summary (tests/test_metrics.py pins that it
+    # equals the live run's).
     rc = main(
         [
             "run-once", "kernel-counters",
@@ -437,16 +439,10 @@ def test_cli_metrics_archive_path_matches_inline_run(tmp_path, capsys):
     assert rc == 0
     from_archive = capsys.readouterr().out
 
-    # ...Path B: the same spec executed inline, summarized directly.
-    from repro.metrics import MetricsSummary
-    from repro.serve.jobs import JobSpec
-    from repro.serve.workers import execute_job
+    from repro.dprof.session_io import load_session
 
-    spec = JobSpec.create(scenario="kernel-counters", seed=11)
-    _status, archive_text, _info = execute_job(spec)
-    counters = json.loads(archive_text)["hw_counters"]
-    from_run = MetricsSummary.from_blob(counters).render()
+    from_session = load_session(archive).metrics().render()
 
     assert from_archive.startswith("== top-down metrics ")
-    assert from_archive == from_run
+    assert from_archive == from_session
     assert "MPKI" in from_archive and "sharing" in from_archive

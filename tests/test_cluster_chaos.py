@@ -353,3 +353,48 @@ def test_cluster_heartbeat_stall_suspects_then_recovers(tmp_path):
     finally:
         stop_server(node_a)
         stop_server(node_b)
+
+
+@pytest.mark.slow
+def test_cluster_restart_under_same_id_reruns_its_jobs(tmp_path):
+    """A node SIGKILLed and restarted under its own id heartbeats again,
+    so its peer never reclaims the old leases: the restarted node takes
+    those jobs over itself, and every job still commits once."""
+    procs, ports = {}, {}
+    old_workers = []
+    try:
+        for name in ("phoenix", "witness"):
+            procs[name], ports[name] = _start_node(tmp_path, name)
+        job_ids = [
+            _submit(
+                ports["phoenix"], "synthetic", seed=900 + i,
+                duration=LONG_JOB, route="local",
+            )
+            for i in range(4)
+        ]
+        time.sleep(0.3)  # both workers are mid-job
+        old_workers = child_pids(procs["phoenix"].pid)
+        procs["phoenix"].kill()
+        procs["phoenix"].wait(timeout=10)
+        kill_quietly(old_workers)
+        (tmp_path / "phoenix.port").unlink()
+        procs["phoenix"], ports["phoenix"] = _start_node(tmp_path, "phoenix")
+
+        results = _wait_results(tmp_path, set(job_ids), timeout_s=60.0)
+        assert set(results) == set(job_ids)
+        assert all(record["state"] == "done" for record in results.values())
+        taken_over = sum(_metrics(ports[name])["jobs_reclaimed"] for name in ports)
+        assert taken_over >= 1, "the kill landed after every job finished"
+        for port in ports.values():
+            assert _metrics(port)["reconciled"] is True
+
+        # The restart counts job ids from 0 again but skips the old keys.
+        fresh = _submit(
+            ports["phoenix"], "synthetic", seed=900, duration=SHORT_JOB,
+            route="local",
+        )
+        assert fresh not in job_ids
+    finally:
+        for proc in procs.values():
+            stop_server(proc)
+        kill_quietly(old_workers)

@@ -208,7 +208,7 @@ def test_lease_expiry_needs_silence_and_dead_owner(tmp_path):
     assert watcher.expired(lambda node: False) == []
     expired = watcher.expired(lambda node: node == "a")
     assert [lease.job_key for lease in expired] == ["job-1"]
-    # Own leases are never candidates.
+    # Leases a node holds itself are never candidates.
     assert owner.expired(lambda node: True) == []
 
 
@@ -399,6 +399,44 @@ def test_retry_jitter_uses_injected_rng_stream():
         rng=DeterministicRng(9, "retry-test"),
     )
     assert [again.backoff_s(k) for k in range(2)] == delays
+
+
+def test_restarted_node_takes_over_its_orphaned_leases(tmp_path):
+    from repro.serve.cluster import ClusterServer
+
+    # Node "a" is killed holding two leases; one job had committed.
+    spec = make_spec()
+    killed = LeaseManager(tmp_path, "a")
+    running = f"cj-a-00000-{spec.digest()[:8]}"
+    killed.acquire(running, spec.to_wire())
+    killed.acquire("cj-a-00001-finished", make_spec(seed=4).to_wire())
+    killed.commit_result("cj-a-00001-finished", {"state": "done"})
+    killed.renew_all()
+
+    # Its restart heartbeats from 0 under the same id, so a peer's
+    # detector keeps it alive and the peer never reclaims the lease.
+    clock = FakeClock()
+    peer = FailureDetector(suspect_after_s=2.0, dead_after_s=5.0, clock=clock)
+    watcher = LeaseManager(tmp_path, "b", lease_timeout_s=8.0, clock=clock)
+    peer.observe({"a": 1})
+    for seq in range(20):
+        clock.advance(1.0)
+        peer.observe({"a": seq})
+        assert watcher.expired(lambda node: peer.state(node) == "dead") == []
+
+    # The restarted node itself takes the job over as the next
+    # generation, and tidies the lease of the job that had finished.
+    restarted = ClusterServer(tmp_path, ClusterConfig(node_id="a"), workers=1)
+    restarted._reclaim_expired()
+    assert list(restarted.jobs) == [running]
+    assert restarted.metrics.jobs_reclaimed == 1
+    on_disk = restarted.leases.read_all()
+    assert list(on_disk) == [running]
+    assert on_disk[running].owner == "a" and on_disk[running].generation == 1
+    assert restarted.leases.expired(lambda node: True) == []
+    # A new submission of the same spec does not reuse the old key.
+    reply = restarted._accept(spec)
+    assert reply["ok"] and reply["job_id"] not in (running, "cj-a-00001-finished")
 
 
 @pytest.mark.parametrize("duration", ["x", [1], None, -1])
